@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory override")
         p.add_argument("--stages",
                        help="comma-separated stage subset of the config")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count (outputs are deterministic "
-                            "regardless)")
         p.add_argument("--preset", choices=("vnir", "swir", "dual"),
                        help="sensor preset")
     return parser
@@ -63,8 +60,7 @@ def _resolve_config(args) -> PipelineConfig:
         config = load_config(args.config)
         if args.preset and args.preset != config.preset:
             config = PipelineConfig(stages=config.stages, seed=config.seed,
-                                    preset=args.preset, out=config.out,
-                                    threads=config.threads)
+                                    preset=args.preset, out=config.out)
     else:
         preset = args.preset or ("dual" if args.command == "bundle"
                                  else "vnir")
@@ -90,8 +86,7 @@ def _resolve_config(args) -> PipelineConfig:
         stages=stages,
         seed=args.seed if args.seed is not None else config.seed,
         preset=config.preset,
-        out=args.out if args.out else config.out,
-        threads=args.threads if args.threads else config.threads)
+        out=args.out if args.out else config.out)
 
 
 def main(argv=None) -> int:

@@ -1,228 +1,29 @@
 """Hot numeric kernels: cubic-convolution resampling and Gaussian band integration.
 
-Each kernel has a numba ``@njit`` implementation and a vectorized pure-numpy
-fallback.  The numpy path is selected by setting ``HYPERCAL_DISABLE_NUMBA=1``
-in the environment (or automatically when numba is unavailable).  Both paths
-produce identical results to floating-point roundoff; ``benchmarks/`` compares
-their throughput.
+Each kernel has one vectorized numpy implementation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_A = -0.5  # cubic convolution parameter (Keys kernel)
+# There is no compiled kernel path; the constant stays because the benchmark
+# harness records it with every run.
+USING_NUMBA = False
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-USING_NUMBA = not _env_flag("HYPERCAL_DISABLE_NUMBA")
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # numba not installed: automatic numpy fallback
-        USING_NUMBA = False
-
-if not USING_NUMBA:  # identity decorator so the njit sources stay importable
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-@njit(cache=True)
-def _cubic_weight(t: float) -> float:
-    at = abs(t)
-    if at <= 1.0:
-        return (1.5 * at - 2.5) * at * at + 1.0
-    if at < 2.0:
-        return -0.5 * (((at - 5.0) * at + 8.0) * at - 4.0)
-    return 0.0
-
-
-@njit(cache=True)
-def _map1d_nb(signal, coords, out, valid):
-    n = signal.shape[0]
-    for j in range(coords.shape[0]):
-        raw = coords[j]
-        inb = 0.0 <= raw <= n - 1.0
-        x = raw
-        if x < 0.0:
-            x = 0.0
-        elif x > n - 1.0:
-            x = n - 1.0
-        i0 = int(np.floor(x))
-        frac = x - i0
-        if frac == 0.0:
-            out[j] = signal[i0]
-            valid[j] = inb
-            continue
-        acc = 0.0
-        for k in range(-1, 3):
-            idx = i0 + k
-            if idx < 0:
-                idx = 0
-            elif idx > n - 1:
-                idx = n - 1
-            acc += _cubic_weight(frac - k) * signal[idx]
-        out[j] = acc
-        valid[j] = inb and (i0 - 1 >= 0) and (i0 + 2 <= n - 1)
-
-
-@njit(cache=True)
-def _map_rows_nb(image, coords, out, valid):
-    for r in range(image.shape[0]):
-        _map1d_nb(image[r], coords[r], out[r], valid[r])
-
-
-@njit(cache=True)
-def _bicubic_nb(image, yy, xx, out, valid):
-    ny, nx = image.shape
-    flat_y = yy.ravel()
-    flat_x = xx.ravel()
-    flat_out = out.ravel()
-    flat_valid = valid.ravel()
-    for j in range(flat_y.shape[0]):
-        y = min(max(flat_y[j], 0.0), ny - 1.0)
-        x = min(max(flat_x[j], 0.0), nx - 1.0)
-        iy = int(np.floor(y))
-        ix = int(np.floor(x))
-        fy = y - iy
-        fx = x - ix
-        acc = 0.0
-        for ky in range(-1, 3):
-            ry = iy + ky
-            if ry < 0:
-                ry = 0
-            elif ry > ny - 1:
-                ry = ny - 1
-            wy = _cubic_weight(fy - ky)
-            if wy == 0.0:
-                continue
-            row = 0.0
-            for kx in range(-1, 3):
-                rx = ix + kx
-                if rx < 0:
-                    rx = 0
-                elif rx > nx - 1:
-                    rx = nx - 1
-                row += _cubic_weight(fx - kx) * image[ry, rx]
-            acc += wy * row
-        flat_out[j] = acc
-        ok_y = fy == 0.0 or (iy - 1 >= 0 and iy + 2 <= ny - 1)
-        ok_x = fx == 0.0 or (ix - 1 >= 0 and ix + 2 <= nx - 1)
-        inb = (0.0 <= flat_y[j] <= ny - 1.0) and (0.0 <= flat_x[j] <= nx - 1.0)
-        flat_valid[j] = inb and ok_y and ok_x
-
-
-@njit(cache=True)
-def _band_integrals_nb(spectra, wl0, dwl, centers, sigmas, out):
-    nk, nl = spectra.shape
-    nb, ns = centers.shape
-    for b in range(nb):
-        sig = sigmas[b]
-        half = 5.0 * sig
-        for s in range(ns):
-            c = centers[b, s]
-            i0 = int(np.floor((c - half - wl0) / dwl))
-            i1 = int(np.ceil((c + half - wl0) / dwl)) + 1
-            if i0 < 0:
-                i0 = 0
-            if i1 > nl:
-                i1 = nl
-            wsum = 0.0
-            for k in range(nk):
-                out[b, s, k] = 0.0
-            for i in range(i0, i1):
-                wl = wl0 + i * dwl
-                t = (wl - c) / sig
-                if t > 5.0 or t < -5.0:
-                    continue
-                w = np.exp(-0.5 * t * t)
-                wsum += w
-                for k in range(nk):
-                    out[b, s, k] += w * spectra[k, i]
-            if wsum > 0.0:
-                for k in range(nk):
-                    out[b, s, k] /= wsum
-
-
-def _cubic_weight_np(t):
-    at = np.abs(t)
-    w = np.where(
-        at <= 1.0,
-        (1.5 * at - 2.5) * at * at + 1.0,
-        -0.5 * (((at - 5.0) * at + 8.0) * at - 4.0),
-    )
-    return np.where(at < 2.0, w, 0.0)
-
-
-def _map_rows_np(image, coords):
-    n = image.shape[1]
-    x = np.clip(coords, 0.0, n - 1.0)
-    i0 = np.floor(x).astype(np.int64)
-    frac = x - i0
-    out = np.zeros(coords.shape, dtype=np.float64)
+def _cubic_weights(frac):
+    """Keys (a = -0.5) weights of taps -1, 0, 1, 2 for offsets ``frac`` in
+    [0, 1).  Taps 0 and 1 always lie within one sample (|t| <= 1) and taps
+    -1 and 2 between one and two, so each tap has a fixed polynomial."""
+    weights = []
     for k in range(-1, 3):
-        idx = np.clip(i0 + k, 0, n - 1)
-        out += _cubic_weight_np(frac - k) * np.take_along_axis(image, idx, axis=1)
-    exact = frac == 0.0
-    if np.any(exact):
-        out[exact] = np.take_along_axis(image, i0, axis=1)[exact]
-    inb = (coords >= 0.0) & (coords <= n - 1.0)
-    valid = inb & (exact | ((i0 - 1 >= 0) & (i0 + 2 <= n - 1)))
-    return out, valid
-
-
-def _bicubic_np(image, yy, xx):
-    ny, nx = image.shape
-    y = np.clip(yy, 0.0, ny - 1.0)
-    x = np.clip(xx, 0.0, nx - 1.0)
-    iy = np.floor(y).astype(np.int64)
-    ix = np.floor(x).astype(np.int64)
-    fy = y - iy
-    fx = x - ix
-    out = np.zeros(yy.shape, dtype=np.float64)
-    for ky in range(-1, 3):
-        ry = np.clip(iy + ky, 0, ny - 1)
-        wy = _cubic_weight_np(fy - ky)
-        row = np.zeros(yy.shape, dtype=np.float64)
-        for kx in range(-1, 3):
-            rx = np.clip(ix + kx, 0, nx - 1)
-            row += _cubic_weight_np(fx - kx) * image[ry, rx]
-        out += wy * row
-    exact_y = fy == 0.0
-    exact_x = fx == 0.0
-    ok_y = exact_y | ((iy - 1 >= 0) & (iy + 2 <= ny - 1))
-    ok_x = exact_x | ((ix - 1 >= 0) & (ix + 2 <= nx - 1))
-    inb = (yy >= 0.0) & (yy <= ny - 1.0) & (xx >= 0.0) & (xx <= nx - 1.0)
-    return out, inb & ok_y & ok_x
-
-
-def _band_integrals_np(spectra, wl0, dwl, centers, sigmas, out):
-    nk, nl = spectra.shape
-    nb, ns = centers.shape
-    grid = wl0 + dwl * np.arange(nl)
-    for b in range(nb):
-        sig = sigmas[b]
-        lo = centers[b].min() - 5.0 * sig
-        hi = centers[b].max() + 5.0 * sig
-        i0 = max(int(np.floor((lo - wl0) / dwl)), 0)
-        i1 = min(int(np.ceil((hi - wl0) / dwl)) + 1, nl)
-        t = (grid[None, i0:i1] - centers[b][:, None]) / sig
-        w = np.exp(-0.5 * t * t)
-        w[np.abs(t) > 5.0] = 0.0
-        wsum = w.sum(axis=1)
-        resp = w @ spectra[:, i0:i1].T  # (S, K)
-        nz = wsum > 0.0
-        resp[nz] /= wsum[nz, None]
-        resp[~nz] = 0.0
-        out[b] = resp
-    return out
+        at = np.abs(frac - k)
+        if k in (0, 1):
+            weights.append((1.5 * at - 2.5) * at * at + 1.0)
+        else:
+            weights.append(-0.5 * (((at - 5.0) * at + 8.0) * at - 4.0))
+    return weights
 
 
 def resample_rows(image: np.ndarray, coords: np.ndarray):
@@ -237,12 +38,20 @@ def resample_rows(image: np.ndarray, coords: np.ndarray):
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.shape != image.shape:
         raise ValueError("coords shape must match image shape")
-    if USING_NUMBA:
-        out = np.empty(coords.shape, dtype=np.float64)
-        valid = np.empty(coords.shape, dtype=np.bool_)
-        _map_rows_nb(image, coords, out, valid)
-        return out, valid
-    return _map_rows_np(image, coords)
+    n = image.shape[1]
+    x = np.clip(coords, 0.0, n - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    frac = x - i0
+    out = np.zeros(coords.shape, dtype=np.float64)
+    for k, w in zip(range(-1, 3), _cubic_weights(frac)):
+        idx = np.clip(i0 + k, 0, n - 1)
+        out += w * np.take_along_axis(image, idx, axis=1)
+    exact = frac == 0.0
+    if np.any(exact):
+        out[exact] = np.take_along_axis(image, i0, axis=1)[exact]
+    inb = (coords >= 0.0) & (coords <= n - 1.0)
+    valid = inb & (exact | ((i0 - 1 >= 0) & (i0 + 2 <= n - 1)))
+    return out, valid
 
 
 def resample_signal(signal: np.ndarray, coords: np.ndarray):
@@ -260,12 +69,28 @@ def bicubic_sample(image: np.ndarray, yy: np.ndarray, xx: np.ndarray):
     image = np.ascontiguousarray(image, dtype=np.float64)
     yy = np.ascontiguousarray(yy, dtype=np.float64)
     xx = np.ascontiguousarray(xx, dtype=np.float64)
-    if USING_NUMBA:
-        out = np.empty(yy.shape, dtype=np.float64)
-        valid = np.empty(yy.shape, dtype=np.bool_)
-        _bicubic_nb(image, yy, xx, out, valid)
-        return out, valid
-    return _bicubic_np(image, yy, xx)
+    ny, nx = image.shape
+    y = np.clip(yy, 0.0, ny - 1.0)
+    x = np.clip(xx, 0.0, nx - 1.0)
+    iy = np.floor(y).astype(np.int64)
+    ix = np.floor(x).astype(np.int64)
+    fy = y - iy
+    fx = x - ix
+    taps_x = [(np.clip(ix + kx, 0, nx - 1), wx)
+              for kx, wx in zip(range(-1, 3), _cubic_weights(fx))]
+    out = np.zeros(yy.shape, dtype=np.float64)
+    for ky, wy in zip(range(-1, 3), _cubic_weights(fy)):
+        ry = np.clip(iy + ky, 0, ny - 1)
+        row = np.zeros(yy.shape, dtype=np.float64)
+        for rx, wx in taps_x:
+            row += wx * image[ry, rx]
+        out += wy * row
+    exact_y = fy == 0.0
+    exact_x = fx == 0.0
+    ok_y = exact_y | ((iy - 1 >= 0) & (iy + 2 <= ny - 1))
+    ok_x = exact_x | ((ix - 1 >= 0) & (ix + 2 <= nx - 1))
+    inb = (yy >= 0.0) & (yy <= ny - 1.0) & (xx >= 0.0) & (xx <= nx - 1.0)
+    return out, inb & ok_y & ok_x
 
 
 def band_integrals(spectra: np.ndarray, wl0: float, dwl: float,
@@ -280,9 +105,25 @@ def band_integrals(spectra: np.ndarray, wl0: float, dwl: float,
     spectra = np.ascontiguousarray(spectra, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     sigmas = np.ascontiguousarray(sigmas, dtype=np.float64)
-    out = np.empty((centers.shape[0], centers.shape[1], spectra.shape[0]),
-                   dtype=np.float64)
-    if USING_NUMBA:
-        _band_integrals_nb(spectra, float(wl0), float(dwl), centers, sigmas, out)
-        return out
-    return _band_integrals_np(spectra, float(wl0), float(dwl), centers, sigmas, out)
+    wl0 = float(wl0)
+    dwl = float(dwl)
+    nk, nl = spectra.shape
+    nb, ns = centers.shape
+    out = np.empty((nb, ns, nk), dtype=np.float64)
+    grid = wl0 + dwl * np.arange(nl)
+    for b in range(nb):
+        sig = sigmas[b]
+        lo = centers[b].min() - 5.0 * sig
+        hi = centers[b].max() + 5.0 * sig
+        i0 = max(int(np.floor((lo - wl0) / dwl)), 0)
+        i1 = min(int(np.ceil((hi - wl0) / dwl)) + 1, nl)
+        t = (grid[None, i0:i1] - centers[b][:, None]) / sig
+        w = np.exp(-0.5 * t * t)
+        w[np.abs(t) > 5.0] = 0.0
+        wsum = w.sum(axis=1)
+        resp = w @ spectra[:, i0:i1].T  # (S, K)
+        nz = wsum > 0.0
+        resp[nz] /= wsum[nz, None]
+        resp[~nz] = 0.0
+        out[b] = resp
+    return out

@@ -82,7 +82,6 @@ class PipelineConfig:
     seed: int = 0
     preset: str = "vnir"
     out: str = "out"
-    threads: int = 1
 
     def stage_names(self) -> list:
         return [name for name, _ in self.stages]
@@ -106,7 +105,7 @@ def validate_config(doc: dict) -> PipelineConfig:
     key path, and stage ordering must respect the dependency rules."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    allowed_top = {"seed", "preset", "out", "threads", "stages"}
+    allowed_top = {"seed", "preset", "out", "stages"}
     for key in doc:
         if key not in allowed_top:
             raise ConfigError(f"unknown config key {key!r}")
@@ -145,10 +144,12 @@ def validate_config(doc: dict) -> PipelineConfig:
                 raise ConfigError(
                     f"stage {dependent!r} requires stage {prereq!r} earlier "
                     f"in the stage list")
-    return PipelineConfig(stages=tuple(stages),
-                          seed=int(doc.get("seed", 0)), preset=preset,
-                          out=str(doc.get("out", "out")),
-                          threads=int(doc.get("threads", 1)))
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("seed: must be an integer") from exc
+    return PipelineConfig(stages=tuple(stages), seed=seed, preset=preset,
+                          out=str(doc.get("out", "out")))
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -256,7 +257,9 @@ def _stage_simulate(state, params, out: Path, seed: int, preset: str):
     clusters = ()
     if params.get("bunch"):
         clusters = sim.make_bunch_clusters(
-            bands=(5, 12), start_samples=(40, 180), seed=seed + 3)
+            bands=(5, 12),
+            start_samples=(samples * 40 // 256, samples * 180 // 256),
+            seed=seed + 3)
     stray = sim.StrayLightSpec(tail_scale_px=2.2) if params.get("stray") \
         else None
     artifacts = sim.ArtifactConfig(interference=components, bunch=clusters,
@@ -376,7 +379,9 @@ def _stage_stray(state, params, out: Path, seed: int):
     # spatial shift is zero and the point stays in its column
     band = min(spectral.KEYSTONE_REF_BAND, sensor.centers_nm.size - 1)
     point_cubes = []
-    for (l0, s0) in [(l, s) for l in (32, 128, 224) for s in (32, 128, 224)]:
+    rows = (lines // 8, lines // 2, 7 * lines // 8)
+    cols = (samples // 8, samples // 2, 7 * samples // 8)
+    for (l0, s0) in [(l, s) for l in rows for s in cols]:
         scene = sim.synth_scene("point-source", lines, samples,
                                 points=[(l0, s0)], background=0.002,
                                 amplitude=1.0)

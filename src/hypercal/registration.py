@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .kernels import resample_rows, resample_signal
+from .kernels import resample_signal
 
 _UPSAMPLE = 64
 
@@ -305,8 +305,3 @@ def shift_signal(signal, delta: float):
     n = np.asarray(signal).shape[0]
     coords = np.arange(n, dtype=np.float64) - delta
     return resample_1d(signal, coords)
-
-
-def resample_rows_by(image, coords):
-    """Row-wise cubic resampling helper shared by keystone and ortho paths."""
-    return resample_rows(image, coords)

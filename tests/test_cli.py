@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hypercal.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from hypercal.pipeline import default_config
 
 
 def _write_config(tmp_path, stages, name="cfg.json", **top):
@@ -35,6 +36,11 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, [dict(SIM_SMALL, wibble=1)])
         assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
         assert "stages[0].wibble" in capsys.readouterr().err
+
+    def test_non_integer_seed_returns_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, [SIM_SMALL], seed="x")
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
 
     def test_dependency_violation_returns_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, [SIM_SMALL, {"name": "smile"},
@@ -99,6 +105,14 @@ class TestOverridesAndSubcommands:
         from hypercal.cube import read_cube
         cube = read_cube(tmp_path / "out" / "raw.img")
         assert cube.band_meta[0].instrument == "swir"
+
+    def test_correct_chain_at_128_squared(self, tmp_path):
+        # bunch clusters and stray point sources scale with the cube
+        stages = [dict(name=name, **params)
+                  for name, params in default_config().stages]
+        stages[0].update(lines=128, samples=128)
+        cfg = _write_config(tmp_path, stages)
+        assert main(["correct", "--config", cfg]) == EXIT_OK
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
