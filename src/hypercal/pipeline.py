@@ -89,7 +89,8 @@ class PipelineConfig:
 
 @dataclass
 class ReportBundle:
-    """Run products: metric rows, preview paths, and the summary files."""
+    """Run products: metric rows, preview file names (relative to the
+    output directory), and the summary files."""
 
     metrics: list = field(default_factory=list)   # (stage, metric, value)
     previews: list = field(default_factory=list)
@@ -376,8 +377,10 @@ def _stage_stray(state, params, out: Path, seed: int):
     lines, samples = state["cube"].lines, state["cube"].samples
     spec = sim.StrayLightSpec(tail_scale_px=2.2)
     # measure at the keystone reference band, where the injected band-to-band
-    # spatial shift is zero and the point stays in its column
+    # spatial shift is zero and the point stays in its column; only that
+    # band is rendered
     band = min(spectral.KEYSTONE_REF_BAND, sensor.centers_nm.size - 1)
+    ref_sensor = sensor.single_band(band)
     point_cubes = []
     rows = (lines // 8, lines // 2, 7 * lines // 8)
     cols = (samples // 8, samples // 2, 7 * samples // 8)
@@ -385,12 +388,12 @@ def _stage_stray(state, params, out: Path, seed: int):
         scene = sim.synth_scene("point-source", lines, samples,
                                 points=[(l0, s0)], background=0.002,
                                 amplitude=1.0)
-        cube, _ = sim.render_raw(scene, sensor,
+        cube, _ = sim.render_raw(scene, ref_sensor,
                                  sim.ArtifactConfig(stray=spec, noise=False),
                                  seed=seed + 70, steering_deg=steering)
         point_cubes.append((cube, (l0, s0)))
     model = anomalies.estimate_stray_psf(
-        point_cubes, steering, band=band,
+        point_cubes, steering, band=0,
         tap_count=int(params.get("tap_count", 31)))
     corrected = anomalies.correct_stray(state["cube"], model, steering)
     extent = anomalies.kernel_extent(
@@ -581,9 +584,11 @@ def _stage_report(state, params, out: Path, seed: int):
         b = int(b)
         if not 0 <= b < cube.bands:
             raise ConfigError(f"preview band {b} outside the cube")
-        path = out / f"preview_band{b:03d}.pgm"
-        write_pgm(path, cube.data[:, :, b].astype(np.float64))
-        state["report"].previews.append(str(path))
+        name = f"preview_band{b:03d}.pgm"
+        write_pgm(out / name, cube.data[:, :, b].astype(np.float64))
+        # relative to the output directory, so the summary does not
+        # depend on where the run was written
+        state["report"].previews.append(name)
     state["report"].add("report", "previews", len(bands))
 
 

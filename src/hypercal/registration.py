@@ -4,10 +4,13 @@ The 1-D estimator follows the classic normalized cross-power-spectrum
 approach: signals are mean-removed and Hann-windowed, the cross-power
 spectrum is whitened, and the correlation peak is located to sub-pixel
 precision by a locally upsampled inverse transform refined with a parabola.
+It works on whole ``(N, L)`` stacks of signal pairs at once
+(:func:`shift_1d_batch`); :func:`shift_1d` is its one-pair form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,151 +29,194 @@ class ShiftEstimate:
     confidence: float
 
 
-def _check_signal(x: np.ndarray, min_len: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < min_len:
-        raise EstimationError(f"signal too short (need >= {min_len} samples)")
-    if not np.all(np.isfinite(x)):
-        raise EstimationError("signal contains non-finite values")
-    if np.ptp(x) == 0.0:
-        raise EstimationError("constant signal has no spectral content")
-    return x
-
-
-def _parabolic_vertex(ym1: float, y0: float, yp1: float) -> float:
+def _parabolic_vertex(ym1, y0, yp1):
+    """Vertex offset in [-0.5, 0.5] of the parabola through three equally
+    spaced samples, 0 where they are collinear; elementwise on arrays."""
     denom = ym1 - 2.0 * y0 + yp1
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (ym1 - yp1) / denom, -0.5, 0.5))
-
-
-def _refine_peak_1d(xpow: np.ndarray, lag: float, halfwidth: float = 1.0):
-    """Evaluate the correlation on a fine grid around ``lag`` directly from
-    the cross-power spectrum and refine the maximum with a parabola."""
-    n = xpow.shape[0]
-    freqs = np.fft.fftfreq(n)
-    step = 1.0 / _UPSAMPLE
-    taus = np.arange(lag - halfwidth, lag + halfwidth + step / 2, step)
-    corr = (xpow[None, :] * np.exp(2j * np.pi * freqs[None, :] * taus[:, None])).real
-    corr = corr.sum(axis=1)
-    k = int(np.argmax(corr))
-    k = min(max(k, 1), corr.shape[0] - 2)
-    frac = _parabolic_vertex(corr[k - 1], corr[k], corr[k + 1])
-    return float(taus[k] + frac * step), float(corr[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip(0.5 * (ym1 - yp1) / denom, -0.5, 0.5)
+    return np.where(denom == 0.0, 0.0, frac)
 
 
 _MAG_FLOOR = 1e-2  # bins below this fraction of peak magnitude carry no signal
 
 
-def _whiten(cross: np.ndarray) -> np.ndarray:
+def _whiten(cross: np.ndarray, axis=None) -> np.ndarray:
+    """Unit-magnitude cross-power spectrum, normalized by the peak over
+    ``axis`` (every axis by default); weak bins and all-zero spectra are
+    zeroed."""
     mag = np.abs(cross)
-    top = mag.max()
-    if top <= 0:
-        return np.zeros_like(cross)
+    top = mag.max(axis=axis, keepdims=True)
     eps = 1e-12 * top
-    xpow = cross / (mag + eps)
-    xpow[mag < _MAG_FLOOR * top] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xpow = cross / (mag + eps)
+    xpow[(mag < _MAG_FLOOR * top) | (top <= 0)] = 0.0
     return xpow
 
 
-def _normalized_xpow(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    wa = a - a.mean()
-    wb = b - b.mean()
-    win = np.hanning(a.shape[0])
-    fa = np.fft.fft(wa * win)
-    fb = np.fft.fft(wb * win)
-    return _whiten(fa * np.conj(fb))
+@functools.lru_cache(maxsize=16)
+def _upsample_matrix(n: int) -> np.ndarray:
+    """``(n, 2*_UPSAMPLE + 1)`` DFT matrix evaluating a length-``n``
+    spectrum at lag offsets -1..+1 in steps of ``1/_UPSAMPLE``
+    (Guizar-Sicairos, Thurman & Fienup, Opt. Lett. 33, 2008)."""
+    offsets = np.arange(-_UPSAMPLE, _UPSAMPLE + 1) / _UPSAMPLE
+    e = np.exp(2j * np.pi * np.outer(np.fft.fftfreq(n), offsets))
+    e.setflags(write=False)
+    return e
 
 
-def _estimate_1d(a: np.ndarray, b: np.ndarray, max_shift: float):
-    n = a.shape[0]
-    xpow = _normalized_xpow(a, b)
-    corr = np.fft.ifft(xpow).real
+def _refine_peaks(xpow: np.ndarray, lag0: np.ndarray) -> np.ndarray:
+    """Sub-pixel correlation peaks near the integer lags ``lag0``: each row's
+    correlation is evaluated on a fine grid around its lag directly from the
+    cross-power spectrum and the maximum is refined with a parabola."""
+    n = xpow.shape[1]
+    step = 1.0 / _UPSAMPLE
+    ramp = np.exp(2j * np.pi * np.fft.fftfreq(n)[None, :] * lag0[:, None])
+    corr = ((xpow * ramp) @ _upsample_matrix(n)).real
+    rows = np.arange(corr.shape[0])
+    k = np.clip(np.argmax(corr, axis=1), 1, corr.shape[1] - 2)
+    frac = _parabolic_vertex(corr[rows, k - 1], corr[rows, k],
+                             corr[rows, k + 1])
+    return (lag0 - 1.0) + k * step + frac * step
+
+
+def _estimate_rows(xpow: np.ndarray, max_shift: float):
+    """Coarse phase-correlation shift and dominance confidence per row of a
+    whitened cross-power stack, searching lags within ``max_shift``."""
+    n = xpow.shape[1]
+    corr = np.fft.ifft(xpow, axis=1).real
     lags = np.fft.fftfreq(n) * n  # 0, 1, ..., -1 ordering
     allowed = np.abs(lags) <= max_shift + 0.5
-    if not np.any(allowed):
-        raise EstimationError("max_shift excludes every lag")
-    masked = np.where(allowed, corr, -np.inf)
-    peak_idx = int(np.argmax(masked))
-    lag0 = float(lags[peak_idx])
-    refined_lag, _ = _refine_peak_1d(xpow, lag0)
+    peak_idx = np.argmax(np.where(allowed, corr, -np.inf), axis=1)
+    lag0 = lags[peak_idx]
     # b(x) = a(x - d) peaks the whitened correlation at lag -d
-    shift = -refined_lag
-    if abs(shift - (-lag0)) > 1.0:
-        shift = -lag0
+    shift = -_refine_peaks(xpow, lag0)
+    shift = np.where(np.abs(shift + lag0) > 1.0, -lag0, shift)
 
-    global_peak = float(corr.max())
-    corr_peak = float(corr[peak_idx])
-    dominance = 1.0
-    far = allowed & (np.abs(lags - lag0) > 2.0)
-    if np.any(far) and corr_peak > 0:
-        runner = float(corr[far].max())
-        dominance = max(0.0, 1.0 - max(runner, 0.0) / corr_peak)
-    in_range = corr_peak / global_peak if global_peak > 0 else 0.0
-    confidence = float(np.clip(dominance * max(in_range, 0.0), 0.0, 1.0))
+    global_peak = corr.max(axis=1)
+    corr_peak = corr[np.arange(corr.shape[0]), peak_idx]
+    far = allowed & (np.abs(lags[None, :] - lag0[:, None]) > 2.0)
+    runner = np.where(far, corr, -np.inf).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dominance = np.maximum(0.0, 1.0 - np.maximum(runner, 0.0) / corr_peak)
+        in_range = corr_peak / global_peak
+    dominance = np.where(far.any(axis=1) & (corr_peak > 0), dominance, 1.0)
+    in_range = np.where(global_peak > 0, in_range, 0.0)
+    confidence = np.clip(dominance * np.maximum(in_range, 0.0), 0.0, 1.0)
     return shift, confidence
 
 
-def _phase_slope_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Weighted phase-slope fit of the residual shift, valid once the
-    signals are aligned to within about half a sample."""
-    n = a.shape[0]
-    win = np.hanning(n)
-    fa = np.fft.rfft((a - a.mean()) * win)
-    fb = np.fft.rfft((b - b.mean()) * win)
-    cross = fa * np.conj(fb)
+def _phase_slope_rows(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Weighted phase-slope fit of the residual shift per row, from full
+    spectra of the signals; valid once they are aligned to within about
+    half a sample."""
+    n = fa.shape[1]
+    half = n // 2 + 1
+    cross = fa[:, :half] * np.conj(fb[:, :half])
     mag = np.abs(cross)
     freqs = np.fft.rfftfreq(n)
-    keep = (mag > _MAG_FLOOR * mag.max()) & (freqs > 0) & (freqs < 0.4)
-    if not np.any(keep):
-        return 0.0
-    phi = np.angle(cross[keep])
-    fk = freqs[keep]
-    w = mag[keep]
-    denom = 2.0 * np.pi * np.sum(w * fk * fk)
-    if denom == 0.0:
-        return 0.0
+    keep = (mag > _MAG_FLOOR * mag.max(axis=1, keepdims=True)) \
+        & (freqs > 0) & (freqs < 0.4)
+    w = np.where(keep, mag, 0.0)
+    denom = 2.0 * np.pi * np.sum(w * freqs * freqs, axis=1)
+    num = np.sum(w * np.angle(cross) * freqs, axis=1)
     # cross ~ exp(2*pi*i*f*d) for b(x) = a(x - d)
-    return float(np.sum(w * phi * fk) / denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom != 0.0, num / denom, 0.0)
+
+
+def shift_1d_batch(a, b, max_shift: float | None = None):
+    """Estimate per-row sub-pixel shifts ``delta`` with ``b[i](x) ~
+    a[i](x - delta[i])`` for ``(N, L)`` signal stacks.
+
+    Returns ``(shifts, confidences, valid)``.  Rows of either stack that are
+    non-finite or constant have no spectral content: they come back with
+    ``valid`` False and shift and confidence 0.  Each valid row is estimated
+    in two passes: a coarse phase-correlation peak gives the integer lag
+    (re-aligned circularly up to three times until it settles), and the
+    residual comes from a phase-slope fit near zero lag, where windowing bias
+    cancels, or from a second correlation pass if that fit leaves more than
+    0.75 px.  |shift| beyond ``max_shift`` (default ``L / 2``) is clamped
+    with confidence 0.  Raises :class:`EstimationError` for the whole call
+    when the stacks differ in shape, are not 2-D or are shorter than 8
+    samples.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise EstimationError("signal stacks must be (N, L) with equal shapes")
+    n_rows, n = a.shape
+    if n < 8:
+        raise EstimationError("signal too short (need >= 8 samples)")
+    if max_shift is None:
+        max_shift = n / 2.0
+    if not max_shift + 0.5 >= 0.0:
+        raise EstimationError("max_shift excludes every lag")
+    shifts = np.zeros(n_rows)
+    confidences = np.zeros(n_rows)
+    with np.errstate(invalid="ignore"):
+        valid = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1) \
+            & (np.ptp(a, axis=1) > 0.0) & (np.ptp(b, axis=1) > 0.0)
+    a, b = a[valid], b[valid]
+    m = a.shape[0]
+    win = np.hanning(n)
+
+    def spectrum(x):
+        return np.fft.fft((x - x.mean(axis=1, keepdims=True)) * win, axis=1)
+
+    def cross_power(rows):
+        return _whiten(fa[rows] * np.conj(fb[rows]), axis=1)
+
+    fa = spectrum(a)
+    fb = spectrum(b)
+    whole = np.zeros(m, dtype=np.int64)
+    conf = np.zeros(m)
+    active = np.arange(m)
+    remaining = max_shift
+    for _ in range(3):  # settle integer alignment before the phase fit
+        coarse, conf[active] = _estimate_rows(cross_power(active), remaining)
+        step = np.round(coarse).astype(np.int64)
+        moved = step != 0
+        active = active[moved]
+        if active.size == 0:
+            break
+        # b(x + whole) ~ a(x - (d - whole)): residual becomes sub-pixel
+        whole[active] += step[moved]
+        remaining = 1.5
+        roll = (np.arange(n)[None, :] + whole[active, None]) % n
+        fb[active] = spectrum(np.take_along_axis(b[active], roll, axis=1))
+    residual = _phase_slope_rows(fa, fb)
+    # the phase fit is only trusted near alignment
+    redo = np.flatnonzero(np.abs(residual) > 0.75)
+    if redo.size:
+        residual[redo], conf[redo] = _estimate_rows(cross_power(redo), 1.5)
+    shift = whole + residual
+    over = np.abs(shift) > max_shift
+    shift[over] = np.sign(shift[over]) * max_shift
+    conf[over] = 0.0
+    shifts[valid] = shift
+    confidences[valid] = conf
+    return shifts, confidences, valid
 
 
 def shift_1d(a, b, max_shift: float | None = None) -> ShiftEstimate:
     """Estimate the sub-pixel shift ``delta`` such that ``b(x) ~ a(x - delta)``.
 
-    Two-pass: a coarse phase-correlation peak gives the integer lag, the
-    signal is circularly re-aligned, and the residual is refined near zero
-    lag where windowing bias cancels.  Raises :class:`EstimationError` on
-    constant or invalid inputs; |true shift| beyond ``max_shift`` surfaces
-    as low confidence.
+    One-row form of :func:`shift_1d_batch`.  Raises
+    :class:`EstimationError` on constant, non-finite, too short or unequal
+    inputs; |true shift| beyond ``max_shift`` surfaces as low confidence.
     """
-    a = _check_signal(a, 8)
-    b = _check_signal(b, 8)
-    if a.shape != b.shape:
-        raise EstimationError("signals must have equal length")
-    n = a.shape[0]
-    if max_shift is None:
-        max_shift = n / 2.0
-    whole = 0
-    b_aligned = b
-    confidence = 0.0
-    remaining = max_shift
-    for _ in range(3):  # settle integer alignment before the phase fit
-        coarse, confidence = _estimate_1d(a, b_aligned, remaining)
-        step = int(np.round(coarse))
-        if step == 0:
-            break
-        # b(x + whole) ~ a(x - (d - whole)): residual becomes sub-pixel
-        whole += step
-        b_aligned = np.roll(b, -whole)
-        remaining = 1.5
-    residual = _phase_slope_1d(a, b_aligned)
-    if abs(residual) > 0.75:  # phase fit only trusted near alignment
-        residual, confidence = _estimate_1d(a, b_aligned, 1.5)
-    shift = whole + residual
-    if abs(shift) > max_shift:
-        shift = float(np.sign(shift) * max_shift)
-        confidence = 0.0
-    return ShiftEstimate(shift=float(shift), confidence=float(confidence))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise EstimationError("signals must be 1-D with equal length")
+    shifts, confidences, valid = shift_1d_batch(a[None, :], b[None, :],
+                                                max_shift)
+    if not valid[0]:
+        raise EstimationError("non-finite or constant signal has no spectral "
+                              "content")
+    return ShiftEstimate(shift=float(shifts[0]),
+                         confidence=float(confidences[0]))
 
 
 def _estimate_2d(a: np.ndarray, b: np.ndarray):

@@ -14,7 +14,7 @@ ground-truth oracle for closed-loop validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +329,22 @@ class SensorModel:
     def band_meta(self) -> tuple:
         return tuple(BandMeta(float(c), float(f), self.instrument)
                      for c, f in zip(self.centers_nm, self.fwhm_nm))
+
+    def single_band(self, band: int) -> "SensorModel":
+        """One-band view: every per-band field sliced to ``band``, which
+        becomes band 0.  Each per-band step of :func:`render_raw` is
+        independent of the others, so without noise or bunch clusters (both
+        keyed by band index) the view renders exactly plane ``band`` of the
+        full sensor's cube."""
+        sl = slice(band, band + 1)
+        return replace(
+            self, centers_nm=self.centers_nm[sl], fwhm_nm=self.fwhm_nm[sl],
+            smile_nm=self.smile_nm[sl], keystone_px=self.keystone_px[sl],
+            prnu=self.prnu[sl], dark_dn=self.dark_dn[sl],
+            gain_dn_per_radiance=self.gain_dn_per_radiance[sl],
+            sat_radiance=self.sat_radiance[sl],
+            masked_channels=frozenset({0} if band in self.masked_channels
+                                      else ()))
 
     def effective_centers(self) -> np.ndarray:
         """Actual RSR centers per (band, sample): nominal + smile - error."""

@@ -17,7 +17,7 @@ import numpy as np
 from .cube import SpectralCube
 from .errors import EstimationError
 from .kernels import resample_rows
-from .registration import shift_1d, shift_signal
+from .registration import shift_1d_batch
 
 SMILE_WINDOW = 10          # band-index correlation window
 KEYSTONE_REF_BAND = 30
@@ -205,23 +205,34 @@ def _detrended_std(w: np.ndarray) -> float:
     return float(np.std(w - np.polyval(np.polyfit(x, w, 1), x)))
 
 
-def _window_shift(a: np.ndarray, b: np.ndarray, max_shift: float,
-                  iters: int = 5, tol: float = 1e-3):
-    """Iteratively refined shift_1d: re-align ``b`` by the running estimate
-    and accumulate residuals, canceling the short-window shrinkage bias."""
-    total = 0.0
-    conf = 0.0
+def _window_shifts(a: np.ndarray, b: np.ndarray, max_shift: float,
+                   iters: int = 5, tol: float = 1e-3):
+    """Iteratively refined :func:`shift_1d_batch` over ``(N, L)`` window
+    stacks: each pass re-aligns the unsettled rows of ``b`` by their running
+    estimates and accumulates residuals, canceling the short-window
+    shrinkage bias.  Returns ``(shifts, confidences, ok)``; ``ok`` is False
+    for rows that had no spectral content in some pass."""
+    total = np.zeros(a.shape[0])
+    conf = np.zeros(a.shape[0])
+    ok = np.ones(a.shape[0], dtype=bool)
+    rows = np.arange(a.shape[0])
     current = b
-    for _ in range(iters):
-        est = shift_1d(a, current, max_shift=max_shift)
-        total += est.shift
-        conf = est.confidence
-        if abs(total) > max_shift:
-            return float(np.clip(total, -max_shift, max_shift)), 0.0
-        if abs(est.shift) < tol:
+    for i in range(iters):
+        est, c, valid = shift_1d_batch(a[rows], current, max_shift=max_shift)
+        ok[rows[~valid]] = False
+        rows, est = rows[valid], est[valid]
+        total[rows] += est
+        conf[rows] = c[valid]
+        over = np.abs(total[rows]) > max_shift
+        total[rows[over]] = np.clip(total[rows[over]], -max_shift, max_shift)
+        conf[rows[over]] = 0.0
+        rows = rows[~over & (np.abs(est) >= tol)]
+        if rows.size == 0 or i == iters - 1:
             break
-        current, _ = shift_signal(b, -total)
-    return total, conf
+        # out(x) = b(x + total): b shifted by -total
+        coords = np.arange(b.shape[1], dtype=np.float64) + total[rows, None]
+        current, _ = resample_rows(b[rows], coords)
+    return total, conf, ok
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -261,26 +272,22 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
                               for w0 in starts])
     # skip windows with no usable spectral feature
     usable = ref_structure > 0.05 * ref_structure.max()
+    use = np.flatnonzero(usable)
+    w0s = np.asarray(starts)[use]
+    # every (sample, usable window) pair, sample-major
+    b = np.lib.stride_tricks.sliding_window_view(spectra, window, axis=1)[:, w0s]
+    a = np.broadcast_to(ref[w0s[:, None] + np.arange(window)], b.shape)
+    sh, conf, ok = _window_shifts(a.reshape(-1, window),
+                                  b.reshape(-1, window), window / 2.0)
+    shape = (samples, w0s.size)
+    keep = (ok & (conf > 0)).reshape(shape)
+    vals = -sh.reshape(shape) * spacing[w0s + window // 2]
+    wgts = conf.reshape(shape) * ref_structure[use]
     raw = np.full(samples, np.nan)
     for s in range(samples):
-        vals = []
-        wgts = []
-        for wi, w0 in enumerate(starts):
-            if not usable[wi]:
-                continue
-            a = ref[w0:w0 + window]
-            b = spectra[s, w0:w0 + window]
-            try:
-                sh, conf = _window_shift(a, b, max_shift=window / 2.0)
-            except EstimationError:
-                continue
-            if conf <= 0:
-                continue
-            vals.append(-sh * spacing[w0 + window // 2])
-            wgts.append(conf * ref_structure[wi])
-        if vals:
+        if keep[s].any():
             # robust combine: confident outlier windows would poison a mean
-            raw[s] = _weighted_median(np.asarray(vals), np.asarray(wgts))
+            raw[s] = _weighted_median(vals[s, keep[s]], wgts[s, keep[s]])
     good = np.isfinite(raw)
     if good.sum() < 8:
         raise EstimationError("too few columns with usable spectral structure")
@@ -455,18 +462,14 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
     starts = np.clip(np.round(field_centers - window / 2.0).astype(int),
                      0, samples - window)
 
-    shifts = np.zeros((bands, n_fields))
-    confs = np.zeros((bands, n_fields))
-    for b in range(bands):
-        for f, w0 in enumerate(starts):
-            try:
-                est = shift_1d(ref[w0:w0 + window],
-                               profiles[b, w0:w0 + window],
-                               max_shift=KEYSTONE_MAX_PX + 1.0)
-            except EstimationError:
-                continue
-            shifts[b, f] = -est.shift
-            confs[b, f] = est.confidence
+    # every (band, field window) pair, band-major
+    cols = starts[:, None] + np.arange(window)
+    sh, conf, ok = shift_1d_batch(
+        np.broadcast_to(ref[cols], (bands, n_fields, window)).reshape(-1, window),
+        profiles[:, cols].reshape(-1, window),
+        max_shift=KEYSTONE_MAX_PX + 1.0)
+    shifts = np.where(ok, -sh, 0.0).reshape(bands, n_fields)
+    confs = conf.reshape(bands, n_fields)
     mean_conf = float(confs.mean())
     if mean_conf < min_confidence:
         raise EstimationError(

@@ -176,6 +176,16 @@ class TestRun:
         assert (out_a / "raw.img").read_bytes() \
             != (out_c / "raw.img").read_bytes()
 
+    def test_summary_independent_of_output_directory(self, tmp_path):
+        stages = [SIM_SMALL, {"name": "report", "preview_bands": [3]}]
+        _, out_a = _run(stages, tmp_path, sub="a")
+        _, out_b = _run(stages, tmp_path / "deeper", sub="b")
+        assert (out_a / "summary.json").read_bytes() \
+            == (out_b / "summary.json").read_bytes()
+        doc = json.loads((out_a / "summary.json").read_text())
+        assert doc["previews"] == ["preview_band003.pgm"]
+        assert (out_a / doc["previews"][0]).exists()
+
     def test_missing_cube_raises_stage_error_with_guidance(self, tmp_path):
         cfg = PipelineConfig(stages=(("report", {}),),
                              out=str(tmp_path / "o"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hypercal.errors import EstimationError
-from hypercal.registration import (resample_1d, shift_1d, shift_2d,
-                                   shift_signal)
+from hypercal.registration import (resample_1d, shift_1d, shift_1d_batch,
+                                   shift_2d, shift_signal)
 
 from conftest import smooth_texture
 
@@ -56,6 +56,73 @@ class TestShift1D:
     def test_length_mismatch_rejected(self):
         with pytest.raises(EstimationError):
             shift_1d(np.arange(32.0), np.arange(33.0))
+
+
+def _window_stack(length, n_rows=24, seed=5):
+    """Rows of a smooth signal and of its copy shifted by up to 3 px."""
+    rng = np.random.default_rng(seed)
+    a = np.empty((n_rows, length))
+    b = np.empty((n_rows, length))
+    for i in range(n_rows):
+        sig = _signal(3 * length, seed=seed + i)
+        moved, _ = shift_signal(sig, rng.uniform(-3.0, 3.0))
+        a[i] = sig[length:2 * length]
+        b[i] = moved[length:2 * length]
+    return a, b
+
+
+class TestShift1DBatch:
+    @pytest.mark.parametrize("length", [10, 64])
+    def test_rows_match_one_row_calls(self, length):
+        a, b = _window_stack(length)
+        shifts, confs, valid = shift_1d_batch(a, b, max_shift=length / 2.0)
+        assert valid.all()
+        for i in range(a.shape[0]):
+            est = shift_1d(a[i], b[i], max_shift=length / 2.0)
+            assert abs(shifts[i] - est.shift) < 1e-12
+            assert abs(confs[i] - est.confidence) < 1e-12
+
+    def test_invalid_rows_flagged_without_touching_neighbours(self):
+        a, b = _window_stack(64, n_rows=8)
+        ref_shifts, ref_confs, _ = shift_1d_batch(a, b)
+        a2, b2 = a.copy(), b.copy()
+        b2[3] = 7.0                 # constant
+        a2[5, 10] = np.nan          # non-finite
+        shifts, confs, valid = shift_1d_batch(a2, b2)
+        assert valid.tolist() == [True, True, True, False, True, False,
+                                  True, True]
+        assert shifts[~valid].tolist() == [0.0, 0.0]
+        assert confs[~valid].tolist() == [0.0, 0.0]
+        assert np.allclose(shifts[valid], ref_shifts[valid], rtol=0,
+                           atol=1e-12)
+        assert np.allclose(confs[valid], ref_confs[valid], rtol=0, atol=1e-12)
+
+    def test_shift_beyond_max_shift_clamped_with_zero_confidence(self):
+        sig = _signal()
+        b = np.stack([_shifted_circular(sig, 4.0),
+                      _shifted_circular(sig, -4.0),
+                      _shifted_circular(sig, 1.0)])
+        a = np.broadcast_to(sig, b.shape)
+        shifts, confs, valid = shift_1d_batch(a, b, max_shift=2.0)
+        assert valid.all()
+        assert shifts[:2].tolist() == [2.0, -2.0]
+        assert confs[:2].tolist() == [0.0, 0.0]
+        assert abs(shifts[2] - 1.0) < 0.05 and confs[2] > 0
+
+    def test_empty_stack(self):
+        shifts, confs, valid = shift_1d_batch(np.zeros((0, 16)),
+                                              np.zeros((0, 16)))
+        assert shifts.shape == confs.shape == valid.shape == (0,)
+
+    @pytest.mark.parametrize("a,b", [
+        (np.ones((3, 16)), np.ones((3, 17))),
+        (np.ones((3, 16)), np.ones((2, 16))),
+        (np.arange(16.0), np.arange(16.0)),
+        (np.arange(14.0).reshape(2, 7), np.arange(14.0).reshape(2, 7)),
+    ])
+    def test_bad_shapes_rejected(self, a, b):
+        with pytest.raises(EstimationError):
+            shift_1d_batch(a, b)
 
 
 class TestShift2D:

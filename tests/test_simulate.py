@@ -161,6 +161,26 @@ class TestRenderRaw:
         assert np.array_equal(c0.data[:, :, [2, 5]], c1.data[:, :, [2, 5]])
         assert c1.data[:, :, 3].min() > c0.data[:, :, 3].max()
 
+    @pytest.mark.parametrize("band", [5, 8, 3])
+    def test_single_band_view_renders_full_plane(self, band):
+        # band 5 is the keystone reference, 8 is shifted, 3 is masked
+        sensor = quiet_sensor(
+            samples=64, bands=12, prnu_spread=0.02, masked_channels=(3,),
+            smile_nm=sim.quadratic_smile(12, 64, 2.0),
+            keystone_px=sim.linear_keystone(12, 64, 1.0, ref_band=5))
+        scene = sim.synth_scene("point-source", 128, 64,
+                                points=[(64, 32), (20, 50)],
+                                background=0.002, amplitude=1.0)
+        art = sim.ArtifactConfig(stray=sim.StrayLightSpec(tail_scale_px=2.2),
+                                 noise=False)
+        steering = sim.linear_steering(128)
+        full, _ = sim.render_raw(scene, sensor, art, seed=70,
+                                 steering_deg=steering)
+        one, _ = sim.render_raw(scene, sensor.single_band(band), art,
+                                seed=70, steering_deg=steering)
+        assert one.data.shape == (128, 64, 1)
+        assert np.array_equal(one.data[:, :, 0], full.data[:, :, band])
+
     def test_saturation_clips_to_quantizer(self):
         sensor = quiet_sensor(samples=16, bands=4, sat_radiance=50.0)
         scene = sim.synth_scene("uniform", 8, 16, level=120.0)

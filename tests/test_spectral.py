@@ -7,6 +7,7 @@ import pytest
 from hypercal import simulate as sim
 from hypercal import spectral
 from hypercal.errors import EstimationError
+from hypercal.registration import shift_1d, shift_signal
 
 from conftest import quiet_sensor
 
@@ -19,6 +20,92 @@ def render_radiance(scene, sensor, seed=0, artifacts=None, steering=None):
     rad = (cube.data.astype(np.float64) - sensor.dark_dn.T[None]) \
         / sensor.gain_dn_per_radiance.T[None]
     return cube.with_data(rad, pixel_kind="radiance")
+
+
+# ---------------------------------------------------------------------------
+# per-window loop forms of the batched smile and keystone estimators, the
+# references they are checked against
+
+
+def _reference_window_shift(a, b, max_shift, iters=5, tol=1e-3):
+    total = 0.0
+    conf = 0.0
+    current = b
+    for _ in range(iters):
+        est = shift_1d(a, current, max_shift=max_shift)
+        total += est.shift
+        conf = est.confidence
+        if abs(total) > max_shift:
+            return float(np.clip(total, -max_shift, max_shift)), 0.0
+        if abs(est.shift) < tol:
+            break
+        current, _ = shift_signal(b, -total)
+    return total, conf
+
+
+def _reference_smile_offsets(cube, window=spectral.SMILE_WINDOW):
+    spectra = cube.data.astype(np.float64).mean(axis=0)
+    samples, bands = spectra.shape
+    stride = 2 if bands <= 64 else 8
+    spacing = np.gradient(cube.centers_nm)
+    center_col = samples // 2
+    ref = spectra[center_col]
+    starts = list(range(0, bands - window + 1, stride))
+    structure = np.array([spectral._detrended_std(ref[w0:w0 + window])
+                          for w0 in starts])
+    usable = structure > 0.05 * structure.max()
+    raw = np.full(samples, np.nan)
+    for s in range(samples):
+        vals, wgts = [], []
+        for wi, w0 in enumerate(starts):
+            if not usable[wi]:
+                continue
+            try:
+                sh, conf = _reference_window_shift(
+                    ref[w0:w0 + window], spectra[s, w0:w0 + window],
+                    max_shift=window / 2.0)
+            except EstimationError:
+                continue
+            if conf <= 0:
+                continue
+            vals.append(-sh * spacing[w0 + window // 2])
+            wgts.append(conf * structure[wi])
+        if vals:
+            raw[s] = spectral._weighted_median(np.asarray(vals),
+                                               np.asarray(wgts))
+    good = np.isfinite(raw)
+    u = np.arange(samples, dtype=np.float64) - center_col
+    fits = [np.polyfit(u[good], raw[good], deg) for deg in (1, 2)]
+    rms = [np.sqrt(np.mean((np.polyval(c, u[good]) - raw[good]) ** 2))
+           for c in fits]
+    coef = fits[1] if rms[1] <= (1.0 - spectral.QUADRATIC_GAIN) * rms[0] \
+        else fits[0]
+    return np.polyval(coef, u) - np.polyval(coef, 0.0)
+
+
+def _reference_keystone_coefficients(cube, ref_band=spectral.KEYSTONE_REF_BAND,
+                                     n_fields=5, window=64, degree=2):
+    profiles = cube.data.astype(np.float64).mean(axis=0).T
+    bands, samples = profiles.shape
+    ref = profiles[ref_band]
+    centers = np.linspace(window / 2.0, samples - window / 2.0, n_fields)
+    starts = np.clip(np.round(centers - window / 2.0).astype(int), 0,
+                     samples - window)
+    shifts = np.zeros((bands, n_fields))
+    confs = np.zeros((bands, n_fields))
+    for b in range(bands):
+        for f, w0 in enumerate(starts):
+            try:
+                est = shift_1d(ref[w0:w0 + window],
+                               profiles[b, w0:w0 + window],
+                               max_shift=spectral.KEYSTONE_MAX_PX + 1.0)
+            except EstimationError:
+                continue
+            shifts[b, f] = -est.shift
+            confs[b, f] = est.confidence
+    b_axis = np.arange(bands, dtype=np.float64)
+    return np.asarray([np.polyfit(b_axis, shifts[:, f], degree,
+                                  w=confs[:, f]) for f in range(n_fields)])
 
 
 class TestRSR:
@@ -101,6 +188,29 @@ class TestSmile:
         back = spectral.SmileModel.from_json(tmp_path / "m.json")
         assert np.allclose(back.offsets_nm, model.offsets_nm)
         assert back.kind == model.kind
+
+    def _reference_fixture(self):
+        sensor = quiet_sensor("vnir", samples=64, bands=60,
+                              smile_nm=sim.quadratic_smile(60, 64, 4.17))
+        scene = sim.synth_scene("spectral-library", 48, 64, level=100.0)
+        return render_radiance(scene, sensor)
+
+    def test_matches_window_loop(self):
+        cube = self._reference_fixture()
+        model = spectral.estimate_smile(cube)
+        assert np.allclose(model.offsets_nm, _reference_smile_offsets(cube),
+                           rtol=0, atol=1e-9)
+
+    def test_matches_window_loop_with_unusable_columns(self):
+        # NaN and constant columns have no valid window and are dropped
+        cube = self._reference_fixture()
+        data = cube.data.copy()
+        data[:, 5, :] = np.nan
+        data[:, 40, :] = 3.0
+        cube = cube.with_data(data)
+        model = spectral.estimate_smile(cube)
+        assert np.allclose(model.offsets_nm, _reference_smile_offsets(cube),
+                           rtol=0, atol=1e-9)
 
 
 class TestAbsoluteShift:
@@ -189,3 +299,21 @@ class TestKeystone:
         model.to_json(tmp_path / "k.json")
         back = spectral.KeystoneModel.from_json(tmp_path / "k.json")
         assert np.allclose(back.shifts(), model.shifts())
+
+    @pytest.mark.parametrize("read_noise", [0.0, 6.0])
+    def test_matches_window_loop(self, read_noise):
+        cube, _ = self._bar_cube(1.5, read_noise=read_noise)
+        model = spectral.estimate_keystone(cube)
+        assert np.allclose(model.coefficients,
+                           _reference_keystone_coefficients(cube),
+                           rtol=0, atol=1e-9)
+
+    def test_matches_window_loop_with_featureless_band(self):
+        cube, _ = self._bar_cube(1.5)
+        data = cube.data.copy()
+        data[:, :, 7] = 5.0         # constant profile: no valid window
+        cube = cube.with_data(data)
+        model = spectral.estimate_keystone(cube)
+        assert np.allclose(model.coefficients,
+                           _reference_keystone_coefficients(cube),
+                           rtol=0, atol=1e-9)
