@@ -305,6 +305,8 @@ def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
     kernel; kernels are arranged on the (steering, sample) grid for
     bilinear interpolation.
     """
+    if tap_count < 1 or tap_count % 2 == 0:
+        raise EstimationError("tap_count must be odd and positive")
     steering_deg = np.asarray(steering_deg, dtype=np.float64)
     h = tap_count // 2
     entries = []

@@ -8,11 +8,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigError, HypercalError
-from .pipeline import (PipelineConfig, StageError, default_config,
-                       load_config, run, validate_config)
+from .pipeline import (PRESETS, PipelineConfig, check_order, default_config,
+                       load_config, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,43 +51,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory override")
         p.add_argument("--stages",
                        help="comma-separated stage subset of the config")
-        p.add_argument("--preset", choices=("vnir", "swir", "dual"),
-                       help="sensor preset")
+        p.add_argument("--preset", choices=PRESETS, help="sensor preset")
     return parser
 
 
 def _resolve_config(args) -> PipelineConfig:
-    if args.config:
-        config = load_config(args.config)
-        if args.preset and args.preset != config.preset:
-            config = PipelineConfig(stages=config.stages, seed=config.seed,
-                                    preset=args.preset, out=config.out)
-    else:
-        preset = args.preset or ("dual" if args.command == "bundle"
-                                 else "vnir")
-        config = default_config(preset=preset)
+    config = load_config(args.config) if args.config else default_config(
+        preset=args.preset or ("dual" if args.command == "bundle" else "vnir"))
 
     wanted = _SUBCOMMAND_STAGES[args.command]
     if args.stages:
         wanted = tuple(s.strip() for s in args.stages.split(",") if s.strip())
+    stages = config.stages
     if wanted is not None:
-        known = [name for name, _ in config.stages]
         for s in wanted:
-            if s not in known:
-                raise ConfigError(
-                    f"--stages: stage {s!r} is not in the config")
+            if s not in config.stage_names():
+                raise ConfigError(f"--stages: {s!r} is not in the config")
         stages = tuple((n, p) for n, p in config.stages if n in wanted)
-        # re-check stage-order dependencies on the reduced list
-        validate_config({"preset": config.preset,
-                         "stages": [{"name": n, **p} for n, p in stages]})
-    else:
-        stages = config.stages
+        check_order([n for n, _ in stages])
 
-    return PipelineConfig(
-        stages=stages,
+    return dataclasses.replace(
+        config, stages=stages, preset=args.preset or config.preset,
         seed=args.seed if args.seed is not None else config.seed,
-        preset=config.preset,
-        out=args.out if args.out else config.out)
+        out=args.out or config.out)
 
 
 def main(argv=None) -> int:
@@ -94,14 +81,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         report = run(config)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -400,6 +400,8 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64,
     """
     if vnir.data.shape[:2] != swir.data.shape[:2]:
         raise ConfigError("bundle inputs must share one map grid")
+    if patch < 1:
+        raise EstimationError("patch must be at least 1 pixel")
     v_centers = np.array([m.center_nm for m in vnir.band_meta])
     s_centers = np.array([m.center_nm for m in swir.band_meta])
     vmax = v_centers.max()

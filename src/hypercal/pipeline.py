@@ -4,16 +4,17 @@ emission.
 A pipeline run is a pure function of (config, seed, input files): stages run
 sequentially in the configured order, each consuming and producing the shared
 run state, and every metric lands in a CSV/JSON report bundle plus optional
-PGM previews.
+PGM previews.  Each stage's contract is one row of the ``STAGES`` table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,47 +23,13 @@ from . import simulate as sim
 from .cube import SpectralCube, write_cube
 from .errors import ConfigError, EstimationError, HypercalError
 
-__all__ = [
-    "PipelineConfig", "ReportBundle", "StageError", "SCHEMA_VERSION",
-    "load_config", "validate_config", "default_config", "run",
-    "write_pgm",
-]
+__all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
+           "SCHEMA_VERSION", "load_config", "validate_config", "check_order",
+           "default_config", "run", "write_pgm"]
 
 SCHEMA_VERSION = 1
 
 PRESETS = ("vnir", "swir", "dual")
-
-# stages whose output depends on another stage having run first
-_STAGE_DEPS = (
-    ("flat-field", "bunch"),
-    ("flat-field", "interference"),
-    ("flat-field", "stray"),
-    ("smile", "absolute-shift"),
-    ("ortho", "bundle"),
-)
-
-# allowed parameter keys per stage
-_STAGE_KEYS = {
-    "simulate": {"scene", "lines", "samples", "level", "bands",
-                 "smile_nm", "center_error_nm", "keystone_px", "prnu_spread",
-                 "read_noise_dn", "interference", "bunch", "stray", "noise",
-                 "temperature_k", "save"},
-    "caldark": {"lines", "temperatures", "save"},
-    "flat-field": {"levels", "frames", "save"},
-    "bunch": {"mad_k"},
-    "interference": {"snr_threshold"},
-    "stray": {"tap_count", "save"},
-    "smile": {"window", "stride", "save"},
-    "absolute-shift": {"search_nm"},
-    "keystone": {"ref_band", "n_fields", "save"},
-    "geocal": {"strips", "gcps_per_strip", "noise_m", "roll_km", "pitch_km",
-               "save"},
-    "ortho": {"cell_m", "margin_cells", "save"},
-    "bundle": {"offset_px", "patch", "save"},
-    "report": {"preview_bands"},
-}
-
-_INTERFERENCE_KEYS = {"frequency", "amplitude_dn", "phase_rad", "kind"}
 
 
 class StageError(HypercalError):
@@ -101,14 +68,102 @@ class ReportBundle:
         self.metrics.append((stage, metric, float(value)))
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.  ``params`` maps each key to ``(convert,
+    default)``; ``after`` names the stages that must come earlier; ``needs``
+    and ``provides`` name the run-state keys read and created.  ``fn(state,
+    params, out, config)`` returns the stage's metrics in report order."""
+
+    name: str
+    fn: Callable
+    params: dict
+    after: tuple = ()
+    needs: tuple = ()
+    provides: tuple = ()
+
+
+def _bounded(convert, lo, above=False):
+    """``convert``, then require a value >= ``lo`` (> ``lo`` if ``above``)."""
+    def check(value):
+        value = convert(value)
+        if not (value > lo if above else value >= lo):
+            raise ValueError(f"must be {'above' if above else 'at least'}"
+                             f" {lo}")
+        return value
+    return check
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _each(convert):
+    return lambda value: tuple(convert(v) for v in value)
+
+
+_COUNT = _bounded(int, 1)
+_SAVE = (bool, True)
+
+
+def _components(value) -> list:
+    """Interference components, none for an empty or false value.  Errors
+    carry the rest of the key path, e.g. ``[0].color``."""
+    comps = []
+    for j, comp in enumerate(value or ()):
+        if not isinstance(comp, dict):
+            raise ConfigError(f"[{j}]: must be a mapping")
+        for key in list(comp) + ["frequency", "amplitude_dn"]:
+            if key not in ("frequency", "amplitude_dn", "phase_rad", "kind"):
+                raise ConfigError(f"[{j}].{key}: unknown key")
+            if key not in comp:
+                raise ConfigError(f"[{j}].{key}: missing")
+        try:
+            comps.append(dict(comp, **{k: float(comp[k]) for k in comp
+                                       if k != "kind"}))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"[{j}]: {exc}") from None
+    return comps
+
+
+def _stage_params(stage: Stage, given: dict, where: str) -> dict:
+    """The stage's parameters: its defaults, overridden by each given value
+    passed through that key's converter.  Errors name the key path."""
+    params = {key: default for key, (_, default) in stage.params.items()}
+    for key, value in given.items():
+        if key not in stage.params:
+            raise ConfigError(f"{where}.{key}: unknown key for stage "
+                              f"{stage.name!r}")
+        try:
+            params[key] = stage.params[key][0](value)
+        except ConfigError as exc:        # nested path, e.g. "[0].color"
+            raise ConfigError(f"{where}.{key}{exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+    return params
+
+
+def check_order(names) -> None:
+    """Raise ``ConfigError`` unless the stage list is non-empty and every
+    stage's ``after`` prerequisites come earlier in it."""
+    if not names:
+        raise ConfigError("stages: must be a non-empty list")
+    for i, name in enumerate(names):
+        for prereq in STAGES[name].after:
+            if prereq not in names[:i]:
+                raise ConfigError(
+                    f"stage {name!r} requires stage {prereq!r} earlier "
+                    f"in the stage list")
+
+
 def validate_config(doc: dict) -> PipelineConfig:
-    """Check a raw config document; unknown keys are rejected with their
-    key path, and stage ordering must respect the dependency rules."""
+    """Check a raw config document against the stage table: unknown keys
+    and bad parameter values are rejected with their key path, and stage
+    ordering must respect each stage's ``after`` list."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    allowed_top = {"seed", "preset", "out", "stages"}
     for key in doc:
-        if key not in allowed_top:
+        if key not in ("seed", "preset", "out", "stages"):
             raise ConfigError(f"unknown config key {key!r}")
     preset = doc.get("preset", "vnir")
     if preset not in PRESETS:
@@ -123,28 +178,12 @@ def validate_config(doc: dict) -> PipelineConfig:
         if not isinstance(block, dict) or "name" not in block:
             raise ConfigError(f"{path}: each stage needs a 'name'")
         name = block["name"]
-        if name not in _STAGE_KEYS:
+        if not isinstance(name, str) or name not in STAGES:
             raise ConfigError(f"{path}.name: unknown stage {name!r}")
         params = {k: v for k, v in block.items() if k != "name"}
-        for key in params:
-            if key not in _STAGE_KEYS[name]:
-                raise ConfigError(f"{path}.{key}: unknown key for stage "
-                                  f"{name!r}")
-        if name == "simulate":
-            for j, comp in enumerate(params.get("interference", []) or []):
-                for key in comp:
-                    if key not in _INTERFERENCE_KEYS:
-                        raise ConfigError(
-                            f"{path}.interference[{j}].{key}: unknown key")
+        _stage_params(STAGES[name], params, path)
         stages.append((name, params))
-
-    names = [n for n, _ in stages]
-    for prereq, dependent in _STAGE_DEPS:
-        if dependent in names:
-            if prereq not in names or names.index(prereq) > names.index(dependent):
-                raise ConfigError(
-                    f"stage {dependent!r} requires stage {prereq!r} earlier "
-                    f"in the stage list")
+    check_order([n for n, _ in stages])
     try:
         seed = int(doc.get("seed", 0))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -175,24 +214,15 @@ def default_config(preset: str = "vnir", seed: int = 0,
          "bunch": True, "stray": True, "save": True},
         {"name": "caldark"},
         {"name": "flat-field", "levels": [0.5, 2.0, 30.0, 60.0, 90.0]},
-        {"name": "bunch"},
-        {"name": "interference"},
-        {"name": "stray"},
-        {"name": "smile"},
-        {"name": "absolute-shift"},
-        {"name": "keystone"},
-        {"name": "geocal"},
-        {"name": "ortho"},
+        *({"name": name} for name in (
+            "bunch", "interference", "stray", "smile", "absolute-shift",
+            "keystone", "geocal", "ortho")),
         {"name": "report", "preview_bands": [30]},
     ]
     if preset == "dual":
         stages.insert(-1, {"name": "bundle"})
     doc = {"preset": preset, "seed": seed, "out": out, "stages": stages}
     return validate_config(doc)
-
-
-# ---------------------------------------------------------------------------
-# previews
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -210,7 +240,7 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stage implementations; each mutates the shared run state
+# stage implementations: each mutates the shared run state, returns metrics
 
 
 def _library_bars_scene(lines: int, samples: int, level: float):
@@ -223,99 +253,76 @@ def _library_bars_scene(lines: int, samples: int, level: float):
     return dataclasses.replace(scene, spatial=scene.spatial * bars.spatial)
 
 
-def _stage_simulate(state, params, out: Path, seed: int, preset: str):
-    instrument = "swir" if preset == "swir" else "vnir"
-    lines = int(params.get("lines", 256))
-    samples = int(params.get("samples", 256))
-    level = float(params.get("level", 100.0))
-    bands = params.get("bands")
-    kind = params.get("scene", "library-bars")
-    if kind == "library-bars":
+def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
+    instrument = "swir" if cfg.preset == "swir" else "vnir"
+    lines, samples, level = p["lines"], p["samples"], p["level"]
+    if p["scene"] == "library-bars":
         scene = _library_bars_scene(lines, samples, level)
     else:
-        scene = sim.synth_scene(kind, lines, samples, level=level)
-    nbands = int(bands) if bands is not None else \
-        (256 if instrument == "swir" else 60)
-    smile_p2p = float(params.get("smile_nm", 0.0))
-    keystone_max = float(params.get("keystone_px", 0.0))
+        scene = sim.synth_scene(p["scene"], lines, samples, level=level)
+    nbands = p["bands"] or (256 if instrument == "swir" else 60)
     sensor = sim.make_sensor(
         instrument, samples=samples, bands=nbands,
-        smile_nm=sim.quadratic_smile(nbands, samples, smile_p2p),
-        center_error_nm=float(params.get("center_error_nm", 0.0)),
+        smile_nm=sim.quadratic_smile(nbands, samples, p["smile_nm"]),
+        center_error_nm=p["center_error_nm"],
         keystone_px=sim.linear_keystone(
-            nbands, samples, keystone_max,
+            nbands, samples, p["keystone_px"],
             ref_band=min(spectral.KEYSTONE_REF_BAND, nbands - 1)),
-        prnu_spread=float(params.get("prnu_spread", 0.0)),
-        read_noise_dn=float(params.get("read_noise_dn", 2.0)),
-        seed=seed + 7)
-    components = tuple(
-        sim.InterferenceComponent(
-            frequency=float(c["frequency"]),
-            amplitude_dn=float(c["amplitude_dn"]),
-            phase_rad=float(c.get("phase_rad", 0.0)),
-            kind=c.get("kind", "periodic"))
-        for c in (params.get("interference") or []))
+        prnu_spread=p["prnu_spread"], read_noise_dn=p["read_noise_dn"],
+        seed=cfg.seed + 7)
+    comps = tuple(sim.InterferenceComponent(**c) for c in p["interference"])
     clusters = ()
-    if params.get("bunch"):
+    if p["bunch"]:
+        # clusters that fit the cube (unchanged from 256 samples, 13 bands)
+        starts = (samples * 40 // 256, samples * 180 // 256)
         clusters = sim.make_bunch_clusters(
-            bands=(5, 12),
-            start_samples=(samples * 40 // 256, samples * 180 // 256),
-            seed=seed + 3)
-    stray = sim.StrayLightSpec(tail_scale_px=2.2) if params.get("stray") \
-        else None
-    artifacts = sim.ArtifactConfig(interference=components, bunch=clusters,
-                                   stray=stray,
-                                   noise=bool(params.get("noise", True)))
+            bands=[b for b in (5, 12) if b < nbands], start_samples=starts,
+            max_len=min(15, samples - starts[1]), seed=cfg.seed + 3)
+    stray = sim.StrayLightSpec(tail_scale_px=2.2) if p["stray"] else None
+    artifacts = sim.ArtifactConfig(interference=comps, bunch=clusters,
+                                   stray=stray, noise=p["noise"])
     steering = sim.linear_steering(lines)
     cube, manifest = sim.render_raw(
-        scene, sensor, artifacts, seed=seed,
-        temperature_k=params.get("temperature_k"), steering_deg=steering)
+        scene, sensor, artifacts, seed=cfg.seed,
+        temperature_k=p["temperature_k"], steering_deg=steering)
     state.update(cube=cube, sensor=sensor, manifest=manifest, scene=scene,
                  steering=steering, clusters_true=clusters)
-    if params.get("save", True):
+    if p["save"]:
         write_cube(cube, out / "raw.img")
         manifest.to_json(out / "manifest.json")
-    state["report"].add("simulate", "lines", cube.lines)
-    state["report"].add("simulate", "bands", cube.bands)
-    state["report"].add("simulate", "raw_mean_dn",
-                        float(cube.data.mean()))
+    return {"lines": cube.lines, "bands": cube.bands,
+            "raw_mean_dn": float(cube.data.mean())}
 
 
-def _stage_caldark(state, params, out: Path, seed: int):
+def _stage_caldark(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
-    lines = int(params.get("lines", 400))
+    lines, seed = p["lines"], cfg.seed
     if sensor.instrument == "swir":
-        temps = params.get("temperatures", [283.0, 293.0, 303.0])
-        darks = [(float(t), sim.render_dark(sensor, lines, float(t),
-                                            seed=seed + 11 + i))
-                 for i, t in enumerate(temps)]
+        darks = [(t, sim.render_dark(sensor, lines, t, seed=seed + 11 + i))
+                 for i, t in enumerate(p["temperatures"])]
         dark = radiometry.fit_dark_swir(darks, t_ref_k=sensor.t_ref_k)
     else:
         frame = sim.render_dark(sensor, lines, sensor.t_ref_k, seed=seed + 11)
         level = frame.data.astype(np.float64).mean(axis=0).T
-        dark = radiometry.DarkModel(level, np.zeros_like(level),
-                                    sensor.t_ref_k, "vnir",
-                                    float(frame.data.astype(np.float64)
-                                          .std(axis=0).mean()))
+        dark = radiometry.DarkModel(
+            level, np.zeros_like(level), sensor.t_ref_k, "vnir",
+            float(frame.data.astype(np.float64).std(axis=0).mean()))
     state["dark"] = dark
-    if params.get("save", True):
+    if p["save"]:
         dark.save(out / "dark.bin")
-    state["report"].add("caldark", "dark_mean_dn", float(dark.dark_dn.mean()))
-    state["report"].add("caldark", "stability_dn", dark.stability_dn)
+    return {"dark_mean_dn": float(dark.dark_dn.mean()),
+            "stability_dn": dark.stability_dn}
 
 
-def _stage_flatfield(state, params, out: Path, seed: int):
+def _stage_flatfield(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
-    levels = [float(v) for v in params.get("levels",
-                                           [0.5, 2.0, 30.0, 60.0, 90.0])]
-    frames = int(params.get("frames", 200))
-    acquisitions = [(lv, sim.render_sphere(sensor, lv, frames,
-                                           seed=seed + 23 + i))
-                    for i, lv in enumerate(levels)]
+    acquisitions = [(lv, sim.render_sphere(sensor, lv, p["frames"],
+                                           seed=cfg.seed + 23 + i))
+                    for i, lv in enumerate(p["levels"])]
     table = radiometry.fit_flatfield(acquisitions)
     cube = state["cube"]
     band = min(30, cube.bands - 1)
-    sphere = sim.render_sphere(sensor, 60.0, 64, seed=seed + 41)
+    sphere = sim.render_sphere(sensor, 60.0, 64, seed=cfg.seed + 41)
     nu_before = radiometry.nonuniformity(
         sphere.data[:, :, band].astype(np.float64))
     corrected, _, _ = radiometry.apply_flatfield(sphere, table, state["dark"])
@@ -323,16 +330,14 @@ def _stage_flatfield(state, params, out: Path, seed: int):
     rad, valid, clamped = radiometry.apply_flatfield(cube, table,
                                                      state["dark"])
     state.update(cube=rad, flatfield=table, validity=valid)
-    if params.get("save", True):
+    if p["save"]:
         table.save(out / "flatfield.bin")
-    rep = state["report"]
-    rep.add("flat-field", "nonuniformity_before_pct", nu_before)
-    rep.add("flat-field", "nonuniformity_after_pct", nu_after)
-    rep.add("flat-field", "clamped_pixels", clamped)
-    rep.add("flat-field", "flagged_pixels", int(table.flagged.sum()))
+    return {"nonuniformity_before_pct": nu_before,
+            "nonuniformity_after_pct": nu_after, "clamped_pixels": clamped,
+            "flagged_pixels": int(table.flagged.sum())}
 
 
-def _stage_bunch(state, params, out: Path, seed: int):
+def _stage_bunch(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     # detect on a homogeneous calibration acquisition: the defect is a
     # fixed sensor property, and a structured scene would masquerade as
@@ -342,36 +347,31 @@ def _stage_bunch(state, params, out: Path, seed: int):
     acq, _ = sim.render_raw(
         flat, sensor,
         sim.ArtifactConfig(bunch=state.get("clusters_true", ()), noise=True),
-        seed=seed + 57, steering_deg=state.get("steering"))
+        seed=cfg.seed + 57, steering_deg=state.get("steering"))
     if "flatfield" in state:
         acq, _, _ = radiometry.apply_flatfield(acq, state["flatfield"],
                                                state["dark"])
-    clusters = anomalies.detect_bunch_pixels(
-        acq, k=float(params.get("mad_k", anomalies.BUNCH_MAD_K)))
+    clusters = anomalies.detect_bunch_pixels(acq, k=p["mad_k"])
     corrected, valid = anomalies.correct_bunch_pixels(cube, clusters)
     state["cube"] = corrected
-    rep = state["report"]
-    rep.add("bunch", "clusters_detected", len(clusters))
-    rep.add("bunch", "clusters_injected", len(state.get("clusters_true", ())))
-    rep.add("bunch", "columns_uncorrected", int((~valid).any(axis=(0, 2)).sum()))
+    return {"clusters_detected": len(clusters),
+            "clusters_injected": len(state.get("clusters_true", ())),
+            "columns_uncorrected": int((~valid).any(axis=(0, 2)).sum())}
 
 
-def _stage_interference(state, params, out: Path, seed: int):
+def _stage_interference(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
-    thr = float(params.get("snr_threshold", anomalies.INTERFERENCE_SNR))
-    detected = anomalies.detect_interference(cube, snr_threshold=thr)
+    detected = anomalies.detect_interference(cube, p["snr_threshold"])
     cleaned = anomalies.remove_interference(cube, [f for f, _ in detected])
     mean_shift = abs(cleaned.data.mean() - cube.data.astype(np.float64).mean())
     state["cube"] = cleaned
-    rep = state["report"]
-    rep.add("interference", "components_detected", len(detected))
-    rep.add("interference", "mean_shift", mean_shift)
+    metrics = {"components_detected": len(detected), "mean_shift": mean_shift}
     for i, (freq, amp) in enumerate(detected):
-        rep.add("interference", f"freq_{i}_cpl", freq)
-        rep.add("interference", f"amp_{i}", amp)
+        metrics.update({f"freq_{i}_cpl": freq, f"amp_{i}": amp})
+    return metrics
 
 
-def _stage_stray(state, params, out: Path, seed: int):
+def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
     steering = state["steering"]
     lines, samples = state["cube"].lines, state["cube"].samples
@@ -390,46 +390,39 @@ def _stage_stray(state, params, out: Path, seed: int):
                                 amplitude=1.0)
         cube, _ = sim.render_raw(scene, ref_sensor,
                                  sim.ArtifactConfig(stray=spec, noise=False),
-                                 seed=seed + 70, steering_deg=steering)
+                                 seed=cfg.seed + 70, steering_deg=steering)
         point_cubes.append((cube, (l0, s0)))
-    model = anomalies.estimate_stray_psf(
-        point_cubes, steering, band=0,
-        tap_count=int(params.get("tap_count", 31)))
+    model = anomalies.estimate_stray_psf(point_cubes, steering, band=0,
+                                         tap_count=p["tap_count"])
     corrected = anomalies.correct_stray(state["cube"], model, steering)
     extent = anomalies.kernel_extent(
         model.kernel(float(model.steering_deg[-1]), 0.5))
     state.update(cube=corrected, stray_model=model)
-    if params.get("save", True):
+    if p["save"]:
         model.to_json(out / "stray_model.json")
-    rep = state["report"]
-    rep.add("stray", "kernel_extent_px", extent)
-    rep.add("stray", "grid_angles", model.steering_deg.size)
+    return {"kernel_extent_px": extent,
+            "grid_angles": model.steering_deg.size}
 
 
-def _stage_smile(state, params, out: Path, seed: int):
+def _stage_smile(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
-    model = spectral.estimate_smile(
-        cube, window=int(params.get("window", spectral.SMILE_WINDOW)),
-        stride=params.get("stride"))
+    model = spectral.estimate_smile(cube, p["window"], p["stride"])
     corrected, _ = spectral.correct_smile(cube, model)
     check = spectral.estimate_smile(corrected)
     spacing = float(np.abs(np.diff(cube.centers_nm)).mean())
     state.update(cube=corrected, smile_model=model)
-    if params.get("save", True):
+    if p["save"]:
         model.to_json(out / "smile_model.json")
-    rep = state["report"]
-    rep.add("smile", "peak_to_peak_nm", model.peak_to_peak_nm)
-    rep.add("smile", "residual_peak_to_peak_nm", check.peak_to_peak_nm)
-    rep.add("smile", "residual_fraction_of_band",
-            abs(check.peak_to_peak_nm) / spacing)
+    return {"peak_to_peak_nm": model.peak_to_peak_nm,
+            "residual_peak_to_peak_nm": check.peak_to_peak_nm,
+            "residual_fraction_of_band": abs(check.peak_to_peak_nm) / spacing}
 
 
-def _stage_absolute_shift(state, params, out: Path, seed: int):
+def _stage_absolute_shift(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     mean_spectrum = cube.data.astype(np.float64).mean(axis=(0, 1))
     delta, per_line = spectral.absolute_shift(
-        mean_spectrum, cube.centers_nm,
-        search_nm=float(params.get("search_nm", 15.0)))
+        mean_spectrum, cube.centers_nm, search_nm=p["search_nm"])
     try:
         meta = tuple(dataclasses.replace(m, center_nm=m.center_nm - delta)
                      for m in cube.band_meta)
@@ -438,41 +431,34 @@ def _stage_absolute_shift(state, params, out: Path, seed: int):
         # corrected centers would leave the instrument's nominal range;
         # keep the metadata and report the measured shift only
         pass
-    rep = state["report"]
-    rep.add("absolute-shift", "delta_nm", delta)
-    rep.add("absolute-shift", "lines_used", len(per_line))
+    return {"delta_nm": delta, "lines_used": len(per_line)}
 
 
-def _stage_keystone(state, params, out: Path, seed: int):
+def _stage_keystone(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
-    ref_band = min(int(params.get("ref_band", spectral.KEYSTONE_REF_BAND)),
-                   cube.bands - 1)
-    model = spectral.estimate_keystone(
-        cube, ref_band=ref_band,
-        n_fields=int(params.get("n_fields", 5)))
+    ref_band = min(p["ref_band"], cube.bands - 1)
+    model = spectral.estimate_keystone(cube, ref_band=ref_band,
+                                       n_fields=p["n_fields"])
     corrected, _ = spectral.correct_keystone(cube, model)
     check = spectral.estimate_keystone(corrected, ref_band=ref_band)
     state.update(cube=corrected, keystone_model=model)
-    if params.get("save", True):
+    if p["save"]:
         model.to_json(out / "keystone_model.json")
-    rep = state["report"]
-    rep.add("keystone", "max_shift_px", float(np.abs(model.shifts()).max()))
-    rep.add("keystone", "residual_px", float(np.abs(check.shifts()).max()))
+    return {"max_shift_px": float(np.abs(model.shifts()).max()),
+            "residual_px": float(np.abs(check.shifts()).max())}
 
 
-def _stage_geocal(state, params, out: Path, seed: int):
+def _stage_geocal(state, p, out: Path, cfg: PipelineConfig):
     lines, samples = state["cube"].lines, state["cube"].samples
-    n_strips = int(params.get("strips", 8))
-    n_gcps = int(params.get("gcps_per_strip", 25))
-    noise_m = float(params.get("noise_m", 0.0))
-    roll_km = float(params.get("roll_km", 3.5))
-    pitch_km = float(params.get("pitch_km", 2.0))
+    n_gcps, noise_m = max(p["gcps_per_strip"], 0), p["noise_m"]
+    seed = cfg.seed
     true_bias = geometry.BoresightBias(
-        droll=np.arctan(roll_km * 1000.0 / geometry.DEFAULT_ALTITUDE_M),
-        dpitch=np.arctan(pitch_km * 1000.0 / geometry.DEFAULT_ALTITUDE_M))
+        droll=np.arctan(p["roll_km"] * 1000.0 / geometry.DEFAULT_ALTITUDE_M),
+        dpitch=np.arctan(p["pitch_km"] * 1000.0
+                         / geometry.DEFAULT_ALTITUDE_M))
     rng = np.random.default_rng(seed + 101)
     strips = []
-    for i in range(n_strips):
+    for i in range(p["strips"]):
         gm = geometry.make_geo(
             lines, samples,
             roll=np.deg2rad(rng.uniform(-5, 5)),
@@ -495,14 +481,12 @@ def _stage_geocal(state, params, out: Path, seed: int):
     res = np.vstack([geometry.residuals(gm.with_bias(bias), gc)
                      for gm, gc in strips])
     state["boresight"] = bias
-    if params.get("save", True):
+    if p["save"]:
         geometry.write_bias_report(out / "boresight.txt", bias, final_cost)
-    rep = state["report"]
-    rep.add("geocal", "mean_across_m", float(res[:, 0].mean()))
-    rep.add("geocal", "mean_along_m", float(res[:, 1].mean()))
-    rep.add("geocal", "std_across_m", float(res[:, 0].std()))
-    rep.add("geocal", "std_along_m", float(res[:, 1].std()))
-    rep.add("geocal", "final_cost_m", final_cost)
+    return {"mean_across_m": float(res[:, 0].mean()),
+            "mean_along_m": float(res[:, 1].mean()),
+            "std_across_m": float(res[:, 0].std()),
+            "std_along_m": float(res[:, 1].std()), "final_cost_m": final_cost}
 
 
 def _auto_grid(geo_model, margin_cells: int, cell_m: float) -> geometry.MapGrid:
@@ -511,20 +495,25 @@ def _auto_grid(geo_model, margin_cells: int, cell_m: float) -> geometry.MapGrid:
                                 geo_model.samples - 1, 0.0)
     origin_east = min(e0, e1) + margin_cells * cell_m
     origin_north = max(n0, n1) - margin_cells * cell_m
-    rows = int((abs(n1 - n0)) / cell_m) - 2 * margin_cells + 1
-    cols = int((abs(e1 - e0)) / cell_m) - 2 * margin_cells + 1
+    span_n, span_e = abs(n1 - n0) / cell_m, abs(e1 - e0) / cell_m
+    if not (max(span_n - 2 * margin_cells + 1, 1) * max(
+            span_e - 2 * margin_cells + 1, 1)
+            <= 64 * geo_model.lines * geo_model.samples):
+        raise EstimationError("map grid oversamples the swath more than 8x "
+                              "per axis; raise cell_m or margin_cells")
+    rows = int(span_n) - 2 * margin_cells + 1
+    cols = int(span_e) - 2 * margin_cells + 1
     return geometry.MapGrid(origin_east, origin_north, cell_m,
                             max(rows, 1), max(cols, 1))
 
 
-def _stage_ortho(state, params, out: Path, seed: int):
+def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
-    cell_m = float(params.get("cell_m", geometry.DEFAULT_GSD_M))
-    margin = int(params.get("margin_cells", 4))
+    cell_m = p["cell_m"]
     gm = geometry.make_geo(cube.lines, cube.samples)
     if "boresight" in state:
         gm = gm.with_bias(state["boresight"])
-    grid = _auto_grid(gm, margin, cell_m)
+    grid = _auto_grid(gm, p["margin_cells"], cell_m)
     ortho, valid = geometry.orthorectify(cube, gm, 0.0, grid)
     north, east = grid.centers()
     line, sample, conv = geometry._invert_mapping(
@@ -533,31 +522,29 @@ def _stage_ortho(state, params, out: Path, seed: int):
                                 np.clip(sample, 0, gm.samples - 1), 0.0)
     closure = np.hypot((e2 - east) / cell_m, (n2 - north) / cell_m)[conv]
     state.update(cube=ortho, geo=gm, grid=grid, ortho_valid=valid)
-    if params.get("save", True):
+    if p["save"]:
         write_cube(ortho, out / "ortho.img")
         geometry.write_grid(out / "ortho.grid", grid)
-    rep = state["report"]
-    rep.add("ortho", "valid_fraction", float(valid.mean()))
-    rep.add("ortho", "closure_max_px",
-            float(closure.max()) if closure.size else float("nan"))
+    return {"valid_fraction": float(valid.mean()),
+            "closure_max_px": float(closure.max()) if closure.size
+            else float("nan")}
 
 
-def _stage_bundle(state, params, out: Path, seed: int):
+def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
     vnir = state["cube"]
     sensor = state["sensor"]
     if sensor.instrument != "vnir":
         raise EstimationError("bundle requires a VNIR primary cube")
     scene = state["scene"]
-    offset_px = float(params.get("offset_px", 0.8))
     swir_sensor = sim.make_sensor("swir", samples=scene.spatial.shape[1],
-                                  read_noise_dn=0.0, seed=seed + 7)
+                                  read_noise_dn=0.0, seed=cfg.seed + 7)
     swir_raw, _ = sim.render_raw(scene, swir_sensor,
                                  sim.ArtifactConfig(noise=False),
-                                 seed=seed + 90)
+                                 seed=cfg.seed + 90)
     gm = state["geo"]
     # instrument misalignment shifts the SWIR footprint by a fraction of a
     # map cell in both axes
-    angle = np.arctan(offset_px * state["grid"].cell_m / gm.altitude_m)
+    angle = np.arctan(p["offset_px"] * state["grid"].cell_m / gm.altitude_m)
     gm_swir = dataclasses.replace(gm, mounting=(gm.mounting[0] + angle,
                                                 gm.mounting[1] + angle,
                                                 gm.mounting[2]))
@@ -567,21 +554,17 @@ def _stage_bundle(state, params, out: Path, seed: int):
     swir_cube = SpectralCube(swir_rad, "radiance", swir_raw.band_meta, "bsq")
     swir_ortho, _ = geometry.orthorectify(swir_cube, gm_swir, 0.0,
                                           state["grid"])
-    merged, resid = geometry.bundle(vnir, swir_ortho,
-                                    patch=int(params.get("patch", 64)))
+    merged, resid = geometry.bundle(vnir, swir_ortho, patch=p["patch"])
     state["cube"] = merged
-    if params.get("save", True):
+    if p["save"]:
         write_cube(merged, out / "bundle.img")
-    rep = state["report"]
-    rep.add("bundle", "registration_residual_px", resid)
-    rep.add("bundle", "merged_bands", merged.bands)
+    return {"registration_residual_px": resid, "merged_bands": merged.bands}
 
 
-def _stage_report(state, params, out: Path, seed: int):
-    bands = params.get("preview_bands", [])
+def _stage_report(state, p, out: Path, cfg: PipelineConfig):
+    bands = p["preview_bands"]
     cube = state["cube"]
     for b in bands:
-        b = int(b)
         if not 0 <= b < cube.bands:
             raise ConfigError(f"preview band {b} outside the cube")
         name = f"preview_band{b:03d}.pgm"
@@ -589,28 +572,71 @@ def _stage_report(state, params, out: Path, seed: int):
         # relative to the output directory, so the summary does not
         # depend on where the run was written
         state["report"].previews.append(name)
-    state["report"].add("report", "previews", len(bands))
+    return {"previews": len(bands)}
 
 
-_STAGE_FUNCS = {
-    "simulate": _stage_simulate,
-    "caldark": _stage_caldark,
-    "flat-field": _stage_flatfield,
-    "bunch": _stage_bunch,
-    "interference": _stage_interference,
-    "stray": _stage_stray,
-    "smile": _stage_smile,
-    "absolute-shift": _stage_absolute_shift,
-    "keystone": _stage_keystone,
-    "geocal": _stage_geocal,
-    "ortho": _stage_ortho,
-    "bundle": _stage_bundle,
-    "report": _stage_report,
-}
+# ---------------------------------------------------------------------------
+# the stage table: the one list of stages, parameters, defaults and
+# prerequisites
 
-# stages that read the current cube from the run state
-_NEEDS_CUBE = {"flat-field", "bunch", "interference", "stray", "smile",
-               "absolute-shift", "keystone", "ortho", "bundle", "report"}
+
+STAGES = {stage.name: stage for stage in (
+    Stage("simulate", _stage_simulate, {
+        "scene": (str, "library-bars"), "lines": (_COUNT, 256),
+        "samples": (_COUNT, 256), "level": (float, 100.0),
+        "bands": (_optional(_COUNT), None), "smile_nm": (float, 0.0),
+        "center_error_nm": (float, 0.0), "keystone_px": (float, 0.0),
+        "prnu_spread": (float, 0.0), "read_noise_dn": (float, 2.0),
+        "interference": (_components, ()), "bunch": (bool, False),
+        "stray": (bool, False), "noise": (bool, True),
+        "temperature_k": (_optional(float), None), "save": _SAVE},
+        provides=("cube", "sensor", "manifest", "scene", "steering",
+                  "clusters_true")),
+    Stage("caldark", _stage_caldark, {
+        "lines": (int, 400), "save": _SAVE,
+        "temperatures": (_each(float), (283.0, 293.0, 303.0))},
+        needs=("sensor",), provides=("dark",)),
+    Stage("flat-field", _stage_flatfield, {
+        "levels": (_each(float), (0.5, 2.0, 30.0, 60.0, 90.0)),
+        "frames": (int, 200), "save": _SAVE},
+        needs=("cube", "sensor", "dark"),
+        provides=("cube", "flatfield", "validity")),
+    Stage("bunch", _stage_bunch, {"mad_k": (float, anomalies.BUNCH_MAD_K)},
+          after=("flat-field",), needs=("cube", "sensor"),
+          provides=("cube",)),
+    Stage("interference", _stage_interference,
+          {"snr_threshold": (float, anomalies.INTERFERENCE_SNR)},
+          after=("flat-field",), needs=("cube",), provides=("cube",)),
+    Stage("stray", _stage_stray, {"tap_count": (int, 31), "save": _SAVE},
+          after=("flat-field",), needs=("cube", "sensor", "steering"),
+          provides=("cube", "stray_model")),
+    Stage("smile", _stage_smile, {
+        "window": (_COUNT, spectral.SMILE_WINDOW), "save": _SAVE,
+        "stride": (_optional(_bounded(operator.index, 1)), None)},
+        needs=("cube",), provides=("cube", "smile_model")),
+    Stage("absolute-shift", _stage_absolute_shift,
+          {"search_nm": (float, 15.0)},
+          after=("smile",), needs=("cube",), provides=("cube",)),
+    Stage("keystone", _stage_keystone, {
+        "ref_band": (int, spectral.KEYSTONE_REF_BAND),
+        "n_fields": (_COUNT, 5), "save": _SAVE},
+        needs=("cube",), provides=("cube", "keystone_model")),
+    Stage("geocal", _stage_geocal, {
+        "strips": (int, 8), "gcps_per_strip": (int, 25),
+        "noise_m": (_bounded(float, 0), 0.0), "roll_km": (float, 3.5),
+        "pitch_km": (float, 2.0), "save": _SAVE},
+        needs=("cube",), provides=("boresight",)),
+    Stage("ortho", _stage_ortho, {
+        "cell_m": (_bounded(float, 0, above=True), geometry.DEFAULT_GSD_M),
+        "margin_cells": (int, 4), "save": _SAVE},
+        needs=("cube",), provides=("cube", "geo", "grid", "ortho_valid")),
+    Stage("bundle", _stage_bundle, {
+        "offset_px": (float, 0.8), "patch": (int, 64), "save": _SAVE},
+        after=("ortho",), needs=("cube", "sensor", "scene", "geo", "grid"),
+        provides=("cube",)),
+    Stage("report", _stage_report, {"preview_bands": (_each(int), ())},
+          needs=("cube",)),
+)}
 
 
 def _write_summary(report: ReportBundle, out: Path) -> None:
@@ -620,42 +646,36 @@ def _write_summary(report: ReportBundle, out: Path) -> None:
         lines.append(f"{SCHEMA_VERSION},{stage},{metric},{value!r}")
     csv_path.write_text("\n".join(lines) + "\n")
     json_path = out / "summary.json"
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "metrics": [{"stage": s, "metric": m, "value": v}
-                    for s, m, v in report.metrics],
-        "previews": report.previews,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "previews": report.previews,
+               "metrics": [{"stage": s, "metric": m, "value": v}
+                           for s, m, v in report.metrics]}
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     report.summary_csv = str(csv_path)
     report.summary_json = str(json_path)
 
 
 def run(config: PipelineConfig) -> ReportBundle:
-    """Execute the configured stages in order and emit the report bundle."""
+    """Execute the configured stages in order and emit the report bundle; a
+    stage missing a run-state input fails naming the stage that provides it."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     report = ReportBundle()
     state = {"report": report}
-    preset = config.preset
-    for name, params in config.stages:
-        if name in _NEEDS_CUBE and "cube" not in state:
-            raise StageError(name, ConfigError(
-                "no cube in the run state; add a 'simulate' stage first"))
-        if name in ("caldark", "flat-field", "stray") and "sensor" not in state:
-            raise StageError(name, ConfigError(
-                "no sensor in the run state; add a 'simulate' stage first"))
-        if name == "flat-field" and "dark" not in state:
-            raise StageError(name, ConfigError(
-                "no dark model in the run state; add a 'caldark' stage first"))
+    for i, (name, given) in enumerate(config.stages):
+        stage = STAGES[name]
+        params = _stage_params(stage, given, f"stages[{i}]")
+        for key in stage.needs:
+            if key not in state:
+                provider = next(s.name for s in STAGES.values()
+                                if key in s.provides)
+                raise StageError(name, ConfigError(
+                    f"no {key!r} in the run state; add a {provider!r} "
+                    f"stage first"))
         try:
-            if name == "simulate":
-                _stage_simulate(state, params, out, config.seed, preset)
-            else:
-                _STAGE_FUNCS[name](state, params, out, config.seed)
+            metrics = stage.fn(state, params, out, config)
         except HypercalError as exc:
-            if isinstance(exc, StageError):
-                raise
             raise StageError(name, exc) from exc
+        for metric, value in metrics.items():
+            report.add(name, metric, value)
     _write_summary(report, out)
     return report

@@ -137,7 +137,7 @@ def quadratic_smile(bands: int, samples: int, peak_to_peak_nm: float) -> np.ndar
     """Quadratic center-wavelength offset, 0 at the center column and
     ``-peak_to_peak_nm`` at the swath edges (optical-aberration shape)."""
     c = (samples - 1) / 2.0
-    u = (np.arange(samples) - c) / c
+    u = (np.arange(samples) - c) / (c or 1.0)     # one column: no smile
     return np.broadcast_to(-peak_to_peak_nm * u ** 2, (bands, samples)).copy()
 
 
@@ -154,7 +154,7 @@ def linear_keystone(bands: int, samples: int, max_px: float = 1.5,
     """Band-linear spatial shift, 0 at ``ref_band``, +-``max_px`` at the
     band extremes."""
     scale = max(bands - 1 - ref_band, ref_band)
-    kappa = max_px * (np.arange(bands) - ref_band) / scale
+    kappa = max_px * (np.arange(bands) - ref_band) / (scale or 1)
     return np.broadcast_to(kappa[:, None], (bands, samples)).copy()
 
 
@@ -664,6 +664,8 @@ def render_sphere(sensor: SensorModel, level: float, frames: int,
     given radiance level."""
     if level < 0:
         raise HypercalError("sphere level must be non-negative")
+    if frames < 1:
+        raise HypercalError("frames must be >= 1")
     scene = synth_scene("uniform", lines=frames, samples=sensor.samples,
                         level=level)
     cube, _ = render_raw(scene, sensor, ArtifactConfig(noise=noise), seed=seed)

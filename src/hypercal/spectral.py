@@ -258,6 +258,8 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
     samples, bands = spectra.shape
     if bands < window:
         raise EstimationError("fewer bands than the correlation window")
+    if window < 8:
+        raise EstimationError("correlation window shorter than 8 bands")
     if stride is None:
         stride = 2 if bands <= 64 else 8
     centers = cube.centers_nm

@@ -55,6 +55,38 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == EXIT_STAGE
         assert "add a 'simulate' stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, key, value", [
+        ("simulate", "lines", "x"), ("simulate", "lines", None),
+        ("simulate", "lines", 0), ("simulate", "lines", -4),
+        ("simulate", "samples", 0), ("simulate", "bands", 0),
+        ("simulate", "interference", [1]), ("caldark", "temperatures", 5),
+        ("flat-field", "levels", "x"), ("smile", "window", "w"),
+        ("smile", "window", 0), ("keystone", "n_fields", 0),
+        ("ortho", "cell_m", 0), ("report", "preview_bands", "ab"),
+    ])
+    def test_bad_parameter_returns_two_with_path(self, tmp_path, capsys,
+                                                 stage, key, value):
+        stages = [dict(SIM_SMALL)]
+        if stage == "simulate":
+            stages[0][key] = value
+        else:
+            stages.append({"name": stage, key: value})
+        cfg = _write_config(tmp_path, stages)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        where = 0 if stage == "simulate" else 1
+        assert f"stages[{where}].{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unhashable_stage_name_returns_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, [dict(SIM_SMALL, name=["simulate"])])
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "stages[0].name" in capsys.readouterr().err
+
+    def test_stage_without_simulate_returns_three(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, [{"name": "geocal"}])
+        assert main(["run", "--config", cfg]) == EXIT_STAGE
+        assert "add a 'simulate' stage first" in capsys.readouterr().err
+
     def test_unknown_stage_filter_returns_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, [SIM_SMALL])
         rc = main(["run", "--config", cfg, "--stages", "simulate,warp"])

@@ -1,15 +1,16 @@
 """Pipeline configuration validation, stage execution, and run products."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hypercal.cube import read_cube
 from hypercal.errors import ConfigError
-from hypercal.pipeline import (SCHEMA_VERSION, PipelineConfig, StageError,
-                               default_config, load_config, run,
-                               validate_config, write_pgm)
+from hypercal.pipeline import (SCHEMA_VERSION, STAGES, PipelineConfig,
+                               StageError, check_order, default_config,
+                               load_config, run, validate_config, write_pgm)
 
 
 def _doc(stages, **top):
@@ -218,3 +219,73 @@ class TestRun:
         with pytest.raises(StageError) as err:
             run(cfg)
         assert err.value.stage == "simulate"
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("name", [n for n in STAGES if n != "simulate"])
+    def test_stage_without_its_inputs_names_the_provider(self, name,
+                                                         tmp_path):
+        cfg = PipelineConfig(stages=((name, {}),), out=str(tmp_path / "o"))
+        with pytest.raises(StageError, match=r"add a '[a-z-]+' stage first"):
+            run(cfg)
+
+    def test_every_prerequisite_and_input_has_a_provider(self):
+        provided = {key for s in STAGES.values() for key in s.provides}
+        for stage in STAGES.values():
+            assert set(stage.needs) <= provided
+            assert set(stage.after) <= set(STAGES)
+
+    def test_subset_order_checked(self):
+        check_order(["simulate", "smile", "absolute-shift"])
+        with pytest.raises(ConfigError, match="requires stage 'smile'"):
+            check_order(["simulate", "absolute-shift"])
+        with pytest.raises(ConfigError, match="non-empty"):
+            check_order([])
+
+
+class TestParameterValues:
+    @pytest.mark.parametrize("stage, key, value, path", [
+        ("simulate", "lines", "x", "stages[0].lines"),
+        ("simulate", "lines", None, "stages[0].lines"),
+        ("simulate", "interference", [1], "stages[0].interference[0]"),
+        ("simulate", "interference", [{"frequency": 0.1}],
+         "stages[0].interference[0].amplitude_dn"),
+        ("simulate", "interference", 5, "stages[0].interference"),
+        ("simulate", "temperature_k", "warm", "stages[0].temperature_k"),
+        ("caldark", "temperatures", 5, "stages[1].temperatures"),
+        ("flat-field", "levels", "x", "stages[1].levels"),
+        ("smile", "window", "w", "stages[1].window"),
+        ("smile", "stride", 2.5, "stages[1].stride"),
+        ("report", "preview_bands", "ab", "stages[1].preview_bands"),
+        ("simulate", "samples", 0, "stages[0].samples"),
+        ("simulate", "bands", 0, "stages[0].bands"),
+        ("simulate", "lines", -4, "stages[0].lines"),
+        ("simulate", "lines", 0, "stages[0].lines"),
+        ("smile", "window", 0, "stages[1].window"),
+        ("keystone", "n_fields", 0, "stages[1].n_fields"),
+        ("ortho", "cell_m", 0, "stages[1].cell_m"),
+        ("ortho", "cell_m", -30.0, "stages[1].cell_m"),
+    ])
+    def test_bad_value_rejected_with_key_path(self, stage, key, value, path):
+        stages = [{"name": "simulate"}]
+        if stage == "simulate":
+            stages[0][key] = value
+        else:
+            stages.append({"name": stage, key: value})
+        with pytest.raises(ConfigError, match=re.escape(path + ":")):
+            validate_config(_doc(stages))
+
+    def test_unhashable_stage_name_rejected(self):
+        with pytest.raises(ConfigError, match=r"stages\[0\]\.name"):
+            validate_config(_doc([{"name": ["simulate"]}]))
+
+    def test_values_the_stages_accept_still_validate(self):
+        cfg = validate_config(_doc([
+            {"name": "simulate", "lines": "256", "bands": None,
+             "temperature_k": None, "interference": [], "bunch": 1},
+            {"name": "caldark", "temperatures": ["283", 293]},
+            {"name": "flat-field", "levels": [1, "2", 3.0]},
+            {"name": "smile", "stride": True, "window": 10.7},
+            {"name": "report", "preview_bands": ["3"]}]))
+        # the document is kept as given; conversion happens per run
+        assert cfg.stages[0][1]["lines"] == "256"
