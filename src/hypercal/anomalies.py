@@ -183,13 +183,12 @@ def _notch_gain(freqs: np.ndarray, f0: float, half_width: float,
 
 def remove_interference(cube: SpectralCube, freqs,
                         banding_bands: tuple = BANDING_BANDS):
-    """Three-stage interference removal.
+    """Two-stage interference removal.
 
     (1) Per band, an along-track Butterworth notch (order 4, half-width
     0.01 cycles/line) at each detected frequency; (2) the low-frequency
     banding profile taken from the mean of the atmospheric-absorption
-    window bands, zero-meaned and subtracted everywhere; (3) the
-    across-track mean profile of the whole image, zero-meaned, subtracted.
+    window bands, zero-meaned and subtracted everywhere.
     """
     for f in freqs:
         f0 = f[0] if isinstance(f, (tuple, list)) else float(f)
@@ -211,9 +210,6 @@ def remove_interference(cube: SpectralCube, freqs,
         # window bands see the low-frequency banding pattern
         profile = out[:, :, b0:b1 + 1].mean(axis=(1, 2))
         out -= (profile - profile.mean())[:, None, None]
-
-        across = out.mean(axis=(0, 2))
-        out -= (across - across.mean())[None, :, None]
     kind = cube.pixel_kind
     if kind == "dn12":
         out = np.clip(np.rint(out), 0, 4095).astype(cube.data.dtype)

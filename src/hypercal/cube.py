@@ -173,13 +173,15 @@ def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
     if interleave not in ("bsq", "bil"):
         raise CubeFormatError(f"unknown interleave {interleave!r}")
     dtype = _DTYPES[cube.pixel_kind]
-    arr = cube.data.astype(dtype)
     if interleave == "bsq":
-        ordered = np.transpose(arr, (2, 0, 1))  # (bands, lines, samples)
+        slabs = (cube.data[:, :, b] for b in range(cube.bands))
     else:
-        ordered = np.transpose(arr, (0, 2, 1))  # (lines, bands, samples)
+        slabs = (cube.data[i].T for i in range(cube.lines))
     try:
-        path.write_bytes(np.ascontiguousarray(ordered).tobytes())
+        # one (lines, samples) band or (bands, samples) line at a time
+        with open(path, "wb") as fh:
+            for slab in slabs:
+                fh.write(np.ascontiguousarray(slab, dtype=dtype))
     except OSError as exc:
         raise CubeFormatError(f"cannot write {path}: {exc}") from exc
 

@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 
 from .errors import ConfigError, EstimationError
 from .cube import SpectralCube
-from .kernels import bicubic_sample
+from .kernels import cubic_apply, cubic_plan
 from .registration import shift_2d
 
 __all__ = [
@@ -335,24 +335,16 @@ def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
     line, sample, valid = _invert_mapping(geo, east, north, h)
     if not valid.any():
         raise EstimationError("map grid does not overlap the strip footprint")
-    bands = cube.data.shape[2]
-    out = np.zeros((grid.rows, grid.cols, bands))
-    ok = valid.copy()
-    for b in range(bands):
-        vals, good = bicubic_sample(cube.data[:, :, b].astype(np.float64),
-                                    line, sample)
-        out[:, :, b] = vals
-        ok &= good | ~valid
+    plan = cubic_plan(cube.data.shape[:2], line, sample)
+    out = cubic_apply(plan, cube.data)
     out[~valid] = 0.0
-    data = out
     if cube.pixel_kind == "dn12":
-        data = np.clip(np.rint(out), 0, 4095).astype(cube.data.dtype)
-    ortho = SpectralCube(data=data.astype(cube.data.dtype,
-                                          copy=False),
+        np.clip(np.rint(out, out=out), 0, 4095, out=out)
+    ortho = SpectralCube(data=out.astype(cube.data.dtype, copy=False),
                          pixel_kind=cube.pixel_kind,
                          band_meta=cube.band_meta,
                          interleave=cube.interleave)
-    return ortho, ok
+    return ortho, valid & plan.valid
 
 
 def _poly2d_design(y, x, degree: int) -> np.ndarray:
@@ -409,27 +401,30 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64,
     if shared.size == 0:
         raise ConfigError("no shared-band wavelength overlap present")
 
-    # measure offsets on each shared pair against its closest VNIR band
-    ys = xs = dys = dxs = None
-    samples = [[], [], [], []]
-    for sb in shared:
-        vb = int(np.argmin(np.abs(v_centers - s_centers[sb])))
-        try:
-            y, x, dy, dx = _measure_offsets(
-                vnir.data[:, :, vb].astype(np.float64),
-                swir.data[:, :, sb].astype(np.float64), patch)
-        except EstimationError:
-            continue
-        for lst, arr in zip(samples, (y, x, dy, dx)):
-            lst.append(arr)
-    if not samples[0]:
+    # each shared SWIR band is measured against its closest VNIR band
+    closest = [int(np.argmin(np.abs(v_centers - s_centers[sb])))
+               for sb in shared]
+
+    def offsets(movs):
+        """Patch offsets of every shared pair with a registration signal;
+        ``movs`` yields the shared SWIR bands in order."""
+        found = []
+        for vb, mov in zip(closest, movs):
+            try:
+                found.append(_measure_offsets(
+                    vnir.data[:, :, vb].astype(np.float64), mov, patch))
+            except EstimationError:
+                continue
+        return found
+
+    found = offsets(swir.data[:, :, sb].astype(np.float64) for sb in shared)
+    if not found:
         raise EstimationError(
             "shared bands are featureless: no registration signal")
-    ys, xs, dys, dxs = (np.concatenate(s) for s in samples)
+    ys, xs, dys, dxs = (np.concatenate(s) for s in zip(*found))
 
     rows, cols = vnir.data.shape[:2]
-    yn, xn = ys / rows, xs / cols
-    design = _poly2d_design(yn, xn, degree)
+    design = _poly2d_design(ys / rows, xs / cols, degree)
     cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
     cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
 
@@ -441,27 +436,16 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64,
     map_y = np.arange(rows)[:, None] + full @ cy
     map_x = np.arange(cols)[None, :] + full @ cx
 
-    swir_reg = np.empty_like(swir.data, dtype=np.float64)
-    for b in range(swir.data.shape[2]):
-        vals, _ = bicubic_sample(swir.data[:, :, b].astype(np.float64),
-                                 map_y, map_x)
-        swir_reg[:, :, b] = vals
-
+    plan = cubic_plan((rows, cols), map_y, map_x)
     # residual check on the shared overlap after correction
-    resid = 0.0
-    for sb in shared:
-        vb = int(np.argmin(np.abs(v_centers - s_centers[sb])))
-        try:
-            _, _, rdy, rdx = _measure_offsets(
-                vnir.data[:, :, vb].astype(np.float64), swir_reg[:, :, sb],
-                patch)
-        except EstimationError:
-            continue
-        resid = max(resid, float(np.hypot(rdy, rdx).max()))
+    reg = cubic_apply(plan, swir.data, shared)
+    resid = max([0.0] + [float(np.hypot(dy, dx).max()) for _, _, dy, dx
+                         in offsets(np.moveaxis(reg, 2, 0))])
 
     keep = np.nonzero(s_centers > vmax)[0]
-    merged = np.concatenate(
-        [vnir.data.astype(np.float64), swir_reg[:, :, keep]], axis=2)
+    merged = np.empty((rows, cols, vnir.bands + keep.size))
+    merged[:, :, :vnir.bands] = vnir.data
+    cubic_apply(plan, swir.data, keep, out=merged[:, :, vnir.bands:])
     meta = tuple(vnir.band_meta) + tuple(swir.band_meta[i] for i in keep)
     out = SpectralCube(data=merged, pixel_kind="radiance",
                        band_meta=meta, interleave=vnir.interleave)

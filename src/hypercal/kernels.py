@@ -5,6 +5,8 @@ Each kernel has one vectorized numpy implementation.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 # There is no compiled kernel path; the constant stays because the benchmark
@@ -12,18 +14,27 @@ import numpy as np
 USING_NUMBA = False
 
 
-def _cubic_weights(frac):
-    """Keys (a = -0.5) weights of taps -1, 0, 1, 2 for offsets ``frac`` in
-    [0, 1).  Taps 0 and 1 always lie within one sample (|t| <= 1) and taps
-    -1 and 2 between one and two, so each tap has a fixed polynomial."""
-    weights = []
+def _axis_taps(coords: np.ndarray, n: int):
+    """Taps -1..2 of ``coords`` clamped to an axis of ``n`` samples: the
+    clipped indices, their Keys (a = -0.5) weights (taps 0 and 1 lie within
+    one sample, -1 and 2 between one and two: one polynomial each), the
+    floor index, exactness, and validity (inside, with the support inside
+    unless exact)."""
+    x = np.clip(coords, 0.0, n - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    frac = x - i0
+    taps, weights = [], []
     for k in range(-1, 3):
+        taps.append(np.clip(i0 + k, 0, n - 1))
         at = np.abs(frac - k)
         if k in (0, 1):
             weights.append((1.5 * at - 2.5) * at * at + 1.0)
         else:
             weights.append(-0.5 * (((at - 5.0) * at + 8.0) * at - 4.0))
-    return weights
+    exact = frac == 0.0
+    inb = (coords >= 0.0) & (coords <= n - 1.0)
+    valid = inb & (exact | ((i0 - 1 >= 0) & (i0 + 2 <= n - 1)))
+    return taps, weights, i0, exact, valid
 
 
 def resample_rows(image: np.ndarray, coords: np.ndarray):
@@ -38,19 +49,12 @@ def resample_rows(image: np.ndarray, coords: np.ndarray):
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.shape != image.shape:
         raise ValueError("coords shape must match image shape")
-    n = image.shape[1]
-    x = np.clip(coords, 0.0, n - 1.0)
-    i0 = np.floor(x).astype(np.int64)
-    frac = x - i0
+    taps, weights, i0, exact, valid = _axis_taps(coords, image.shape[1])
     out = np.zeros(coords.shape, dtype=np.float64)
-    for k, w in zip(range(-1, 3), _cubic_weights(frac)):
-        idx = np.clip(i0 + k, 0, n - 1)
+    for idx, w in zip(taps, weights):
         out += w * np.take_along_axis(image, idx, axis=1)
-    exact = frac == 0.0
     if np.any(exact):
         out[exact] = np.take_along_axis(image, i0, axis=1)[exact]
-    inb = (coords >= 0.0) & (coords <= n - 1.0)
-    valid = inb & (exact | ((i0 - 1 >= 0) & (i0 + 2 <= n - 1)))
     return out, valid
 
 
@@ -63,34 +67,60 @@ def resample_signal(signal: np.ndarray, coords: np.ndarray):
     return out[0], valid[0]
 
 
+# Budget for one band chunk of a cubic apply, per float64 temporary.
+_CHUNK_BYTES = 16 << 20
+
+CubicPlan = namedtuple("CubicPlan", "shape rows wy cols wx valid")
+
+
+def cubic_plan(shape, yy: np.ndarray, xx: np.ndarray) -> CubicPlan:
+    """Taps, weights and validity of a cubic sampling of a ``(ny, nx)``
+    grid at (row, col) coordinates ``yy``, ``xx``, worked out once per
+    coordinate map; row taps are kept as flat offsets (row * nx)."""
+    ny, nx = shape
+    rows, wy, _, _, ok_y = _axis_taps(np.asarray(yy, dtype=np.float64), ny)
+    cols, wx, _, _, ok_x = _axis_taps(np.asarray(xx, dtype=np.float64), nx)
+    return CubicPlan((ny, nx), [r * nx for r in rows],
+                     [w[..., None] for w in wy], cols,
+                     [w[..., None] for w in wx], ok_y & ok_x)
+
+
+def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Sample ``bands`` (default: all) of a band-last ``(ny, nx, B)`` stack
+    of any dtype with ``plan``, a float64 chunk of bands at a time, into
+    ``out`` (made if None) and return it.  Per row tap the four column taps
+    are summed first, so each band equals its one-band call bit for bit."""
+    ny, nx, nb = stack.shape
+    if (ny, nx) != plan.shape:
+        raise ValueError("stack grid does not match the sampling plan")
+    sel = np.arange(nb) if bands is None else np.asarray(bands, dtype=np.intp)
+    shape = plan.valid.shape
+    if out is None:
+        out = np.empty(shape + (sel.size,))
+    step = max(1, _CHUNK_BYTES // (8 * max(plan.valid.size, 1)))
+    for c0 in range(0, sel.size, step):
+        src = stack[:, :, sel[c0:c0 + step]].reshape(ny * nx, -1)
+        src = src.astype(np.float64, copy=False)
+        acc = np.zeros(shape + (src.shape[1],))
+        for ry, wy in zip(plan.rows, plan.wy):
+            row = np.zeros_like(acc)
+            for rx, wx in zip(plan.cols, plan.wx):
+                taps = src[ry + rx]
+                taps *= wx
+                row += taps
+            row *= wy
+            acc += row
+        out[..., c0:c0 + step] = acc
+    return out
+
+
 def bicubic_sample(image: np.ndarray, yy: np.ndarray, xx: np.ndarray):
     """Sample a 2-D image at fractional (row, col) coordinates with the
     shared cubic kernel.  Returns ``(values, valid)``."""
-    image = np.ascontiguousarray(image, dtype=np.float64)
-    yy = np.ascontiguousarray(yy, dtype=np.float64)
-    xx = np.ascontiguousarray(xx, dtype=np.float64)
-    ny, nx = image.shape
-    y = np.clip(yy, 0.0, ny - 1.0)
-    x = np.clip(xx, 0.0, nx - 1.0)
-    iy = np.floor(y).astype(np.int64)
-    ix = np.floor(x).astype(np.int64)
-    fy = y - iy
-    fx = x - ix
-    taps_x = [(np.clip(ix + kx, 0, nx - 1), wx)
-              for kx, wx in zip(range(-1, 3), _cubic_weights(fx))]
-    out = np.zeros(yy.shape, dtype=np.float64)
-    for ky, wy in zip(range(-1, 3), _cubic_weights(fy)):
-        ry = np.clip(iy + ky, 0, ny - 1)
-        row = np.zeros(yy.shape, dtype=np.float64)
-        for rx, wx in taps_x:
-            row += wx * image[ry, rx]
-        out += wy * row
-    exact_y = fy == 0.0
-    exact_x = fx == 0.0
-    ok_y = exact_y | ((iy - 1 >= 0) & (iy + 2 <= ny - 1))
-    ok_x = exact_x | ((ix - 1 >= 0) & (ix + 2 <= nx - 1))
-    inb = (yy >= 0.0) & (yy <= ny - 1.0) & (xx >= 0.0) & (xx <= nx - 1.0)
-    return out, inb & ok_y & ok_x
+    image = np.asarray(image)
+    plan = cubic_plan(image.shape, yy, xx)
+    return cubic_apply(plan, image[:, :, None])[..., 0], plan.valid
 
 
 def band_integrals(spectra: np.ndarray, wl0: float, dwl: float,

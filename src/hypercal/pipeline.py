@@ -548,12 +548,14 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
     gm_swir = dataclasses.replace(gm, mounting=(gm.mounting[0] + angle,
                                                 gm.mounting[1] + angle,
                                                 gm.mounting[2]))
-    swir_rad = (swir_raw.data.astype(np.float64)
-                - swir_sensor.dark_dn.T[None]) / \
-        swir_sensor.gain_dn_per_radiance.T[None]
+    swir_rad = swir_raw.data.astype(np.float64)
+    swir_rad -= swir_sensor.dark_dn.T[None]
+    swir_rad /= swir_sensor.gain_dn_per_radiance.T[None]
     swir_cube = SpectralCube(swir_rad, "radiance", swir_raw.band_meta, "bsq")
+    del swir_raw, swir_rad
     swir_ortho, _ = geometry.orthorectify(swir_cube, gm_swir, 0.0,
                                           state["grid"])
+    del swir_cube
     merged, resid = geometry.bundle(vnir, swir_ortho, patch=p["patch"])
     state["cube"] = merged
     if p["save"]:

@@ -534,8 +534,9 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
 
 
 def _quantize(dn: np.ndarray, sat_dn: np.ndarray) -> np.ndarray:
-    dn = np.minimum(dn, sat_dn)
-    return np.clip(np.rint(dn), 0, DN_MAX).astype(np.uint16)
+    """Saturate, round and clip ``dn`` in place; returns the 12-bit DNs."""
+    np.minimum(dn, sat_dn, out=dn)
+    return np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn).astype(np.uint16)
 
 
 def render_raw(scene: Scene, sensor: SensorModel,
@@ -586,7 +587,8 @@ def render_raw(scene: Scene, sensor: SensorModel,
     dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
         temperature_k - sensor.t_ref_k)
     gain = sensor.gain_dn_per_radiance * sensor.prnu
-    dn = fields * gain.T[None, :, :] + dark_term.T[None, :, :]
+    dn = np.multiply(fields, gain.T[None, :, :], out=fields)
+    dn += dark_term.T[None, :, :]
 
     if artifacts.interference:
         line_axis = np.arange(lines, dtype=np.float64)

@@ -25,6 +25,7 @@ KEYSTONE_MAX_PX = 3.0
 KEYSTONE_MIN_CONFIDENCE = 0.45
 DIP_MIN_DEPTH = 0.02       # dip must sit >= 2% below the local continuum
 QUADRATIC_GAIN = 0.25      # quadratic fit must cut residual RMS by 25%
+_ROW_CHUNK_BYTES = 2 << 20  # float64 rows per resample_rows call
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +320,26 @@ def correct_smile(cube: SpectralCube, model: SmileModel,
     centers = np.asarray(target_centers_nm if target_centers_nm is not None
                          else cube.centers_nm, dtype=np.float64)
     spacing = np.gradient(centers)
-    data = cube.data.astype(np.float64)
-    out = np.empty_like(data)
-    valid = np.empty(data.shape, dtype=bool)
-    base = np.arange(cube.bands, dtype=np.float64)
-    for s in range(cube.samples):
-        coords = base - model.offsets_nm[s] / spacing
-        rows = data[:, s, :]
-        res, ok = resample_rows(rows, np.broadcast_to(coords, rows.shape))
-        out[:, s, :] = res
-        valid[:, s, :] = ok
+    coords = np.arange(cube.bands, dtype=np.float64) \
+        - model.offsets_nm[:, None] / spacing
+    out = np.empty(cube.data.shape)
+    valid = np.empty(cube.data.shape, dtype=bool)
+    _resample_last_axis(cube.data, coords, out, valid)
     return cube.with_data(out, pixel_kind="radiance"), valid
+
+
+def _resample_last_axis(data, coords, out, valid) -> None:
+    """:func:`resample_rows` along the last axis of a (lines, m, n) view at
+    per-(m, n) coordinates ``coords``, a few MB of rows per call; writes
+    into the (lines, m, n) views ``out`` and ``valid``."""
+    lines, m, n = data.shape
+    step = max(1, _ROW_CHUNK_BYTES // (8 * lines * n))
+    for j in range(0, m, step):
+        rows = data[:, j:j + step]
+        at = np.broadcast_to(coords[j:j + step], rows.shape)
+        res, ok = resample_rows(rows.reshape(-1, n), at.reshape(-1, n))
+        out[:, j:j + step] = res.reshape(rows.shape)
+        valid[:, j:j + step] = ok.reshape(rows.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -508,19 +518,13 @@ def correct_keystone(cube: SpectralCube, model: KeystoneModel):
     bit-identically."""
     if model.bands != cube.bands or model.samples != cube.samples:
         raise EstimationError("keystone model does not match cube dimensions")
-    kappa = model.shifts()
-    data = cube.data.astype(np.float64)
-    out = np.empty_like(data)
-    valid = np.empty(data.shape, dtype=bool)
-    base = np.arange(cube.samples, dtype=np.float64)
-    for b in range(cube.bands):
-        coords = base - kappa[b]
-        rows = data[:, :, b]
-        res, ok = resample_rows(rows, np.broadcast_to(coords, rows.shape))
-        out[:, :, b] = res
-        valid[:, :, b] = ok
-    kind = cube.pixel_kind
-    if kind == "dn12":
-        out = np.clip(np.rint(out), 0, 4095)
-    return cube.with_data(out.astype(cube.data.dtype) if kind == "dn12"
-                          else out, pixel_kind=kind), valid
+    coords = np.arange(cube.samples, dtype=np.float64) - model.shifts()
+    out = np.empty(cube.data.shape)
+    valid = np.empty(cube.data.shape, dtype=bool)
+    # (lines, bands, samples) views: rows run along the samples
+    _resample_last_axis(cube.data.transpose(0, 2, 1), coords,
+                        out.transpose(0, 2, 1), valid.transpose(0, 2, 1))
+    if cube.pixel_kind == "dn12":
+        out = np.clip(np.rint(out, out=out), 0, 4095, out=out).astype(
+            cube.data.dtype)
+    return cube.with_data(out), valid

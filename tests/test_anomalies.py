@@ -137,6 +137,22 @@ class TestInterference:
         after = self._amplitude_at(fixed, comp.frequency)
         assert before > 5.0 * after
 
+    def test_swir_bar_profile_survives(self):
+        # every injected pattern runs along the lines; the across-track bars
+        # are scene content and must pass the 256-band (banding) path
+        sensor = quiet_sensor("swir", samples=32, bands=256,
+                              read_noise_dn=2.0)
+        scene = sim.synth_scene("bar-target", 256, 32, level=60.0,
+                                period=8, contrast=0.4)
+        comp = sim.InterferenceComponent(2.0 / 256, 10.0, kind="banding")
+        cube, _ = sim.render_raw(scene, sensor,
+                                 sim.ArtifactConfig(interference=(comp,)),
+                                 seed=1)
+        fixed = ano.remove_interference(cube, [])
+        before = cube.data.astype(np.float64).mean(axis=(0, 2))
+        after = fixed.data.astype(np.float64).mean(axis=(0, 2))
+        assert np.abs(after - before).max() < 0.01 * np.ptp(before)
+
     def test_vnir_cube_skips_banding_profile(self):
         cube = self._cube(lines=256)
         fixed = ano.remove_interference(cube, [])

@@ -146,6 +146,13 @@ class TestOverridesAndSubcommands:
         cfg = _write_config(tmp_path, stages)
         assert main(["correct", "--config", cfg]) == EXIT_OK
 
+    def test_swir_default_chain_completes(self, tmp_path):
+        stages = [dict(name=name, **params)
+                  for name, params in default_config(preset="swir").stages]
+        stages[0].update(lines=128, samples=64)
+        cfg = _write_config(tmp_path, stages, preset="swir")
+        assert main(["run", "--config", cfg]) == EXIT_OK
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -20,6 +20,14 @@ def _cube(lines=4, samples=5, bands=3, pixel_kind="dn12", interleave="bsq",
                         uniform_band_meta(bands, "vnir"), interleave)
 
 
+def _one_shot_bytes(data, pixel_kind, interleave):
+    """The payload as one whole-cube cast, transpose and copy."""
+    dtype = {"dn12": "<u2", "radiance": "<f8"}[pixel_kind]
+    axes = (2, 0, 1) if interleave == "bsq" else (0, 2, 1)
+    return np.ascontiguousarray(
+        np.transpose(data.astype(dtype), axes)).tobytes()
+
+
 class TestValidation:
     def test_dn12_range_enforced(self):
         with pytest.raises(CubeFormatError):
@@ -69,6 +77,25 @@ class TestRoundTrip:
         assert back.band_meta == cube.band_meta
         assert back.pixel_kind == cube.pixel_kind
         assert back.interleave == cube.interleave
+
+    @pytest.mark.parametrize("pixel_kind", ["dn12", "radiance"])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_streamed_bytes_equal_one_shot_write(self, tmp_path, pixel_kind,
+                                                 interleave):
+        cube = _cube(lines=6, samples=7, bands=5, pixel_kind=pixel_kind)
+        write_cube(cube, tmp_path / "c.img", interleave=interleave)
+        assert (tmp_path / "c.img").read_bytes() == \
+            _one_shot_bytes(cube.data, pixel_kind, interleave)
+
+    def test_float_data_written_as_dn12_casts_per_slab(self, tmp_path):
+        cube = _cube(lines=6, samples=7, bands=5)
+        # write_cube casts whatever array the cube holds to the file dtype
+        data = cube.data.astype(np.float64) + 0.25
+        object.__setattr__(cube, "data", data)
+        for interleave in ("bsq", "bil"):
+            write_cube(cube, tmp_path / "c.img", interleave=interleave)
+            assert (tmp_path / "c.img").read_bytes() == \
+                _one_shot_bytes(data, "dn12", interleave)
 
     def test_interleave_conversion_preserves_values(self, tmp_path):
         cube = _cube(interleave="bsq")

@@ -2,11 +2,13 @@
 band bundling."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypercal import geometry as geo
+from hypercal import kernels
 from hypercal import simulate as sim
 from hypercal.cube import SpectralCube
 from hypercal.errors import ConfigError, EstimationError
@@ -272,6 +274,115 @@ class TestBundle:
         small = SpectralCube(swir.data[:128], "radiance", swir.band_meta)
         with pytest.raises(ConfigError):
             geo.bundle(vnir, small)
+
+
+# ---------------------------------------------------------------------------
+# per-band loop forms of orthorectify and bundle, the references the shared
+# cubic sampling plan is checked against
+
+
+def _reference_orthorectify(cube, gm, height, grid):
+    north, east = grid.centers()
+    line, sample, valid = geo._invert_mapping(
+        gm, east, north, np.asarray(height, dtype=np.float64))
+    out = np.zeros((grid.rows, grid.cols, cube.bands))
+    ok = valid.copy()
+    for b in range(cube.bands):
+        vals, good = kernels.bicubic_sample(
+            cube.data[:, :, b].astype(np.float64), line, sample)
+        out[:, :, b] = vals
+        ok &= good | ~valid
+    out[~valid] = 0.0
+    if cube.pixel_kind == "dn12":
+        out = np.clip(np.rint(out), 0, 4095)
+    return out.astype(cube.data.dtype), ok
+
+
+def _reference_bundle(vnir, swir, patch=64, degree=2):
+    v_centers, s_centers = vnir.centers_nm, swir.centers_nm
+    shared = np.nonzero(s_centers <= v_centers.max())[0]
+    pairs = [(int(np.argmin(np.abs(v_centers - s_centers[sb]))), sb)
+             for sb in shared]
+    samples = [[], [], [], []]
+    for vb, sb in pairs:
+        try:
+            found = geo._measure_offsets(vnir.data[:, :, vb],
+                                         swir.data[:, :, sb], patch)
+        except EstimationError:
+            continue
+        for lst, arr in zip(samples, found):
+            lst.append(arr)
+    ys, xs, dys, dxs = (np.concatenate(s) for s in samples)
+    rows, cols = vnir.data.shape[:2]
+    design = geo._poly2d_design(ys / rows, xs / cols, degree)
+    cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
+    cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
+    gy, gx = np.meshgrid(np.arange(rows) / rows, np.arange(cols) / cols,
+                         indexing="ij")
+    full = geo._poly2d_design(gy, gx, degree)
+    map_y = np.arange(rows)[:, None] + full @ cy
+    map_x = np.arange(cols)[None, :] + full @ cx
+    swir_reg = np.empty(swir.data.shape)
+    for b in range(swir.bands):
+        swir_reg[:, :, b], _ = kernels.bicubic_sample(
+            swir.data[:, :, b].astype(np.float64), map_y, map_x)
+    resid = 0.0
+    for vb, sb in pairs:
+        try:
+            _, _, rdy, rdx = geo._measure_offsets(
+                vnir.data[:, :, vb], swir_reg[:, :, sb], patch)
+        except EstimationError:
+            continue
+        resid = max(resid, float(np.hypot(rdy, rdx).max()))
+    keep = np.nonzero(s_centers > v_centers.max())[0]
+    return np.concatenate([vnir.data, swir_reg[:, :, keep]], axis=2), resid
+
+
+def _distinct_bands(cube):
+    """The same cube with a different gain per band."""
+    return cube.with_data(cube.data * np.linspace(0.5, 1.5, cube.bands))
+
+
+class TestSamplingPlanReferences:
+    @pytest.mark.parametrize("pixel_kind", ["radiance", "dn12"])
+    def test_orthorectify_equals_per_band_loop(self, pixel_kind):
+        from hypercal.cube import uniform_band_meta
+        tex = smooth_texture(48, 40, seed=5, scale=400.0, level=2000.0)
+        data = tex[:, :, None] * np.linspace(0.6, 1.4, 6)
+        if pixel_kind == "dn12":
+            data = np.clip(np.rint(data), 0, 4095)
+        cube = SpectralCube(data, pixel_kind, uniform_band_meta(6, "vnir"))
+        gm = geo.make_geo(48, 40, roll=np.deg2rad(0.1),
+                          pitch=np.deg2rad(-0.05))
+        # a grid wider than the strip, so some cells are masked
+        grid = _footprint_grid(gm, margin=-2)
+        ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
+        expect, expect_valid = _reference_orthorectify(cube, gm, 0.0, grid)
+        assert not expect_valid.all()
+        assert ortho.data.dtype == cube.data.dtype
+        assert np.array_equal(ortho.data, expect)
+        assert np.array_equal(valid, expect_valid)
+
+    def test_bundle_equals_per_band_loop(self):
+        vnir, swir = _dual_cubes(rows=128, cols=128)
+        swir = _distinct_bands(swir)
+        merged, resid = geo.bundle(vnir, swir)
+        expect, expect_resid = _reference_bundle(vnir, swir)
+        assert np.array_equal(merged.data, expect)
+        assert resid == expect_resid
+
+    def test_bundle_holds_no_full_cube_temporaries(self, monkeypatch):
+        vnir, swir = _dual_cubes(rows=128, cols=128)
+        # 1 MB band chunks: the chunk buffers stay a sliver of the cube, so
+        # any full-cube temporary shows against the merged cube's size
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            merged, _ = geo.bundle(vnir, swir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * merged.data.nbytes
 
 
 class TestInterchange:

@@ -197,3 +197,72 @@ class TestReferenceKernel:
                 val, ok = _ref_bicubic(img, yy[i, j], xx[i, j])
                 assert out[i, j] == pytest.approx(val, abs=1e-12)
                 assert valid[i, j] == ok
+
+
+def _taps_bicubic(image, yy, xx):
+    """The one-band tap loop the sampling plan replaced: per row tap, the
+    four column taps summed into ``row``, then ``out += wy * row``."""
+    image = np.asarray(image, dtype=np.float64)
+    rows, wys, *_ = kernels._axis_taps(yy, image.shape[0])
+    cols, wxs, *_ = kernels._axis_taps(xx, image.shape[1])
+    out = np.zeros(yy.shape)
+    for ry, wy in zip(rows, wys):
+        row = np.zeros(yy.shape)
+        for rx, wx in zip(cols, wxs):
+            row += wx * image[ry, rx]
+        out += wy * row
+    return out
+
+
+class TestCubicPlan:
+    def _case(self, dtype, bands=7, seed=20):
+        rng = np.random.default_rng(seed)
+        if dtype == np.uint16:
+            stack = rng.integers(0, 4096, (20, 30, bands)).astype(np.uint16)
+        else:
+            stack = rng.normal(50.0, 10.0, (20, 30, bands))
+        yy = _test_coords(rng, (15, 15), 20)
+        xx = _test_coords(rng, (15, 15), 30)
+        xx[10:] = np.round(xx[10:])
+        return stack, yy, xx
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
+    def test_apply_equals_per_band_sampling(self, dtype, monkeypatch):
+        stack, yy, xx = self._case(dtype)
+        # three bands per chunk: seven bands leave a one-band remainder
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 3)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        out = kernels.cubic_apply(plan, stack)
+        for b in range(stack.shape[2]):
+            vals, valid = kernels.bicubic_sample(stack[:, :, b], yy, xx)
+            assert np.array_equal(out[:, :, b], vals)
+            assert np.array_equal(out[:, :, b],
+                                  _taps_bicubic(stack[:, :, b], yy, xx))
+            assert np.array_equal(plan.valid, valid)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
+    def test_band_subset_into_out_view(self, dtype, monkeypatch):
+        stack, yy, xx = self._case(dtype, bands=9)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        bands = [8, 0, 3, 4, 5]
+        target = np.full(yy.shape + (7,), -1.0)
+        got = kernels.cubic_apply(plan, stack, bands, out=target[:, :, 1:6])
+        assert np.shares_memory(got, target)
+        assert (target[:, :, 0] == -1.0).all() and (target[:, :, 6] == -1.0).all()
+        for i, b in enumerate(bands):
+            vals, _ = kernels.bicubic_sample(stack[:, :, b], yy, xx)
+            assert np.array_equal(target[:, :, 1 + i], vals)
+
+    def test_grid_mismatch_rejected(self):
+        plan = kernels.cubic_plan((20, 30), np.zeros((4, 4)), np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            kernels.cubic_apply(plan, np.zeros((30, 20, 2)))
+
+    def test_bicubic_sample_equals_tap_loop(self):
+        rng = np.random.default_rng(21)
+        img = _texture(40, 50, seed=22)
+        yy = _test_coords(rng, (30, 30), 40)
+        xx = _test_coords(rng, (30, 30), 50)
+        out, _ = kernels.bicubic_sample(img, yy, xx)
+        assert np.array_equal(out, _taps_bicubic(img, yy, xx))
