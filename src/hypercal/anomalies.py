@@ -33,37 +33,34 @@ def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K) -> list:
     annulus of neighboring columns (8 to 24 columns away on each side; the
     guard keeps runs up to 15 px from polluting their own baseline) by more
     than ``k`` times their MAD (floored at half a DN so quantization-flat
-    bands cannot divide by zero).  Adjacent hot columns merge into clusters
-    capped at length 15.
+    bands cannot divide by zero).  A column with no neighbor inside the
+    swath is never hot.  Adjacent hot columns merge into clusters capped at
+    length 15.
     """
-    data = cube.data.astype(np.float64)
-    lines, samples, bands = data.shape
-    col_med = np.median(data, axis=0)            # (S, B)
-    clusters = []
+    col_med = np.median(np.asarray(cube.data, dtype=np.float64), axis=0)
+    samples, bands = col_med.shape
     h = BUNCH_BASELINE_HALF
-    outer = 3 * h
-    for b in range(bands):
-        m = col_med[:, b]
-        hot = np.zeros(samples, dtype=bool)
-        for s in range(samples):
-            idx = [q for q in range(max(s - outer, 0), min(s + outer + 1, samples))
-                   if h <= abs(q - s) <= outer]
-            neigh = m[idx]
-            base = np.median(neigh)
-            mad = np.median(np.abs(neigh - base))
-            hot[s] = m[s] - base > k * max(mad, 0.5)
-        s = 0
-        while s < samples:
-            if not hot[s]:
-                s += 1
-                continue
-            s0 = s
-            while s < samples and hot[s]:
-                s += 1
-            length = min(s - s0, 15)
-            ratio = m[s0:s0 + length] / max(np.median(m), 1e-12)
-            profile = tuple(float(max(r, 1.0 + 1e-6)) for r in ratio)
-            clusters.append(BunchCluster(b, int(s0), length, profile))
+    offsets = np.r_[-3 * h:-h + 1, h:3 * h + 1]
+    neighbors = np.arange(samples)[:, None] + offsets      # (S, 34), ascending
+    inside = (neighbors >= 0) & (neighbors < samples)
+    counts = inside.sum(axis=1)
+    hot = np.zeros((samples, bands), dtype=bool)
+    # one median per group of columns with the same number of neighbors
+    for n in np.unique(counts[counts > 0]):
+        cols = np.flatnonzero(counts == n)
+        neigh = col_med[neighbors[cols][inside[cols]].reshape(cols.size, n)]
+        base = np.median(neigh, axis=1)                    # (cols, B)
+        mad = np.median(np.abs(neigh - base[:, None]), axis=1)
+        hot[cols] = col_med[cols] - base > k * np.maximum(mad, 0.5)
+    # runs of hot columns, band by band in swath order
+    edges = np.diff(np.pad(hot.T, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    band_med = np.median(col_med, axis=0)
+    clusters = []
+    for (b, s0), (_, s1) in zip(np.argwhere(edges == 1), np.argwhere(edges == -1)):
+        length = min(s1 - s0, 15)
+        ratio = col_med[s0:s0 + length, b] / max(band_med[b], 1e-12)
+        profile = tuple(float(max(r, 1.0 + 1e-6)) for r in ratio)
+        clusters.append(BunchCluster(int(b), int(s0), int(length), profile))
     return clusters
 
 

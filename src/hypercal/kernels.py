@@ -38,23 +38,26 @@ def _axis_taps(coords: np.ndarray, n: int):
 
 
 def resample_rows(image: np.ndarray, coords: np.ndarray):
-    """Cubic-convolution resampling of each row of ``image`` at per-output
-    source column coordinates ``coords`` (same shape as the output).
+    """Cubic-convolution resampling of each row (last axis) of ``image`` at
+    per-output source column coordinates ``coords``, shaped as the output or
+    broadcasting to it (one row of coordinates and taps for many rows).
 
-    Returns ``(out, valid)`` where ``valid`` marks outputs whose kernel
-    support stayed inside the row.  Source coordinates are clamped to the
-    row extent; exact integer coordinates reproduce the input bit-for-bit.
+    Returns ``(out, valid)`` where ``valid`` (shaped as ``coords``) marks
+    outputs whose kernel support stayed inside the row.  Source coordinates
+    are clamped to the row extent; exact integer coordinates reproduce the
+    input bit-for-bit.
     """
     image = np.ascontiguousarray(image, dtype=np.float64)
     coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if coords.shape != image.shape:
-        raise ValueError("coords shape must match image shape")
-    taps, weights, i0, exact, valid = _axis_taps(coords, image.shape[1])
-    out = np.zeros(coords.shape, dtype=np.float64)
+    if coords.ndim != image.ndim or coords.shape[-1] != image.shape[-1] \
+            or np.broadcast_shapes(coords.shape, image.shape) != image.shape:
+        raise ValueError("coords shape must broadcast to image shape")
+    taps, weights, i0, exact, valid = _axis_taps(coords, image.shape[-1])
+    out = np.zeros(image.shape, dtype=np.float64)
     for idx, w in zip(taps, weights):
-        out += w * np.take_along_axis(image, idx, axis=1)
+        out += w * np.take_along_axis(image, idx, axis=-1)
     if np.any(exact):
-        out[exact] = np.take_along_axis(image, i0, axis=1)[exact]
+        np.copyto(out, np.take_along_axis(image, i0, axis=-1), where=exact)
     return out, valid
 
 
@@ -69,6 +72,7 @@ def resample_signal(signal: np.ndarray, coords: np.ndarray):
 
 # Budget for one band chunk of a cubic apply, per float64 temporary.
 _CHUNK_BYTES = 16 << 20
+_ROW_CHUNK_BYTES = 2 << 20  # float64 rows per chunked resample_rows call
 
 CubicPlan = namedtuple("CubicPlan", "shape rows wy cols wx valid")
 

@@ -303,10 +303,11 @@ def _stage_caldark(state, p, out: Path, cfg: PipelineConfig):
         dark = radiometry.fit_dark_swir(darks, t_ref_k=sensor.t_ref_k)
     else:
         frame = sim.render_dark(sensor, lines, sensor.t_ref_k, seed=seed + 11)
-        level = frame.data.astype(np.float64).mean(axis=0).T
+        data = frame.data.astype(np.float64)
+        level = data.mean(axis=0).T
         dark = radiometry.DarkModel(
             level, np.zeros_like(level), sensor.t_ref_k, "vnir",
-            float(frame.data.astype(np.float64).std(axis=0).mean()))
+            float(data.std(axis=0).mean()))
     state["dark"] = dark
     if p["save"]:
         dark.save(out / "dark.bin")
@@ -327,9 +328,8 @@ def _stage_flatfield(state, p, out: Path, cfg: PipelineConfig):
         sphere.data[:, :, band].astype(np.float64))
     corrected, _, _ = radiometry.apply_flatfield(sphere, table, state["dark"])
     nu_after = radiometry.nonuniformity(corrected.data[:, :, band])
-    rad, valid, clamped = radiometry.apply_flatfield(cube, table,
-                                                     state["dark"])
-    state.update(cube=rad, flatfield=table, validity=valid)
+    rad, _, clamped = radiometry.apply_flatfield(cube, table, state["dark"])
+    state.update(cube=rad, flatfield=table)
     if p["save"]:
         table.save(out / "flatfield.bin")
     return {"nonuniformity_before_pct": nu_before,
@@ -602,7 +602,7 @@ STAGES = {stage.name: stage for stage in (
         "levels": (_each(float), (0.5, 2.0, 30.0, 60.0, 90.0)),
         "frames": (int, 200), "save": _SAVE},
         needs=("cube", "sensor", "dark"),
-        provides=("cube", "flatfield", "validity")),
+        provides=("cube", "flatfield")),
     Stage("bunch", _stage_bunch, {"mad_k": (float, anomalies.BUNCH_MAD_K)},
           after=("flat-field",), needs=("cube", "sensor"),
           provides=("cube",)),

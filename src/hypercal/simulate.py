@@ -22,7 +22,7 @@ from scipy.special import erf
 
 from .cube import BandMeta, SpectralCube, DN_MAX
 from .errors import HypercalError
-from .kernels import band_integrals, resample_rows
+from .kernels import _ROW_CHUNK_BYTES, band_integrals, resample_rows
 
 WL_START = 350.0
 WL_STOP = 2600.0
@@ -509,41 +509,40 @@ def _check_coverage(scene: Scene, sensor: SensorModel) -> None:
 
 
 def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
-                 steering: np.ndarray, n_blocks: int = 4) -> np.ndarray:
-    """Non-stationary along-track convolution: kernels constant within
-    SEGMENT_LINES x sample-block tiles, evaluated at the tile's mean
-    steering angle and center sample."""
+                 steering: np.ndarray, n_blocks: int = 4) -> None:
+    """Non-stationary along-track convolution of a (bands, lines, samples)
+    stack, in place: kernels constant within SEGMENT_LINES x sample-block
+    tiles, evaluated at the tile's mean steering angle and center sample.
+    A tile reads its lines plus a tap_count // 2 halo from a copy of its
+    block taken before the block is written."""
     from scipy.ndimage import convolve1d, gaussian_filter1d
 
-    lines, samples = fields.shape[:2]
-    out = np.empty_like(fields)
+    lines, samples = fields.shape[1:]
+    h = spec.tap_count // 2
     block_edges = np.linspace(0, samples, n_blocks + 1).astype(int)
-    for seg0 in range(0, lines, SEGMENT_LINES):
-        seg1 = min(seg0 + SEGMENT_LINES, lines)
-        theta = float(steering[seg0:seg1].mean())
-        for bi in range(n_blocks):
-            c0, c1 = block_edges[bi], block_edges[bi + 1]
-            frac = (0.5 * (c0 + c1)) / samples
-            taps = spec.kernel(theta, frac)
-            sub = convolve1d(fields[:, c0:c1], taps, axis=0, mode="nearest")
+    for bi in range(n_blocks):
+        c0, c1 = block_edges[bi], block_edges[bi + 1]
+        frac = (0.5 * (c0 + c1)) / samples
+        block = fields[:, :, c0:c1].copy()
+        for seg0 in range(0, lines, SEGMENT_LINES):
+            seg1 = min(seg0 + SEGMENT_LINES, lines)
+            r0, r1 = max(seg0 - h, 0), min(seg1 + h, lines)
+            taps = spec.kernel(float(steering[seg0:seg1].mean()), frac)
+            sub = convolve1d(block[:, r0:r1], taps, axis=1, mode="nearest")
             if spec.cross_track_sigma_px > 0:
                 sub = gaussian_filter1d(sub, spec.cross_track_sigma_px,
-                                        axis=1, mode="nearest")
-            out[seg0:seg1, c0:c1] = sub[seg0:seg1]
-    return out
-
-
-def _quantize(dn: np.ndarray, sat_dn: np.ndarray) -> np.ndarray:
-    """Saturate, round and clip ``dn`` in place; returns the 12-bit DNs."""
-    np.minimum(dn, sat_dn, out=dn)
-    return np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn).astype(np.uint16)
+                                        axis=2, mode="nearest")
+            fields[:, seg0:seg1, c0:c1] = sub[:, seg0 - r0:seg1 - r0]
+        block = sub = None  # freed before the next block's copy
 
 
 def render_raw(scene: Scene, sensor: SensorModel,
                artifacts: ArtifactConfig | None = None, seed: int = 0,
                temperature_k: float | None = None,
                steering_deg: np.ndarray | None = None):
-    """Render a raw DN cube plus its ground-truth manifest."""
+    """Render a raw DN cube plus its ground-truth manifest.  Fields are
+    band-major; a scene whose lines are all the same renders one line, which
+    is repeated before stray light (every earlier step acts within a line)."""
     artifacts = artifacts or ArtifactConfig()
     _check_coverage(scene, sensor)
     if scene.samples != sensor.samples:
@@ -561,59 +560,58 @@ def render_raw(scene: Scene, sensor: SensorModel,
     sigma = sensor.fwhm_nm * _FWHM_TO_SIGMA
     centers_eff = sensor.effective_centers()
     resp = band_integrals(scene.spectra, WL_START, WL_STEP, centers_eff, sigma)
-    col_idx = np.broadcast_to(np.arange(samples), (lines, samples))
-    sgrid = np.broadcast_to(np.arange(samples, dtype=np.float64),
-                            (lines, samples))
-
-    illuminated = np.array([b not in sensor.masked_channels for b in range(bands)])
-    fields = np.zeros((lines, samples, bands))
+    invariant = (np.all(scene.spatial == scene.spatial[:1])
+                 and np.all(scene.spectrum_index == scene.spectrum_index[:1]))
+    rows = min(1, lines) if invariant else lines
+    spatial, index = scene.spatial[:rows], scene.spectrum_index[:rows]
+    coords = (np.arange(samples) + sensor.keystone_px)[:, None, :]
     has_keystone = bool(np.any(sensor.keystone_px != 0.0))
-    for b in range(bands):
-        if not illuminated[b]:
-            continue
-        fb = scene.spatial * resp[b][col_idx, scene.spectrum_index]
+
+    fields = np.empty((bands, rows, samples))
+    step = max(1, _ROW_CHUNK_BYTES // (8 * max(rows * samples, 1)))
+    for b0 in range(0, bands, step):
+        chunk = spatial * resp[b0:b0 + step, np.arange(samples), index]
         if has_keystone:
-            coords = sgrid + sensor.keystone_px[b][None, :]
-            fb, _ = resample_rows(fb, coords)
-        fields[:, :, b] = fb
+            chunk, _ = resample_rows(chunk, coords[b0:b0 + step])
+        fields[b0:b0 + step] = chunk
+    illuminated = np.array([b not in sensor.masked_channels for b in range(bands)])
+    fields[~illuminated] = 0.0
 
     if artifacts.stray is not None:
-        for b in range(bands):
-            if illuminated[b]:
-                fields[:, :, b] = _apply_stray(
-                    fields[:, :, b][..., None], artifacts.stray,
-                    steering_deg)[..., 0]
+        if rows < lines:
+            fields = np.repeat(fields, lines, axis=1)
+        _apply_stray(fields, artifacts.stray, steering_deg)
 
     dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
         temperature_k - sensor.t_ref_k)
     gain = sensor.gain_dn_per_radiance * sensor.prnu
-    dn = np.multiply(fields, gain.T[None, :, :], out=fields)
-    dn += dark_term.T[None, :, :]
-
-    if artifacts.interference:
-        line_axis = np.arange(lines, dtype=np.float64)
-        pattern = np.zeros(lines)
-        for comp in artifacts.interference:
-            pattern += comp.amplitude_dn * np.sin(
-                2.0 * np.pi * comp.frequency * line_axis + comp.phase_rad)
-        dn[:, :, illuminated] += pattern[:, None, None]
-
-    for cluster in artifacts.bunch:
-        if not illuminated[cluster.band]:
-            continue
-        s0 = cluster.start_sample
-        dn[:, s0:s0 + cluster.length, cluster.band] *= np.asarray(cluster.profile)
-
-    if artifacts.noise and (sensor.read_noise_dn > 0 or sensor.photon_noise_k > 0):
-        for b in range(bands):
+    sat_dn = gain * sensor.sat_radiance[:, None] + dark_term
+    pattern = np.zeros((lines, 1))
+    for comp in artifacts.interference:
+        pattern[:, 0] += comp.amplitude_dn * np.sin(
+            2.0 * np.pi * comp.frequency * np.arange(lines, dtype=np.float64)
+            + comp.phase_rad)
+    noisy = artifacts.noise and (sensor.read_noise_dn > 0
+                                 or sensor.photon_noise_k > 0)
+    data = np.empty((lines, samples, bands), dtype=np.uint16)
+    dn = np.empty((lines, samples))
+    for b in range(bands):
+        np.multiply(fields[b], gain[b], out=dn)
+        dn += dark_term[b]
+        if illuminated[b]:
+            dn += pattern
+            for cluster in artifacts.bunch:
+                if cluster.band == b:
+                    s0 = cluster.start_sample
+                    dn[:, s0:s0 + cluster.length] *= np.asarray(cluster.profile)
+        if noisy:
             rng = np.random.default_rng([seed, b])
-            signal = np.clip(dn[:, :, b] - dark_term.T[None, :, b], 0.0, None)
+            signal = np.clip(dn - dark_term[b], 0.0, None)
             std = np.sqrt(sensor.read_noise_dn ** 2
                           + sensor.photon_noise_k * signal)
-            dn[:, :, b] += rng.standard_normal((lines, samples)) * std
-
-    sat_dn = gain * sensor.sat_radiance[:, None] + dark_term
-    data = _quantize(dn, sat_dn.T[None, :, :])
+            dn += rng.standard_normal((lines, samples)) * std
+        np.minimum(dn, sat_dn[b], out=dn)
+        data[:, :, b] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
     cube = SpectralCube(data=data, pixel_kind="dn12",
                         band_meta=sensor.band_meta())
     manifest = ArtifactManifest(
@@ -650,13 +648,16 @@ def render_dark(sensor: SensorModel, lines: int, temperature_k: float,
         raise HypercalError("lines must be >= 1")
     dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
         temperature_k - sensor.t_ref_k)
-    dn = np.broadcast_to(dark_term.T, (lines, sensor.samples, sensor.bands)).copy()
-    if sensor.read_noise_dn > 0:
-        for b in range(sensor.bands):
-            rng = np.random.default_rng([seed, b])
-            dn[:, :, b] += rng.standard_normal(
-                (lines, sensor.samples)) * sensor.read_noise_dn
-    data = np.clip(np.rint(dn), 0, DN_MAX).astype(np.uint16)
+    shape = (lines, sensor.samples)
+    data = np.empty(shape + (sensor.bands,), dtype=np.uint16)
+    for b in range(sensor.bands):
+        if sensor.read_noise_dn > 0:
+            dn = np.random.default_rng([seed, b]).standard_normal(shape)
+            dn *= sensor.read_noise_dn
+        else:
+            dn = np.zeros(shape)
+        dn += dark_term[b]
+        data[:, :, b] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
     return SpectralCube(data=data, pixel_kind="dn12", band_meta=sensor.band_meta())
 
 

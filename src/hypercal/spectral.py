@@ -16,7 +16,7 @@ import numpy as np
 
 from .cube import SpectralCube
 from .errors import EstimationError
-from .kernels import resample_rows
+from .kernels import _ROW_CHUNK_BYTES, resample_rows
 from .registration import shift_1d_batch
 
 SMILE_WINDOW = 10          # band-index correlation window
@@ -25,7 +25,6 @@ KEYSTONE_MAX_PX = 3.0
 KEYSTONE_MIN_CONFIDENCE = 0.45
 DIP_MIN_DEPTH = 0.02       # dip must sit >= 2% below the local continuum
 QUADRATIC_GAIN = 0.25      # quadratic fit must cut residual RMS by 25%
-_ROW_CHUNK_BYTES = 2 << 20  # float64 rows per resample_rows call
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +334,8 @@ def _resample_last_axis(data, coords, out, valid) -> None:
     lines, m, n = data.shape
     step = max(1, _ROW_CHUNK_BYTES // (8 * lines * n))
     for j in range(0, m, step):
-        rows = data[:, j:j + step]
-        at = np.broadcast_to(coords[j:j + step], rows.shape)
-        res, ok = resample_rows(rows.reshape(-1, n), at.reshape(-1, n))
-        out[:, j:j + step] = res.reshape(rows.shape)
-        valid[:, j:j + step] = ok.reshape(rows.shape)
+        out[:, j:j + step], valid[:, j:j + step] = resample_rows(
+            data[:, j:j + step], coords[None, j:j + step])
 
 
 # ---------------------------------------------------------------------------

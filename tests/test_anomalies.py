@@ -1,11 +1,14 @@
 """Operational artifact handling: bunch pixels, scan interference, and
 along-track stray-light deconvolution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hypercal import anomalies as ano
 from hypercal import simulate as sim
+from hypercal.cube import SpectralCube
 from hypercal.errors import EstimationError
 
 from conftest import quiet_sensor, stray_point_grid
@@ -73,6 +76,92 @@ class TestBunchPixels:
         fixed, valid = ano.correct_bunch_pixels(cube, [])
         assert fixed is cube
         assert valid.all()
+
+
+def _reference_detect_bunch(cube, k=ano.BUNCH_MAD_K):
+    """The per-column double loop the vectorized detector replaced.  A
+    column without neighbors takes the median of nothing (NaN, with a
+    warning) and so never compares hot."""
+    data = cube.data.astype(np.float64)
+    lines, samples, bands = data.shape
+    col_med = np.median(data, axis=0)
+    clusters = []
+    h = ano.BUNCH_BASELINE_HALF
+    outer = 3 * h
+    for b in range(bands):
+        m = col_med[:, b]
+        hot = np.zeros(samples, dtype=bool)
+        for s in range(samples):
+            idx = [q for q in range(max(s - outer, 0),
+                                    min(s + outer + 1, samples))
+                   if h <= abs(q - s) <= outer]
+            neigh = m[idx]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                base = np.median(neigh)
+                mad = np.median(np.abs(neigh - base))
+            hot[s] = m[s] - base > k * max(mad, 0.5)
+        s = 0
+        while s < samples:
+            if not hot[s]:
+                s += 1
+                continue
+            s0 = s
+            while s < samples and hot[s]:
+                s += 1
+            length = min(s - s0, 15)
+            ratio = m[s0:s0 + length] / max(np.median(m), 1e-12)
+            profile = tuple(float(max(r, 1.0 + 1e-6)) for r in ratio)
+            clusters.append(sim.BunchCluster(b, int(s0), length, profile))
+    return clusters
+
+
+def _planted_cube(samples, seed, lines=48, bands=6):
+    """uint16 cube with hot runs (one longer than 15, some at the swath
+    edges) and a quantization-flat band whose MAD hits the half-DN floor,
+    with one column 5 DN and one exactly at the 3 DN threshold above it."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(600.0, 4.0, (lines, samples, bands))
+    data[:, :, 3] = 600.0
+    data[:, samples // 2, 3] += 5.0
+    data[:, samples // 4, 3] += 3.0    # exactly k * 0.5: not hot
+    data[:, :3, 1] *= 1.25
+    data[:, samples - 2:, 2] *= 1.3
+    data[:, 2:min(samples, 20), 4] *= 1.2
+    data[:, samples // 3:samples // 3 + 4, 0] *= 1.15
+    return SpectralCube(np.rint(data).astype(np.uint16), "dn12",
+                        sim.make_sensor("vnir", samples=samples,
+                                        bands=bands).band_meta())
+
+
+class TestBunchDetectionMatchesColumnLoop:
+    @pytest.mark.parametrize("samples", [256, 40, 20, 12])
+    def test_same_clusters(self, samples):
+        for seed in range(3):
+            cube = _planted_cube(samples, seed)
+            found = ano.detect_bunch_pixels(cube)
+            assert found == _reference_detect_bunch(cube)
+        if samples >= 40:
+            bands_found = {c.band for c in found}
+            assert {0, 3} <= bands_found
+
+    def test_radiance_cube_same_clusters(self):
+        sensor = quiet_sensor("vnir", samples=256, bands=16,
+                              prnu_spread=0.02, read_noise_dn=2.0)
+        scene = sim.synth_scene("uniform", 64, 256, level=60.0)
+        clusters = sim.make_bunch_clusters((2, 7, 12), (40, 120, 200))
+        cube, _ = sim.render_raw(scene, sensor,
+                                 sim.ArtifactConfig(bunch=clusters), seed=3)
+        cube = _flatfield(cube, sensor)
+        found = ano.detect_bunch_pixels(cube)
+        assert found and found == _reference_detect_bunch(cube)
+
+    def test_narrow_swath_has_no_baseline_and_no_warning(self):
+        # at 8 samples no column has a neighbor 8 to 24 columns away
+        cube = _planted_cube(8, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ano.detect_bunch_pixels(cube) == []
 
 
 class TestInterference:

@@ -1,9 +1,13 @@
 """Forward sensor model: scenes, artifact injection, and renders."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d, gaussian_filter1d
 
-from hypercal import simulate as sim
+from hypercal import kernels, simulate as sim
 from hypercal.errors import HypercalError
 
 from conftest import quiet_sensor
@@ -250,3 +254,222 @@ class TestCalibrationRenders:
         sensor = quiet_sensor(samples=8, bands=4)
         with pytest.raises(HypercalError):
             sim.render_monochromator(sensor, 3000.0)
+
+
+# ---------------------------------------------------------------------------
+# per-band reference renders: the band-last loops the band-major renderer
+# replaced, kept to pin every output byte
+
+def _reference_apply_stray(fields, spec, steering, n_blocks=4):
+    lines, samples = fields.shape[:2]
+    out = np.empty_like(fields)
+    block_edges = np.linspace(0, samples, n_blocks + 1).astype(int)
+    for seg0 in range(0, lines, sim.SEGMENT_LINES):
+        seg1 = min(seg0 + sim.SEGMENT_LINES, lines)
+        theta = float(steering[seg0:seg1].mean())
+        for bi in range(n_blocks):
+            c0, c1 = block_edges[bi], block_edges[bi + 1]
+            frac = (0.5 * (c0 + c1)) / samples
+            taps = spec.kernel(theta, frac)
+            sub = convolve1d(fields[:, c0:c1], taps, axis=0, mode="nearest")
+            if spec.cross_track_sigma_px > 0:
+                sub = gaussian_filter1d(sub, spec.cross_track_sigma_px,
+                                        axis=1, mode="nearest")
+            out[seg0:seg1, c0:c1] = sub[seg0:seg1]
+    return out
+
+
+def _reference_resample_rows(image, coords):
+    taps, weights, i0, exact, _ = kernels._axis_taps(coords, image.shape[1])
+    out = np.zeros(coords.shape)
+    for idx, w in zip(taps, weights):
+        out += w * np.take_along_axis(image, idx, axis=1)
+    if np.any(exact):
+        out[exact] = np.take_along_axis(image, i0, axis=1)[exact]
+    return out
+
+
+def _reference_render_raw(scene, sensor, artifacts, seed, temperature_k,
+                          steering_deg):
+    lines, samples = scene.lines, scene.samples
+    bands = sensor.bands
+    sigma = sensor.fwhm_nm * FWHM_TO_SIGMA
+    resp = kernels.band_integrals(scene.spectra, sim.WL_START, sim.WL_STEP,
+                                  sensor.effective_centers(), sigma)
+    col_idx = np.broadcast_to(np.arange(samples), (lines, samples))
+    sgrid = np.broadcast_to(np.arange(samples, dtype=np.float64),
+                            (lines, samples))
+    illuminated = np.array([b not in sensor.masked_channels
+                            for b in range(bands)])
+    fields = np.zeros((lines, samples, bands))
+    has_keystone = bool(np.any(sensor.keystone_px != 0.0))
+    for b in range(bands):
+        if not illuminated[b]:
+            continue
+        fb = scene.spatial * resp[b][col_idx, scene.spectrum_index]
+        if has_keystone:
+            fb = _reference_resample_rows(
+                fb, sgrid + sensor.keystone_px[b][None, :])
+        fields[:, :, b] = fb
+    if artifacts.stray is not None:
+        for b in range(bands):
+            if illuminated[b]:
+                fields[:, :, b] = _reference_apply_stray(
+                    fields[:, :, b][..., None], artifacts.stray,
+                    steering_deg)[..., 0]
+    dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
+        temperature_k - sensor.t_ref_k)
+    gain = sensor.gain_dn_per_radiance * sensor.prnu
+    dn = fields * gain.T[None, :, :] + dark_term.T[None, :, :]
+    if artifacts.interference:
+        line_axis = np.arange(lines, dtype=np.float64)
+        pattern = np.zeros(lines)
+        for comp in artifacts.interference:
+            pattern += comp.amplitude_dn * np.sin(
+                2.0 * np.pi * comp.frequency * line_axis + comp.phase_rad)
+        dn[:, :, illuminated] += pattern[:, None, None]
+    for cluster in artifacts.bunch:
+        if not illuminated[cluster.band]:
+            continue
+        s0 = cluster.start_sample
+        dn[:, s0:s0 + cluster.length, cluster.band] *= np.asarray(
+            cluster.profile)
+    if artifacts.noise and (sensor.read_noise_dn > 0
+                            or sensor.photon_noise_k > 0):
+        for b in range(bands):
+            rng = np.random.default_rng([seed, b])
+            signal = np.clip(dn[:, :, b] - dark_term.T[None, :, b], 0.0, None)
+            std = np.sqrt(sensor.read_noise_dn ** 2
+                          + sensor.photon_noise_k * signal)
+            dn[:, :, b] += rng.standard_normal((lines, samples)) * std
+    sat_dn = gain * sensor.sat_radiance[:, None] + dark_term
+    dn = np.minimum(dn, sat_dn.T[None, :, :])
+    return np.clip(np.rint(dn), 0, sim.DN_MAX).astype(np.uint16)
+
+
+def _reference_render_dark(sensor, lines, temperature_k, seed):
+    dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
+        temperature_k - sensor.t_ref_k)
+    dn = np.broadcast_to(dark_term.T,
+                         (lines, sensor.samples, sensor.bands)).copy()
+    if sensor.read_noise_dn > 0:
+        for b in range(sensor.bands):
+            rng = np.random.default_rng([seed, b])
+            dn[:, :, b] += rng.standard_normal(
+                (lines, sensor.samples)) * sensor.read_noise_dn
+    return np.clip(np.rint(dn), 0, sim.DN_MAX).astype(np.uint16)
+
+
+def _library_bars(lines, samples):
+    scene = sim.synth_scene("spectral-library", lines, samples, level=80.0)
+    bars = sim.synth_scene("bar-target", lines, samples, period=8,
+                           contrast=0.4)
+    return replace(scene, spatial=scene.spatial * bars.spatial)
+
+
+def _scene(kind, lines, samples):
+    if kind == "library-bars":
+        return _library_bars(lines, samples)
+    extra = {"points": [(lines // 2, samples // 2), (0, 3)],
+             "background": 0.05} if kind == "point-source" else {}
+    return sim.synth_scene(kind, lines, samples, level=70.0, block=5, **extra)
+
+
+# (scene, lines, samples, bands, keystone, masked, stray sigma or None,
+#  interference, bunch, photon noise k)
+_RENDER_CASES = [
+    ("uniform", 16, 24, 6, False, (), None, False, False, 0.0),
+    ("uniform", 70, 24, 6, True, (2,), 0.0, True, True, 0.4),
+    ("bar-target", 40, 32, 8, True, (), None, True, False, 0.4),
+    ("bar-target", 1, 32, 8, True, (0,), 0.0, True, True, 0.0),
+    ("checkerboard", 100, 32, 8, True, (5,), 0.0, False, True, 0.4),
+    ("checkerboard", 64, 20, 5, False, (), 1.3, True, False, 0.0),
+    ("point-source", 130, 40, 6, True, (), 1.3, False, False, 0.4),
+    ("point-source", 1, 24, 4, False, (3,), 0.0, False, False, 0.0),
+    ("library-bars", 128, 32, 8, True, (1,), 1.3, True, True, 0.4),
+    ("library-bars", 33, 24, 6, False, (), None, False, True, 0.0),
+    ("uniform", 0, 24, 4, True, (), 0.0, True, False, 0.4),
+    ("checkerboard", 0, 24, 4, True, (), None, False, False, 0.0),
+]
+
+
+class TestRenderMatchesPerBandReference:
+    @pytest.mark.parametrize("case", _RENDER_CASES,
+                             ids=[f"{c[0]}-{c[1]}l" for c in _RENDER_CASES])
+    def test_render_raw_bytes(self, case):
+        (kind, lines, samples, bands, keystone, masked, sigma, interference,
+         bunch, photon_k) = case
+        sensor = sim.make_sensor(
+            "vnir", samples=samples, bands=bands, prnu_spread=0.02,
+            smile_nm=sim.quadratic_smile(bands, samples, 1.0),
+            keystone_px=sim.linear_keystone(bands, samples, 1.4, ref_band=2)
+            if keystone else 0.0,
+            read_noise_dn=2.0, photon_noise_k=photon_k,
+            masked_channels=masked)
+        art = sim.ArtifactConfig(
+            interference=(sim.InterferenceComponent(0.125, 8.0),
+                          sim.InterferenceComponent(0.31, 3.0, 0.7))
+            if interference else (),
+            bunch=sim.make_bunch_clusters((1, bands - 2), (2, samples - 12),
+                                          max_len=10) if bunch else (),
+            stray=None if sigma is None else sim.StrayLightSpec(
+                tail_scale_px=2.2, cross_track_sigma_px=sigma))
+        scene = _scene(kind, lines, samples)
+        steering = sim.linear_steering(lines)
+        cube, _ = sim.render_raw(scene, sensor, art, seed=11,
+                                 temperature_k=300.0, steering_deg=steering)
+        expected = _reference_render_raw(scene, sensor, art, 11, 300.0,
+                                         steering)
+        assert cube.data.dtype == np.uint16
+        assert np.array_equal(cube.data, expected)
+
+    def test_swir_256_bands(self):
+        sensor = sim.make_sensor(
+            "swir", samples=16, prnu_spread=0.02, dark_temp_slope=0.4,
+            smile_nm=sim.quadratic_smile(256, 16, 2.0),
+            keystone_px=sim.linear_keystone(256, 16, 1.5),
+            read_noise_dn=3.0, photon_noise_k=0.3, masked_channels=(200,))
+        art = sim.ArtifactConfig(
+            interference=(sim.InterferenceComponent(0.05, 5.0),),
+            bunch=sim.make_bunch_clusters((10, 160), (3,), max_len=6),
+            stray=sim.StrayLightSpec(tail_scale_px=2.2))
+        scene = _scene("checkerboard", 72, 16)
+        steering = sim.linear_steering(72)
+        cube, _ = sim.render_raw(scene, sensor, art, seed=4,
+                                 temperature_k=288.0, steering_deg=steering)
+        expected = _reference_render_raw(scene, sensor, art, 4, 288.0,
+                                         steering)
+        assert cube.data.shape == (72, 16, 256)
+        assert np.array_equal(cube.data, expected)
+
+    @pytest.mark.parametrize("instrument,noise", [("vnir", 2.0),
+                                                  ("swir", 3.0),
+                                                  ("swir", 0.0)])
+    def test_render_dark_bytes(self, instrument, noise):
+        sensor = sim.make_sensor(
+            instrument, samples=24, bands=12, read_noise_dn=noise,
+            dark_temp_slope=0.5 if instrument == "swir" else 0.0)
+        cube = sim.render_dark(sensor, 37, 305.0, seed=6)
+        assert np.array_equal(
+            cube.data, _reference_render_dark(sensor, 37, 305.0, 6))
+
+    def test_render_peak_memory_bounded(self, monkeypatch):
+        # 256 KB keystone chunks keep the chunk buffers a sliver of the
+        # 8 MB cube, so a full-cube temporary shows against its size; the
+        # cube, one stray block copy and its filtered tile (a quarter cube
+        # each) fit under 1.75 cubes (scipy.ndimage is imported above, so
+        # its first import is not counted)
+        monkeypatch.setattr(sim, "_ROW_CHUNK_BYTES", 256 << 10)
+        sensor = sim.make_sensor(
+            "swir", samples=64, read_noise_dn=2.0,
+            keystone_px=sim.linear_keystone(256, 64, 1.5))
+        scene = _scene("checkerboard", 64, 64)
+        art = sim.ArtifactConfig(stray=sim.StrayLightSpec(tail_scale_px=2.2))
+        cube_bytes = 64 * 64 * 256 * 8
+        tracemalloc.start()
+        try:
+            sim.render_raw(scene, sensor, art, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * cube_bytes
