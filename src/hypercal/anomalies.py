@@ -96,18 +96,16 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
                         neigh.append(q)
                         found += 1
                     q += step
-            cand = [bb for bb in range(bands)
-                    if bb != c.band and not corrupted[bb, p]
-                    and not any(corrupted[bb, q] for q in neigh)]
-            if not cand or not neigh:
+            cand = ~corrupted[:, p] & ~corrupted[:, neigh].any(axis=1)
+            cand[c.band] = False
+            x = data[:, neigh, c.band].ravel()
+            if not cand.any() or not neigh or x.std() == 0:
                 valid[:, p, c.band] = False
                 continue
-            x = data[:, neigh, c.band].ravel()
             best, best_r = None, -2.0
-            for bb in cand:
+            for bb in np.flatnonzero(cand):
                 y = data[:, neigh, bb].ravel()
-                sy = y.std()
-                if sy == 0 or x.std() == 0:
+                if y.std() == 0:
                     continue
                 r = float(np.corrcoef(x, y)[0, 1])
                 if r > best_r:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 import numpy as np
+from scipy import sparse
 
 # There is no compiled kernel path; the constant stays because the benchmark
 # harness records it with every run.
@@ -71,30 +72,39 @@ def resample_signal(signal: np.ndarray, coords: np.ndarray):
 
 
 # Budget for one band chunk of a cubic apply, per float64 temporary.
-_CHUNK_BYTES = 16 << 20
+_CHUNK_BYTES = 8 << 20
 _ROW_CHUNK_BYTES = 2 << 20  # float64 rows per chunked resample_rows call
 
-CubicPlan = namedtuple("CubicPlan", "shape rows wy cols wx valid")
+CubicPlan = namedtuple("CubicPlan", "shape taps wy valid")
 
 
 def cubic_plan(shape, yy: np.ndarray, xx: np.ndarray) -> CubicPlan:
     """Taps, weights and validity of a cubic sampling of a ``(ny, nx)``
     grid at (row, col) coordinates ``yy``, ``xx``, worked out once per
-    coordinate map; row taps are kept as flat offsets (row * nx)."""
+    coordinate map.  Per row tap, ``taps`` holds one sparse
+    ``(points, ny*nx)`` matrix with the four column taps of each point
+    (flat index, x weight) in tap order, clamped duplicates and zero
+    weights kept, and ``wy`` the ``(points, 1)`` row weights."""
     ny, nx = shape
     rows, wy, _, _, ok_y = _axis_taps(np.asarray(yy, dtype=np.float64), ny)
     cols, wx, _, _, ok_x = _axis_taps(np.asarray(xx, dtype=np.float64), nx)
-    return CubicPlan((ny, nx), [r * nx for r in rows],
-                     [w[..., None] for w in wy], cols,
-                     [w[..., None] for w in wx], ok_y & ok_x)
+    n = ok_y.size
+    cols = np.stack(cols, axis=-1).reshape(n, 4)
+    wx = np.stack(wx, axis=-1).ravel()
+    indptr = np.arange(0, 4 * n + 1, 4)
+    taps = [sparse.csr_array((wx, (r.reshape(n, 1) * nx + cols).ravel(),
+                              indptr), shape=(n, ny * nx)) for r in rows]
+    return CubicPlan((ny, nx), taps, [w.reshape(n, 1) for w in wy],
+                     ok_y & ok_x)
 
 
 def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Sample ``bands`` (default: all) of a band-last ``(ny, nx, B)`` stack
     of any dtype with ``plan``, a float64 chunk of bands at a time, into
-    ``out`` (made if None) and return it.  Per row tap the four column taps
-    are summed first, so each band equals its one-band call bit for bit."""
+    ``out`` (made if None) and return it.  Each sparse product sums a row
+    tap's four column taps in order from zero, so each band equals its
+    one-band call bit for bit."""
     ny, nx, nb = stack.shape
     if (ny, nx) != plan.shape:
         raise ValueError("stack grid does not match the sampling plan")
@@ -104,18 +114,14 @@ def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
         out = np.empty(shape + (sel.size,))
     step = max(1, _CHUNK_BYTES // (8 * max(plan.valid.size, 1)))
     for c0 in range(0, sel.size, step):
-        src = stack[:, :, sel[c0:c0 + step]].reshape(ny * nx, -1)
+        src = np.take(stack, sel[c0:c0 + step], axis=2).reshape(ny * nx, -1)
         src = src.astype(np.float64, copy=False)
-        acc = np.zeros(shape + (src.shape[1],))
-        for ry, wy in zip(plan.rows, plan.wy):
-            row = np.zeros_like(acc)
-            for rx, wx in zip(plan.cols, plan.wx):
-                taps = src[ry + rx]
-                taps *= wx
-                row += taps
+        acc = np.zeros((plan.valid.size, src.shape[1]))
+        for taps, wy in zip(plan.taps, plan.wy):
+            row = taps @ src
             row *= wy
             acc += row
-        out[..., c0:c0 + step] = acc
+        out[..., c0:c0 + step] = acc.reshape(shape + (-1,))
     return out
 
 

@@ -2,6 +2,7 @@
 integration, checked against plain-Python per-point references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,3 +267,49 @@ class TestCubicPlan:
         xx = _test_coords(rng, (30, 30), 50)
         out, _ = kernels.bicubic_sample(img, yy, xx)
         assert np.array_equal(out, _taps_bicubic(img, yy, xx))
+
+    @pytest.mark.parametrize("shape", [(12, 9), (1, 9), (9, 1), (1, 1)])
+    def test_non_finite_and_clamped_taps(self, shape):
+        # a NaN, a +inf and a -0.0 sample; coordinates inside, on the
+        # edges and entirely outside the grid, where every tap of a point
+        # is clamped onto one sample with the zero weights of an exact
+        # coordinate: summing the duplicates or dropping zero weights
+        # turns 0 * inf = NaN into a finite value
+        ny, nx = shape
+        rng = np.random.default_rng(23)
+        stack = rng.normal(50.0, 10.0, shape + (5,))
+        stack[0, 0, 1] = np.nan
+        stack[-1, -1, 2] = np.inf
+        stack[0, nx // 2, 3] = np.inf
+        stack[..., 4] = -0.0
+        yy = np.concatenate([_test_coords(rng, (6, 6), ny),
+                             np.full((2, 6), -4.0), np.full((2, 6), ny + 3.0)])
+        xx = np.concatenate([_test_coords(rng, (6, 6), nx),
+                             np.full((2, 6), nx + 3.0), np.full((2, 6), -4.0)])
+        plan = kernels.cubic_plan(shape, yy, xx)
+        with np.errstate(invalid="ignore"):  # the 0 * inf products
+            out = kernels.cubic_apply(plan, stack)
+        for b in range(stack.shape[2]):
+            with np.errstate(invalid="ignore"):
+                expect = _taps_bicubic(stack[:, :, b], yy, xx)
+            assert np.array_equal(out[:, :, b], expect, equal_nan=True)
+            assert np.array_equal(np.signbit(out[:, :, b]), np.signbit(expect))
+
+    def test_apply_holds_four_chunk_temporaries(self):
+        # 256 bands of 256 x 256 uint16 in 8 MB float64 chunks: the source
+        # chunk, the accumulator and two row products (4 x 8 MB); one more
+        # chunk-sized temporary per tap (a gather of the four column taps)
+        # goes past the bound
+        rng = np.random.default_rng(24)
+        stack = rng.integers(0, 4096, (256, 256, 256)).astype(np.uint16)
+        yy = _test_coords(rng, (256, 256), 256)
+        xx = _test_coords(rng, (256, 256), 256)
+        plan = kernels.cubic_plan((256, 256), yy, xx)
+        out = np.empty((256, 256, 256))
+        tracemalloc.start()
+        try:
+            kernels.cubic_apply(plan, stack, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 << 20
