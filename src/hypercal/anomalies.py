@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import SpectralCube
+from .cube import DN_MAX, SpectralCube
 from .errors import EstimationError
-from .simulate import BunchCluster, SEGMENT_LINES
+from .simulate import BunchCluster, SEGMENT_LINES, STRAY_BLOCKS
 
 BUNCH_MAD_K = 6.0
 BUNCH_BASELINE_HALF = 8        # columns each side for the local baseline
@@ -19,8 +19,9 @@ NOTCH_ORDER = 4
 NOTCH_HALF_WIDTH = 0.01        # cycles/line
 INTERFERENCE_SNR = 6.0
 INTERFERENCE_MIN_FREQ = 0.01   # below this the banding path applies
-BANDING_BANDS = (160, 170)     # inclusive SWIR indices, configurable
+BANDING_BANDS = (160, 170)     # inclusive SWIR indices
 WIENER_EPS = 1e-3
+KERNEL_EXTENT_REL = 0.01       # tap level counted by kernel_extent
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +117,7 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
             y = data[:, neigh, best].ravel()
             alpha, beta = np.polyfit(y, x, 1)
             out[:, p, c.band] = alpha * data[:, p, best] + beta
-    kind = cube.pixel_kind
-    if kind == "dn12":
-        out = np.clip(np.rint(out), 0, 4095).astype(cube.data.dtype)
-    return cube.with_data(out, pixel_kind=kind), valid
+    return cube.with_data(out), valid
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +174,7 @@ def _notch_gain(freqs: np.ndarray, f0: float, half_width: float,
     return g
 
 
-def remove_interference(cube: SpectralCube, freqs,
-                        banding_bands: tuple = BANDING_BANDS):
+def remove_interference(cube: SpectralCube, freqs):
     """Two-stage interference removal.
 
     (1) Per band, an along-track Butterworth notch (order 4, half-width
@@ -199,16 +196,13 @@ def remove_interference(cube: SpectralCube, freqs,
     spec = np.fft.rfft(data, axis=0)
     out = np.fft.irfft(spec * gain[:, None, None], n=lines, axis=0)
 
-    b0, b1 = banding_bands
+    b0, b1 = BANDING_BANDS
     if b1 < cube.bands:
         # banding path: only instruments carrying the atmospheric-absorption
         # window bands see the low-frequency banding pattern
         profile = out[:, :, b0:b1 + 1].mean(axis=(1, 2))
         out -= (profile - profile.mean())[:, None, None]
-    kind = cube.pixel_kind
-    if kind == "dn12":
-        out = np.clip(np.rint(out), 0, 4095).astype(cube.data.dtype)
-    return cube.with_data(out, pixel_kind=kind)
+    return cube.with_data(out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +273,11 @@ class StrayPSFModel:
                    np.asarray(raw["sample_pos"]), np.asarray(raw["taps"]))
 
 
-def kernel_extent(taps: np.ndarray, rel: float = 0.01) -> int:
-    """Number of contiguous taps above ``rel`` of the peak around it."""
+def kernel_extent(taps: np.ndarray) -> int:
+    """Number of contiguous taps above KERNEL_EXTENT_REL of the peak
+    around it."""
     peak = taps.max()
-    above = np.flatnonzero(taps > rel * peak)
+    above = np.flatnonzero(taps > KERNEL_EXTENT_REL * peak)
     return int(above[-1] - above[0] + 1)
 
 
@@ -313,7 +308,7 @@ def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
         window -= background
         if window.max() <= 0:
             raise EstimationError("point source absent at the stated location")
-        if cube.pixel_kind == "dn12" and col[l0] >= 4095:
+        if cube.pixel_kind == "dn12" and col[l0] >= DN_MAX:
             raise EstimationError("point source saturated")
         window = np.clip(window, 0.0, None)
         taps = window / window.sum()
@@ -338,31 +333,28 @@ def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
 
 
 def correct_stray(cube: SpectralCube, model: StrayPSFModel,
-                  steering_deg: np.ndarray, n_blocks: int = 4,
-                  eps: float = WIENER_EPS,
-                  segment_lines: int = SEGMENT_LINES):
+                  steering_deg: np.ndarray):
     """Deconvolve the along-track stray kernel per segment and sample block.
 
-    Segments of ``segment_lines`` lines advance by half a segment and are
-    blended with 50% overlap-add; each column is divided in the frequency
-    domain by the local kernel with Wiener regularization (``eps`` of the
-    peak spectral power).  The filter's DC gain is pinned to the kernel's
-    exact DC inverse so an identity kernel passes data through unchanged
-    and flux is conserved.
+    Segments of SEGMENT_LINES lines advance by half a segment and are
+    blended with 50% overlap-add; each column of each of the STRAY_BLOCKS
+    sample blocks is divided in the frequency domain by the local kernel
+    with Wiener regularization (WIENER_EPS of the peak spectral power).
+    The filter's DC gain is pinned to the kernel's exact DC inverse so an
+    identity kernel passes data through unchanged and flux is conserved.
     """
     steering_deg = np.asarray(steering_deg, dtype=np.float64)
     data = cube.data.astype(np.float64)
     lines, samples, bands = data.shape
     if steering_deg.shape[0] != lines:
         raise EstimationError("steering profile length must equal cube lines")
-    hop = max(segment_lines // 2, 1)
     out = np.zeros_like(data)
     weight = np.zeros(lines)
-    block_edges = np.linspace(0, samples, n_blocks + 1).astype(int)
-    n = segment_lines
-    win = np.hanning(n + 2)[1:-1] if n > 1 else np.ones(1)
+    block_edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
+    n = SEGMENT_LINES
+    win = np.hanning(n + 2)[1:-1]
     h = model.tap_count // 2
-    for seg0 in range(0, lines, hop):
+    for seg0 in range(0, lines, n // 2):
         seg1 = min(seg0 + n, lines)
         # pad the trailing segment backwards so every segment is full-length
         s0 = max(seg1 - n, 0)
@@ -370,8 +362,7 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
         theta = float(steering_deg[s0:seg1].mean())
         wseg = win[: seg1 - s0]
         corrected = np.empty_like(seg)
-        for bi in range(n_blocks):
-            c0, c1 = block_edges[bi], block_edges[bi + 1]
+        for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
             frac = (0.5 * (c0 + c1)) / samples
             taps = model.kernel(theta, frac)
             kpad = np.zeros(n)
@@ -379,7 +370,7 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
             kpad = np.roll(kpad, -h)
             kf = np.fft.rfft(kpad)
             power = np.abs(kf) ** 2
-            wiener = np.conj(kf) / (power + eps * power.max())
+            wiener = np.conj(kf) / (power + WIENER_EPS * power.max())
             # pin DC to the exact inverse (kernel sums to 1)
             dc = wiener[0].real * kf[0].real
             if abs(dc) > 1e-12:
@@ -393,7 +384,4 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
         if seg1 >= lines:
             break
     out /= np.maximum(weight, 1e-12)[:, None, None]
-    kind = cube.pixel_kind
-    if kind == "dn12":
-        out = np.clip(np.rint(out), 0, 4095).astype(cube.data.dtype)
-    return cube.with_data(out, pixel_kind=kind)
+    return cube.with_data(out)

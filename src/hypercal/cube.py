@@ -87,9 +87,15 @@ class SpectralCube:
         if data.ndim != 3:
             raise CubeFormatError("cube data must be 3-D (lines, samples, bands)")
         if self.pixel_kind == "dn12":
+            # float input must already sit on the 12-bit grid: a cast would
+            # silently truncate fractions and turn NaN into 0
+            if data.dtype.kind == "f" and not np.all(
+                    (data >= 0) & (data <= DN_MAX) & (data == np.rint(data))):
+                raise CubeFormatError(
+                    f"dn12 values must be whole numbers in [0, {DN_MAX}]")
             data = np.ascontiguousarray(data, dtype=np.uint16)
             if data.size and data.max() > DN_MAX:
-                raise CubeFormatError("dn12 values must lie in [0, 4095]")
+                raise CubeFormatError(f"dn12 values must lie in [0, {DN_MAX}]")
         else:
             data = np.ascontiguousarray(data, dtype=np.float64)
         object.__setattr__(self, "data", data)
@@ -129,9 +135,15 @@ class SpectralCube:
 
     def with_data(self, data: np.ndarray, pixel_kind: str | None = None,
                   band_meta=None) -> "SpectralCube":
+        """A cube derived from this one.  Float data for a ``dn12`` cube is
+        rounded half to even and clipped onto the 12-bit grid."""
+        pixel_kind = pixel_kind or self.pixel_kind
+        if pixel_kind == "dn12" and np.asarray(data).dtype.kind == "f":
+            data = np.rint(data)
+            data = np.clip(data, 0, DN_MAX, out=data).astype(np.uint16)
         return SpectralCube(
             data=data,
-            pixel_kind=pixel_kind or self.pixel_kind,
+            pixel_kind=pixel_kind,
             band_meta=tuple(band_meta) if band_meta is not None else self.band_meta,
             interleave=self.interleave,
         )

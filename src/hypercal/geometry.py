@@ -24,7 +24,7 @@ from .kernels import cubic_apply, cubic_plan
 from .registration import shift_2d
 
 __all__ = [
-    "AttitudeSample", "BoresightBias", "GroundControlPoint", "GeoModel",
+    "BoresightBias", "GroundControlPoint", "GeoModel",
     "MapGrid", "make_geo", "geolocate", "residuals", "cost",
     "optimize_boresight", "orthorectify", "bundle",
     "read_gcps", "write_gcps", "read_grid", "write_grid", "write_bias_report",
@@ -33,24 +33,11 @@ __all__ = [
 DEFAULT_ALTITUDE_M = 630_000.0
 DEFAULT_GSD_M = 30.0
 YAW_BOUND_RAD = np.deg2rad(0.05)
-
-
-@dataclass(frozen=True)
-class AttitudeSample:
-    """Platform attitude for one scan line, plus the steering angle used by
-    the stray-light coupling."""
-
-    roll: float
-    pitch: float
-    yaw: float
-    steering_deg: float = 0.0
-
-    def __post_init__(self) -> None:
-        vals = (self.roll, self.pitch, self.yaw, self.steering_deg)
-        if not all(np.isfinite(v) for v in vals):
-            raise ConfigError("attitude angles must be finite")
-        if abs(self.roll) >= 0.5 or abs(self.pitch) >= 0.5:
-            raise ConfigError("attitude roll/pitch out of supported range")
+BORESIGHT_RESTARTS = 4         # Nelder-Mead restarts after the first run
+INVERT_MAX_ITER = 20           # fixed-point steps of the inverse mapping
+INVERT_TOL_PX = 0.01           # inverse-mapping convergence, both axes
+OFFSET_MIN_CONFIDENCE = 0.02   # patch correlations below this are dropped
+BUNDLE_DEGREE = 2              # misregistration polynomial order per axis
 
 
 @dataclass(frozen=True)
@@ -127,14 +114,6 @@ class GeoModel:
 
     def with_bias(self, bias: BoresightBias) -> "GeoModel":
         return dataclasses.replace(self, bias=bias)
-
-    def attitude(self, line: float) -> AttitudeSample:
-        idx = np.arange(self.lines, dtype=np.float64)
-        return AttitudeSample(
-            float(np.interp(line, idx, self.roll)),
-            float(np.interp(line, idx, self.pitch)),
-            float(np.interp(line, idx, self.yaw)),
-            float(np.interp(line, idx, self.steering_deg)))
 
 
 def make_geo(lines: int, samples: int, altitude_m: float = DEFAULT_ALTITUDE_M,
@@ -240,15 +219,15 @@ def cost(bias: BoresightBias, strips) -> float:
     return float(total)
 
 
-def optimize_boresight(strips, yaw_bound_rad: float = YAW_BOUND_RAD,
-                       max_restarts: int = 4) -> BoresightBias:
+def optimize_boresight(strips) -> BoresightBias:
     """Fit a common boresight bias to all strips by derivative-free search.
 
-    Nelder-Mead with restart-on-stall; converged when a restart improves
-    the cost by less than 0.01 m over its iterations.
+    Nelder-Mead with up to BORESIGHT_RESTARTS restarts on stall, yaw held
+    within YAW_BOUND_RAD; converged when a restart improves the cost by
+    less than 0.01 m over its iterations.
     """
     def objective(x):
-        if abs(x[2]) > yaw_bound_rad:
+        if abs(x[2]) > YAW_BOUND_RAD:
             return 1e12 * (1.0 + abs(x[2]))
         val = cost(BoresightBias(*x), strips)
         if not np.isfinite(val):
@@ -258,9 +237,9 @@ def optimize_boresight(strips, yaw_bound_rad: float = YAW_BOUND_RAD,
     x0 = np.zeros(3)
     best_x, best_f = x0, objective(x0)
     step = np.deg2rad(0.1)
-    for _ in range(max_restarts + 1):
+    for _ in range(BORESIGHT_RESTARTS + 1):
         simplex = np.vstack([best_x, best_x + np.diag([step, step,
-                                                       min(step, yaw_bound_rad / 2)])])
+                                                       min(step, YAW_BOUND_RAD / 2)])])
         res = minimize(objective, best_x, method="Nelder-Mead",
                        options={"initial_simplex": simplex, "fatol": 1e-4,
                                 "xatol": 1e-9, "maxiter": 2000})
@@ -293,8 +272,7 @@ class MapGrid:
         return np.meshgrid(north, east, indexing="ij")
 
 
-def _invert_mapping(geo: GeoModel, east, north, height,
-                    max_iter: int = 20, tol_px: float = 0.01):
+def _invert_mapping(geo: GeoModel, east, north, height):
     """Iteratively solve geolocate(line, sample) == (east, north)."""
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
@@ -303,7 +281,7 @@ def _invert_mapping(geo: GeoModel, east, north, height,
     line = (north - geo.track_along_m[0]) / geo.gsd_m
     sample = np.full_like(east, (geo.samples - 1) / 2.0)
     converged = np.zeros(east.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         ln = np.clip(line, 0.0, geo.lines - 1.0)
         sm = np.clip(sample, 0.0, geo.samples - 1.0)
         e, n = geolocate(geo, ln, sm, height)
@@ -311,7 +289,7 @@ def _invert_mapping(geo: GeoModel, east, north, height,
         ds = (east - e) / geo.gsd_m
         line = ln + dl
         sample = sm + ds
-        converged = (np.abs(dl) < tol_px) & (np.abs(ds) < tol_px)
+        converged = (np.abs(dl) < INVERT_TOL_PX) & (np.abs(ds) < INVERT_TOL_PX)
         if converged.all():
             break
     inside = ((line >= 0) & (line <= geo.lines - 1)
@@ -338,13 +316,7 @@ def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
     plan = cubic_plan(cube.data.shape[:2], line, sample)
     out = cubic_apply(plan, cube.data)
     out[~valid] = 0.0
-    if cube.pixel_kind == "dn12":
-        np.clip(np.rint(out, out=out), 0, 4095, out=out)
-    ortho = SpectralCube(data=out.astype(cube.data.dtype, copy=False),
-                         pixel_kind=cube.pixel_kind,
-                         band_meta=cube.band_meta,
-                         interleave=cube.interleave)
-    return ortho, valid & plan.valid
+    return cube.with_data(out), valid & plan.valid
 
 
 def _poly2d_design(y, x, degree: int) -> np.ndarray:
@@ -355,8 +327,7 @@ def _poly2d_design(y, x, degree: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int = 64,
-                     min_confidence: float = 0.02):
+def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int):
     """Patch-grid misregistration of ``mov`` relative to ``ref``."""
     rows, cols = ref.shape
     ys, xs, dys, dxs = [], [], [], []
@@ -367,7 +338,7 @@ def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int = 64,
             if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
                 continue
             dy, dx, conf = shift_2d(a, b)
-            if conf < min_confidence:
+            if conf < OFFSET_MIN_CONFIDENCE:
                 continue
             ys.append(y0 + patch / 2)
             xs.append(x0 + patch / 2)
@@ -379,13 +350,12 @@ def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int = 64,
     return (np.array(ys), np.array(xs), np.array(dys), np.array(dxs))
 
 
-def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64,
-           degree: int = 2):
+def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64):
     """Co-register SWIR to VNIR on a shared map grid and merge the bands.
 
     Misregistration is measured with sub-pixel patch correlation on the
-    spectrally overlapping bands, modeled as a low-order polynomial surface
-    (degree <= 2 per axis), and applied to the SWIR cube only.  The merged
+    spectrally overlapping bands, modeled as a polynomial surface of degree
+    BUNDLE_DEGREE per axis, and applied to the SWIR cube only.  The merged
     cube keeps every VNIR band plus the SWIR bands above the VNIR range,
     so wavelengths increase strictly across the seam.  Returns
     ``(merged cube, residual_px)``.
@@ -424,13 +394,13 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64,
     ys, xs, dys, dxs = (np.concatenate(s) for s in zip(*found))
 
     rows, cols = vnir.data.shape[:2]
-    design = _poly2d_design(ys / rows, xs / cols, degree)
+    design = _poly2d_design(ys / rows, xs / cols, BUNDLE_DEGREE)
     cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
     cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
 
     gy, gx = np.meshgrid(np.arange(rows) / rows, np.arange(cols) / cols,
                          indexing="ij")
-    full = _poly2d_design(gy, gx, degree)
+    full = _poly2d_design(gy, gx, BUNDLE_DEGREE)
     # shift_2d reports mov ~ ref shifted by d, so sampling mov at
     # coordinate + d pulls it back onto the reference
     map_y = np.arange(rows)[:, None] + full @ cy

@@ -475,13 +475,14 @@ def _stage_geocal(state, p, out: Path, cfg: PipelineConfig):
         gcps = [geometry.GroundControlPoint(l, s, e, n, h, f"strip{i}")
                 for l, s, e, n, h in zip(ls, ss, east, north, hs)]
         strips.append((gm, gcps))
-        geometry.write_gcps(out / f"gcps_strip{i}.csv", gcps)
     bias = geometry.optimize_boresight(strips)
     final_cost = geometry.cost(bias, strips)
     res = np.vstack([geometry.residuals(gm.with_bias(bias), gc)
                      for gm, gc in strips])
     state["boresight"] = bias
     if p["save"]:
+        for i, (_, gcps) in enumerate(strips):
+            geometry.write_gcps(out / f"gcps_strip{i}.csv", gcps)
         geometry.write_bias_report(out / "boresight.txt", bias, final_cost)
     return {"mean_across_m": float(res[:, 0].mean()),
             "mean_along_m": float(res[:, 1].mean()),

@@ -23,6 +23,7 @@ from scipy.special import erf
 from .cube import BandMeta, SpectralCube, DN_MAX
 from .errors import HypercalError
 from .kernels import _ROW_CHUNK_BYTES, band_integrals, resample_rows
+from .spectral import ABSORPTION_LINES, MONOCHROMATOR_LINE_NM
 
 WL_START = 350.0
 WL_STOP = 2600.0
@@ -30,7 +31,10 @@ WL_STEP = 1.0
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
-SEGMENT_LINES = 64  # along-track segmentation shared with the stray corrector
+# stray-light tiling shared with the stray corrector: along-track segments
+# of SEGMENT_LINES lines times STRAY_BLOCKS equal sample blocks
+SEGMENT_LINES = 64
+STRAY_BLOCKS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,6 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
             spatial[int(pl), int(ps)] = amplitude
         spectra = flat
     elif kind == "spectral-library":
-        from .spectral import ABSORPTION_LINES
         depth = float(kw.get("dip_depth", 0.4))
         width = float(kw.get("dip_width_nm", 7.0))
         tilt = float(kw.get("tilt", 0.3))
@@ -509,9 +512,9 @@ def _check_coverage(scene: Scene, sensor: SensorModel) -> None:
 
 
 def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
-                 steering: np.ndarray, n_blocks: int = 4) -> None:
+                 steering: np.ndarray) -> None:
     """Non-stationary along-track convolution of a (bands, lines, samples)
-    stack, in place: kernels constant within SEGMENT_LINES x sample-block
+    stack, in place: kernels constant within SEGMENT_LINES x STRAY_BLOCKS
     tiles, evaluated at the tile's mean steering angle and center sample.
     A tile reads its lines plus a tap_count // 2 halo from a copy of its
     block taken before the block is written."""
@@ -519,9 +522,8 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
 
     lines, samples = fields.shape[1:]
     h = spec.tap_count // 2
-    block_edges = np.linspace(0, samples, n_blocks + 1).astype(int)
-    for bi in range(n_blocks):
-        c0, c1 = block_edges[bi], block_edges[bi + 1]
+    block_edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
+    for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
         frac = (0.5 * (c0 + c1)) / samples
         block = fields[:, :, c0:c1].copy()
         for seg0 in range(0, lines, SEGMENT_LINES):
@@ -606,9 +608,10 @@ def render_raw(scene: Scene, sensor: SensorModel,
                     dn[:, s0:s0 + cluster.length] *= np.asarray(cluster.profile)
         if noisy:
             rng = np.random.default_rng([seed, b])
-            signal = np.clip(dn - dark_term[b], 0.0, None)
-            std = np.sqrt(sensor.read_noise_dn ** 2
-                          + sensor.photon_noise_k * signal)
+            std = sensor.read_noise_dn
+            if sensor.photon_noise_k > 0:
+                signal = np.clip(dn - dark_term[b], 0.0, None)
+                std = np.sqrt(std ** 2 + sensor.photon_noise_k * signal)
             dn += rng.standard_normal((lines, samples)) * std
         np.minimum(dn, sat_dn[b], out=dn)
         data[:, :, b] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
@@ -646,19 +649,10 @@ def render_dark(sensor: SensorModel, lines: int, temperature_k: float,
     """Dark-only cube: bias + temperature term + read noise, quantized."""
     if lines < 1:
         raise HypercalError("lines must be >= 1")
-    dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
-        temperature_k - sensor.t_ref_k)
-    shape = (lines, sensor.samples)
-    data = np.empty(shape + (sensor.bands,), dtype=np.uint16)
-    for b in range(sensor.bands):
-        if sensor.read_noise_dn > 0:
-            dn = np.random.default_rng([seed, b]).standard_normal(shape)
-            dn *= sensor.read_noise_dn
-        else:
-            dn = np.zeros(shape)
-        dn += dark_term[b]
-        data[:, :, b] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
-    return SpectralCube(data=data, pixel_kind="dn12", band_meta=sensor.band_meta())
+    scene = synth_scene("uniform", lines=lines, samples=sensor.samples,
+                        level=0.0)
+    cube, _ = render_raw(scene, sensor, seed=seed, temperature_k=temperature_k)
+    return cube
 
 
 def render_sphere(sensor: SensorModel, level: float, frames: int,
@@ -676,12 +670,14 @@ def render_sphere(sensor: SensorModel, level: float, frames: int,
 
 
 def render_monochromator(sensor: SensorModel, wl_nm: float) -> np.ndarray:
-    """Per-(band, sample) response to a 2 nm-wide monochromatic line."""
+    """Per-(band, sample) response to a MONOCHROMATOR_LINE_NM-wide
+    monochromatic line."""
     if not (WL_START <= wl_nm <= WL_STOP):
         raise HypercalError(f"wavelength {wl_nm} nm outside "
                             f"[{WL_START}, {WL_STOP}]")
     centers = sensor.effective_centers()
     sigma = (sensor.fwhm_nm * _FWHM_TO_SIGMA)[:, None]
-    hi = (wl_nm + 1.0 - centers) / (sigma * np.sqrt(2.0))
-    lo = (wl_nm - 1.0 - centers) / (sigma * np.sqrt(2.0))
+    half = MONOCHROMATOR_LINE_NM / 2.0
+    hi = (wl_nm + half - centers) / (sigma * np.sqrt(2.0))
+    lo = (wl_nm - half - centers) / (sigma * np.sqrt(2.0))
     return 0.5 * (erf(hi) - erf(lo))

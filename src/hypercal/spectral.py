@@ -23,8 +23,12 @@ SMILE_WINDOW = 10          # band-index correlation window
 KEYSTONE_REF_BAND = 30
 KEYSTONE_MAX_PX = 3.0
 KEYSTONE_MIN_CONFIDENCE = 0.45
+KEYSTONE_WINDOW = 64       # samples per field window
+KEYSTONE_DEGREE = 2        # shift-vs-band polynomial order
 DIP_MIN_DEPTH = 0.02       # dip must sit >= 2% below the local continuum
 QUADRATIC_GAIN = 0.25      # quadratic fit must cut residual RMS by 25%
+MONOCHROMATOR_LINE_NM = 2.0  # width of the sweep's box-shaped line
+RSR_NOISE_FLOOR = 1e-9     # peak response a channel must exceed
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +59,6 @@ ABSORPTION_LINES = (
 # RSR from monochromator sweeps
 
 @dataclass(frozen=True)
-class RSRCurve:
-    band: int
-    sample: int
-    wavelengths_nm: np.ndarray
-    response: np.ndarray      # normalized to peak 1
-    center_nm: float
-    fwhm_nm: float
-
-
-@dataclass(frozen=True)
 class RSRScan:
     """Per-(band, sample) centers and widths from a wavelength sweep."""
 
@@ -73,16 +67,6 @@ class RSRScan:
     center_nm: np.ndarray       # (bands, samples), NaN where flagged
     fwhm_nm: np.ndarray         # (bands, samples), NaN where flagged
     responding: np.ndarray      # (bands, samples) bool
-
-    def curve(self, band: int, sample: int) -> RSRCurve:
-        if not self.responding[band, sample]:
-            raise EstimationError(
-                f"band {band} sample {sample} never responded above the "
-                "noise floor")
-        resp = self.responses[:, band, sample]
-        return RSRCurve(band, sample, self.wavelengths_nm.copy(),
-                        resp / resp.max(), float(self.center_nm[band, sample]),
-                        float(self.fwhm_nm[band, sample]))
 
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
@@ -109,18 +93,17 @@ def _half_max_width(wl: np.ndarray, resp: np.ndarray) -> float:
     return float(right - left)
 
 
-def rsr_from_scan(wavelengths_nm: np.ndarray, responses: np.ndarray,
-                  noise_floor: float = 1e-9,
-                  line_width_nm: float = 2.0) -> RSRScan:
+def rsr_from_scan(wavelengths_nm: np.ndarray,
+                  responses: np.ndarray) -> RSRScan:
     """Analyze a monochromator sweep.
 
     ``responses`` stacks per-wavelength response arrays as
     (n_wl, bands, samples); ``wavelengths_nm`` must be strictly increasing.
     Centers come from a parabolic refinement of the argmax; FWHM from
     linearly interpolated half-max crossings, deconvolved for the
-    monochromator's own line width (a ``line_width_nm``-wide box, variance
-    w^2/12).  Channels whose peak response stays at or below
-    ``noise_floor`` are flagged non-responding.
+    monochromator's own line width (a MONOCHROMATOR_LINE_NM-wide box,
+    variance w^2/12).  Channels whose peak response stays at or below
+    RSR_NOISE_FLOOR are flagged non-responding.
     """
     wl = np.asarray(wavelengths_nm, dtype=np.float64)
     resp = np.asarray(responses, dtype=np.float64)
@@ -136,7 +119,7 @@ def rsr_from_scan(wavelengths_nm: np.ndarray, responses: np.ndarray,
         for s in range(ns):
             r = resp[:, b, s]
             i = int(np.argmax(r))
-            if r[i] <= noise_floor:
+            if r[i] <= RSR_NOISE_FLOOR:
                 continue
             if 0 < i < r.shape[0] - 1:
                 center[b, s] = _parabolic_vertex(wl[i - 1:i + 2], r[i - 1:i + 2])
@@ -149,7 +132,7 @@ def rsr_from_scan(wavelengths_nm: np.ndarray, responses: np.ndarray,
             # remove the scan line's own broadening (FWHM-equivalent of a
             # box of width w is 2*sqrt(2 ln 2)*w/sqrt(12))
             broadening = (2.0 * np.sqrt(2.0 * np.log(2.0))) ** 2 \
-                * line_width_nm ** 2 / 12.0
+                * MONOCHROMATOR_LINE_NM ** 2 / 12.0
             fwhm[b, s] = np.sqrt(max(width ** 2 - broadening, 0.0))
             ok[b, s] = True
     return RSRScan(wl, resp, center, fwhm, ok)
@@ -190,10 +173,6 @@ class SmileModel:
                    raw["kind"], tuple(raw["coefficients"]),
                    raw["peak_to_peak_nm"], raw["residual_rms_nm"])
 
-    @classmethod
-    def zero(cls, instrument: str, samples: int) -> "SmileModel":
-        return cls(instrument, np.zeros(samples), "linear", (0.0, 0.0),
-                   0.0, 0.0)
 
 
 def _column_spectra(cube: SpectralCube) -> np.ndarray:
@@ -309,16 +288,13 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
                       float(offsets.max() - offsets.min()), rms)
 
 
-def correct_smile(cube: SpectralCube, model: SmileModel,
-                  target_centers_nm: np.ndarray | None = None):
+def correct_smile(cube: SpectralCube, model: SmileModel):
     """Resample every column's spectrum onto the center column's wavelength
     registration.  Returns ``(corrected cube, validity mask)`` where the
     mask flags spectral-edge pixels whose kernel support left the cube."""
     if model.offsets_nm.shape[0] != cube.samples:
         raise EstimationError("smile model sample count does not match cube")
-    centers = np.asarray(target_centers_nm if target_centers_nm is not None
-                         else cube.centers_nm, dtype=np.float64)
-    spacing = np.gradient(centers)
+    spacing = np.gradient(cube.centers_nm)
     coords = np.arange(cube.bands, dtype=np.float64) \
         - model.offsets_nm[:, None] / spacing
     out = np.empty(cube.data.shape)
@@ -437,25 +413,17 @@ class KeystoneModel:
                    np.asarray(raw["coefficients"]), raw["samples"],
                    raw["bands"], raw["max_px"])
 
-    @classmethod
-    def zero(cls, bands: int, samples: int,
-             ref_band: int = KEYSTONE_REF_BAND) -> "KeystoneModel":
-        fields = np.array([0.0, samples - 1.0])
-        coef = np.zeros((2, 2))
-        return cls(ref_band, fields, coef, samples, bands)
-
 
 def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
-                      n_fields: int = 5, window: int = 64,
-                      min_confidence: float = KEYSTONE_MIN_CONFIDENCE,
-                      degree: int = 2) -> KeystoneModel:
+                      n_fields: int = 5) -> KeystoneModel:
     """Estimate band-to-band spatial shifts from a high-contrast target.
 
     Line-averaged across-track profiles of each band are correlated against
-    the reference band's profile at several field windows; a polynomial of
-    degree <= 2 in band index is fit per field position.  If the mean
-    correlation confidence falls below ``min_confidence`` (blurred or
-    contaminated imagery), the estimate is refused.
+    the reference band's profile at several KEYSTONE_WINDOW-sample field
+    windows; a polynomial of degree KEYSTONE_DEGREE in band index is fit per
+    field position.  If the mean correlation confidence falls below
+    KEYSTONE_MIN_CONFIDENCE (blurred or contaminated imagery), the estimate
+    is refused.
     """
     data = cube.data.astype(np.float64)
     profiles = data.mean(axis=0).T            # (bands, samples)
@@ -465,7 +433,7 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
     ref = profiles[ref_band]
     if np.std(ref) < 1e-6 * max(abs(np.mean(ref)), 1.0):
         raise EstimationError("low-contrast input: cannot estimate keystone")
-    window = min(window, samples)
+    window = min(KEYSTONE_WINDOW, samples)
     field_centers = np.linspace(window / 2.0, samples - window / 2.0, n_fields)
     starts = np.clip(np.round(field_centers - window / 2.0).astype(int),
                      0, samples - window)
@@ -479,10 +447,10 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
     shifts = np.where(ok, -sh, 0.0).reshape(bands, n_fields)
     confs = conf.reshape(bands, n_fields)
     mean_conf = float(confs.mean())
-    if mean_conf < min_confidence:
+    if mean_conf < KEYSTONE_MIN_CONFIDENCE:
         raise EstimationError(
             f"keystone estimation refused: mean correlation confidence "
-            f"{mean_conf:.3f} below {min_confidence}")
+            f"{mean_conf:.3f} below {KEYSTONE_MIN_CONFIDENCE}")
     low_frac = float(np.mean(confs < 0.5))
     if low_frac > 0.3:
         raise EstimationError(
@@ -496,7 +464,7 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
         w = confs[:, f]
         if w.sum() <= 0:
             raise EstimationError("no usable windows at a field position")
-        c = np.polyfit(b_axis, shifts[:, f], degree, w=w)
+        c = np.polyfit(b_axis, shifts[:, f], KEYSTONE_DEGREE, w=w)
         resid = np.polyval(c, b_axis) - shifts[:, f]
         fit_rms.append(np.sqrt(np.average(resid ** 2, weights=w)))
         coefs.append(c)
@@ -520,7 +488,4 @@ def correct_keystone(cube: SpectralCube, model: KeystoneModel):
     # (lines, bands, samples) views: rows run along the samples
     _resample_last_axis(cube.data.transpose(0, 2, 1), coords,
                         out.transpose(0, 2, 1), valid.transpose(0, 2, 1))
-    if cube.pixel_kind == "dn12":
-        out = np.clip(np.rint(out, out=out), 0, 4095, out=out).astype(
-            cube.data.dtype)
     return cube.with_data(out), valid

@@ -39,6 +39,18 @@ class TestValidation:
                             uniform_band_meta(1, "vnir"))
         assert cube.data.dtype == np.uint16
 
+    @pytest.mark.parametrize("value", [10.6, -3.0, 4095.4, np.nan])
+    def test_fractional_or_out_of_range_float_dn12_rejected(self, value):
+        with pytest.raises(CubeFormatError, match="whole numbers"):
+            SpectralCube(np.full((1, 1, 1), value), "dn12",
+                         uniform_band_meta(1, "vnir"))
+
+    def test_whole_float_dn12_accepted(self):
+        cube = SpectralCube(np.array([[[0.0, 17.0, 4095.0]]]), "dn12",
+                            uniform_band_meta(3, "vnir"))
+        assert cube.data.dtype == np.uint16
+        assert cube.data.tolist() == [[[0, 17, 4095]]]
+
     def test_band_meta_length_must_match(self):
         with pytest.raises(CubeFormatError):
             SpectralCube(np.zeros((2, 2, 3)), "radiance",
@@ -63,6 +75,23 @@ class TestValidation:
     def test_bad_roi_rejected(self):
         with pytest.raises(CubeFormatError):
             RegionOfInterest(3, 1, 0, 0, 0, 0)
+
+
+class TestWithData:
+    def test_dn12_float_data_rounded_and_clipped(self):
+        cube = _cube(lines=1, samples=1, bands=5)
+        out = cube.with_data(
+            np.array([[[10.6, 2.5, 3.5, -3.0, 5000.0]]]))
+        assert out.data.dtype == np.uint16
+        # round half to even, clipped at both ends of the 12-bit range
+        assert out.data.tolist() == [[[11, 2, 4, 0, 4095]]]
+
+    def test_radiance_float_data_unchanged(self):
+        cube = _cube(lines=1, samples=1, bands=5, pixel_kind="radiance")
+        data = np.array([[[10.6, 2.5, 3.5, -3.0, 5000.0]]])
+        out = cube.with_data(data)
+        assert out.data.dtype == np.float64
+        assert np.array_equal(out.data, data)
 
 
 class TestRoundTrip:

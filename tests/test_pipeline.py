@@ -187,6 +187,13 @@ class TestRun:
         assert doc["previews"] == ["preview_band003.pgm"]
         assert (out_a / doc["previews"][0]).exists()
 
+    def test_unsaved_chain_writes_only_the_summary(self, tmp_path):
+        stages = [dict(SIM_SMALL, save=False),
+                  {"name": "geocal", "strips": 2, "save": False}]
+        _, out = _run(stages, tmp_path)
+        assert sorted(f.name for f in out.iterdir()) \
+            == ["summary.csv", "summary.json"]
+
     def test_missing_cube_raises_stage_error_with_guidance(self, tmp_path):
         cfg = PipelineConfig(stages=(("report", {}),),
                              out=str(tmp_path / "o"))
