@@ -136,9 +136,13 @@ class SpectralCube:
     def with_data(self, data: np.ndarray, pixel_kind: str | None = None,
                   band_meta=None) -> "SpectralCube":
         """A cube derived from this one.  Float data for a ``dn12`` cube is
-        rounded half to even and clipped onto the 12-bit grid."""
+        rounded half to even and clipped onto the 12-bit grid (so +-inf
+        saturates to DN_MAX or 0); NaN has no DN and is rejected."""
         pixel_kind = pixel_kind or self.pixel_kind
         if pixel_kind == "dn12" and np.asarray(data).dtype.kind == "f":
+            nan = int(np.count_nonzero(np.isnan(data)))
+            if nan:
+                raise CubeFormatError(f"{nan} NaN values in dn12 data")
             data = np.rint(data)
             data = np.clip(data, 0, DN_MAX, out=data).astype(np.uint16)
         return SpectralCube(

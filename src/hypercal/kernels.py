@@ -1,11 +1,15 @@
 """Hot numeric kernels: cubic-convolution resampling and Gaussian band integration.
 
-Each kernel has one vectorized numpy implementation.
+Each kernel has one vectorized numpy implementation.  Band-independent
+loops run through :func:`band_map` on one thread per CPU.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -13,6 +17,28 @@ from scipy import sparse
 # There is no compiled kernel path; the constant stays because the benchmark
 # harness records it with every run.
 USING_NUMBA = False
+
+# Threads per band loop: the CPUs this process may run on (restrict the
+# affinity, e.g. with taskset, for fewer).  Outputs do not depend on it.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
+def band_map(fn, items) -> None:
+    """Call ``fn(item)`` for each item, WORKERS at a time on a thread pool.
+    Each item must own a disjoint band slice of the output, so the result
+    does not depend on the order.  Each call runs in a copy of the caller's
+    context, which carries ``np.errstate``."""
+    items = list(items)
+    if WORKERS < 2 or len(items) < 2:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
+        tasks = [pool.submit(contextvars.copy_context().run, fn, item)
+                 for item in items]
+        for task in tasks:
+            task.result()
 
 
 def _axis_taps(coords: np.ndarray, n: int):
@@ -71,7 +97,8 @@ def resample_signal(signal: np.ndarray, coords: np.ndarray):
     return out[0], valid[0]
 
 
-# Budget for one band chunk of a cubic apply, per float64 temporary.
+# Budget for the band chunks of a cubic apply in flight, per float64
+# temporary: each of the WORKERS tasks gets an equal share.
 _CHUNK_BYTES = 8 << 20
 _ROW_CHUNK_BYTES = 2 << 20  # float64 rows per chunked resample_rows call
 
@@ -101,10 +128,10 @@ def cubic_plan(shape, yy: np.ndarray, xx: np.ndarray) -> CubicPlan:
 def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Sample ``bands`` (default: all) of a band-last ``(ny, nx, B)`` stack
-    of any dtype with ``plan``, a float64 chunk of bands at a time, into
-    ``out`` (made if None) and return it.  Each sparse product sums a row
-    tap's four column taps in order from zero, so each band equals its
-    one-band call bit for bit."""
+    of any dtype with ``plan``, a float64 chunk of bands per task of
+    :func:`band_map`, into ``out`` (made if None) and return it.  Each
+    sparse product sums a row tap's four column taps in order from zero,
+    so each band equals its one-band call bit for bit."""
     ny, nx, nb = stack.shape
     if (ny, nx) != plan.shape:
         raise ValueError("stack grid does not match the sampling plan")
@@ -112,8 +139,9 @@ def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
     shape = plan.valid.shape
     if out is None:
         out = np.empty(shape + (sel.size,))
-    step = max(1, _CHUNK_BYTES // (8 * max(plan.valid.size, 1)))
-    for c0 in range(0, sel.size, step):
+    step = max(1, _CHUNK_BYTES // WORKERS // (8 * max(plan.valid.size, 1)))
+
+    def sample(c0):
         src = np.take(stack, sel[c0:c0 + step], axis=2).reshape(ny * nx, -1)
         src = src.astype(np.float64, copy=False)
         acc = np.zeros((plan.valid.size, src.shape[1]))
@@ -122,6 +150,8 @@ def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
             row *= wy
             acc += row
         out[..., c0:c0 + step] = acc.reshape(shape + (-1,))
+
+    band_map(sample, range(0, sel.size, step))
     return out
 
 

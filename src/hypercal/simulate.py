@@ -22,7 +22,8 @@ from scipy.special import erf
 
 from .cube import BandMeta, SpectralCube, DN_MAX
 from .errors import HypercalError
-from .kernels import _ROW_CHUNK_BYTES, band_integrals, resample_rows
+from . import kernels
+from .kernels import _ROW_CHUNK_BYTES, band_integrals, band_map, resample_rows
 from .spectral import ABSORPTION_LINES, MONOCHROMATOR_LINE_NM
 
 WL_START = 350.0
@@ -517,25 +518,33 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
     stack, in place: kernels constant within SEGMENT_LINES x STRAY_BLOCKS
     tiles, evaluated at the tile's mean steering angle and center sample.
     A tile reads its lines plus a tap_count // 2 halo from a copy of its
-    block taken before the block is written."""
+    block taken before the block is written.  Each worker of
+    :func:`band_map` filters one band slice of the stack."""
     from scipy.ndimage import convolve1d, gaussian_filter1d
 
-    lines, samples = fields.shape[1:]
+    bands, lines, samples = fields.shape
     h = spec.tap_count // 2
     block_edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
-    for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
-        frac = (0.5 * (c0 + c1)) / samples
-        block = fields[:, :, c0:c1].copy()
-        for seg0 in range(0, lines, SEGMENT_LINES):
-            seg1 = min(seg0 + SEGMENT_LINES, lines)
-            r0, r1 = max(seg0 - h, 0), min(seg1 + h, lines)
-            taps = spec.kernel(float(steering[seg0:seg1].mean()), frac)
-            sub = convolve1d(block[:, r0:r1], taps, axis=1, mode="nearest")
-            if spec.cross_track_sigma_px > 0:
-                sub = gaussian_filter1d(sub, spec.cross_track_sigma_px,
-                                        axis=2, mode="nearest")
-            fields[:, seg0:seg1, c0:c1] = sub[:, seg0 - r0:seg1 - r0]
-        block = sub = None  # freed before the next block's copy
+
+    def filter_bands(sl):
+        for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
+            frac = (0.5 * (c0 + c1)) / samples
+            block = fields[sl, :, c0:c1].copy()
+            for seg0 in range(0, lines, SEGMENT_LINES):
+                seg1 = min(seg0 + SEGMENT_LINES, lines)
+                r0, r1 = max(seg0 - h, 0), min(seg1 + h, lines)
+                taps = spec.kernel(float(steering[seg0:seg1].mean()), frac)
+                sub = convolve1d(block[:, r0:r1], taps, axis=1,
+                                 mode="nearest")
+                if spec.cross_track_sigma_px > 0:
+                    sub = gaussian_filter1d(sub, spec.cross_track_sigma_px,
+                                            axis=2, mode="nearest")
+                fields[sl, seg0:seg1, c0:c1] = sub[:, seg0 - r0:seg1 - r0]
+            block = sub = None  # freed before the next block's copy
+
+    edges = np.linspace(0, bands, min(kernels.WORKERS, bands) + 1).astype(int)
+    band_map(filter_bands, [slice(b0, b1) for b0, b1
+                            in zip(edges[:-1], edges[1:])])
 
 
 def render_raw(scene: Scene, sensor: SensorModel,
@@ -588,7 +597,8 @@ def render_raw(scene: Scene, sensor: SensorModel,
         temperature_k - sensor.t_ref_k)
     gain = sensor.gain_dn_per_radiance * sensor.prnu
     sat_dn = gain * sensor.sat_radiance[:, None] + dark_term
-    pattern = np.zeros((lines, 1))
+    # without interference there is no all-zero pattern to add
+    pattern = np.zeros((lines, 1)) if artifacts.interference else None
     for comp in artifacts.interference:
         pattern[:, 0] += comp.amplitude_dn * np.sin(
             2.0 * np.pi * comp.frequency * np.arange(lines, dtype=np.float64)
@@ -596,25 +606,37 @@ def render_raw(scene: Scene, sensor: SensorModel,
     noisy = artifacts.noise and (sensor.read_noise_dn > 0
                                  or sensor.photon_noise_k > 0)
     data = np.empty((lines, samples, bands), dtype=np.uint16)
-    dn = np.empty((lines, samples))
-    for b in range(bands):
-        np.multiply(fields[b], gain[b], out=dn)
-        dn += dark_term[b]
-        if illuminated[b]:
-            dn += pattern
-            for cluster in artifacts.bunch:
-                if cluster.band == b:
-                    s0 = cluster.start_sample
-                    dn[:, s0:s0 + cluster.length] *= np.asarray(cluster.profile)
-        if noisy:
-            rng = np.random.default_rng([seed, b])
-            std = sensor.read_noise_dn
-            if sensor.photon_noise_k > 0:
-                signal = np.clip(dn - dark_term[b], 0.0, None)
-                std = np.sqrt(std ** 2 + sensor.photon_noise_k * signal)
-            dn += rng.standard_normal((lines, samples)) * std
-        np.minimum(dn, sat_dn[b], out=dn)
-        data[:, :, b] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
+    qstep = max(1, _ROW_CHUNK_BYTES // (2 * max(lines * samples, 1)))
+
+    def quantize(b0):
+        # band-major uint16 chunk, stored into the band-last cube in one
+        # copy: per-band stores would be strided scatters
+        b1 = min(b0 + qstep, bands)
+        buf = np.empty((b1 - b0, lines, samples), dtype=np.uint16)
+        dn = np.empty((lines, samples))
+        for b in range(b0, b1):
+            np.multiply(fields[b], gain[b], out=dn)
+            dn += dark_term[b]
+            if illuminated[b]:
+                if pattern is not None:
+                    dn += pattern
+                for cluster in artifacts.bunch:
+                    if cluster.band == b:
+                        s0 = cluster.start_sample
+                        dn[:, s0:s0 + cluster.length] *= np.asarray(
+                            cluster.profile)
+            if noisy:
+                rng = np.random.default_rng([seed, b])
+                std = sensor.read_noise_dn
+                if sensor.photon_noise_k > 0:
+                    signal = np.clip(dn - dark_term[b], 0.0, None)
+                    std = np.sqrt(std ** 2 + sensor.photon_noise_k * signal)
+                dn += rng.standard_normal((lines, samples)) * std
+            np.minimum(dn, sat_dn[b], out=dn)
+            buf[b - b0] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
+        data[:, :, b0:b1] = buf.transpose(1, 2, 0)
+
+    band_map(quantize, range(0, bands, qstep))
     cube = SpectralCube(data=data, pixel_kind="dn12",
                         band_meta=sensor.band_meta())
     manifest = ArtifactManifest(

@@ -86,6 +86,13 @@ class TestWithData:
         # round half to even, clipped at both ends of the 12-bit range
         assert out.data.tolist() == [[[11, 2, 4, 0, 4095]]]
 
+    def test_dn12_nan_rejected_and_inf_saturates(self):
+        cube = _cube(lines=1, samples=1, bands=3)
+        with pytest.raises(CubeFormatError, match="2 NaN"):
+            cube.with_data(np.array([[[np.nan, 7.0, np.nan]]]))
+        out = cube.with_data(np.array([[[np.inf, -np.inf, 7.0]]]))
+        assert out.data.tolist() == [[[4095, 0, 7]]]
+
     def test_radiance_float_data_unchanged(self):
         cube = _cube(lines=1, samples=1, bands=5, pixel_kind="radiance")
         data = np.array([[[10.6, 2.5, 3.5, -3.0, 5000.0]]])

@@ -371,10 +371,14 @@ class TestSamplingPlanReferences:
         assert np.array_equal(merged.data, expect)
         assert resid == expect_resid
 
-    def test_bundle_holds_no_full_cube_temporaries(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bundle_holds_no_full_cube_temporaries(self, workers,
+                                                   monkeypatch):
         vnir, swir = _dual_cubes(rows=128, cols=128)
-        # 1 MB band chunks: the chunk buffers stay a sliver of the cube, so
-        # any full-cube temporary shows against the merged cube's size
+        # 1 MB band chunks, split over the workers: the chunk buffers stay
+        # a sliver of the cube, so any full-cube temporary shows against
+        # the merged cube's size
+        monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 << 20)
         tracemalloc.start()
         try:

@@ -255,6 +255,42 @@ class TestCubicPlan:
             vals, _ = kernels.bicubic_sample(stack[:, :, b], yy, xx)
             assert np.array_equal(target[:, :, 1 + i], vals)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
+    def test_worker_count_does_not_change_output(self, workers, dtype,
+                                                 monkeypatch):
+        # two bands per task: nine bands make five tasks at any count
+        stack, yy, xx = self._case(dtype, bands=9)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2 * workers)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        out = kernels.cubic_apply(plan, stack)
+        for b in range(stack.shape[2]):
+            assert np.array_equal(out[:, :, b],
+                                  _taps_bicubic(stack[:, :, b], yy, xx))
+
+    def test_worker_tasks_keep_the_callers_errstate(self, monkeypatch):
+        # an inf sample on the row after exact row coordinates and at the
+        # exact column: that row tap's product is inf and its row weight
+        # zero, so 0 * inf, which the caller's np.errstate silences;
+        # one-band tasks on two workers run it on worker threads, which
+        # must see the same errstate
+        rng = np.random.default_rng(25)
+        stack = rng.normal(50.0, 10.0, (12, 9, 4))
+        stack[5, 3] = np.inf
+        yy = np.full((3, 5), 4.0)
+        xx = np.full((3, 5), 3.0)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        with np.errstate(invalid="ignore"):
+            out = kernels.cubic_apply(plan, stack)
+            expect = [_taps_bicubic(stack[:, :, b], yy, xx)
+                      for b in range(stack.shape[2])]
+        for b in range(stack.shape[2]):
+            assert np.isnan(out[:, :, b]).all()
+            assert np.array_equal(out[:, :, b], expect[b], equal_nan=True)
+
     def test_grid_mismatch_rejected(self):
         plan = kernels.cubic_plan((20, 30), np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(ValueError):
@@ -295,11 +331,13 @@ class TestCubicPlan:
             assert np.array_equal(out[:, :, b], expect, equal_nan=True)
             assert np.array_equal(np.signbit(out[:, :, b]), np.signbit(expect))
 
-    def test_apply_holds_four_chunk_temporaries(self):
-        # 256 bands of 256 x 256 uint16 in 8 MB float64 chunks: the source
-        # chunk, the accumulator and two row products (4 x 8 MB); one more
-        # chunk-sized temporary per tap (a gather of the four column taps)
-        # goes past the bound
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_apply_holds_four_chunk_temporaries(self, workers, monkeypatch):
+        # 256 bands of 256 x 256 uint16 in 8 MB float64 chunks, split over
+        # the workers: the source chunk, the accumulator and two row
+        # products (4 x 8 MB); one more chunk-sized temporary per tap (a
+        # gather of the four column taps) goes past the bound
+        monkeypatch.setattr(kernels, "WORKERS", workers)
         rng = np.random.default_rng(24)
         stack = rng.integers(0, 4096, (256, 256, 256)).astype(np.uint16)
         yy = _test_coords(rng, (256, 256), 256)

@@ -393,35 +393,54 @@ _RENDER_CASES = [
 ]
 
 
+def _render_case(case):
+    """Render one ``_RENDER_CASES`` entry; returns the cube's data and the
+    per-band reference's."""
+    (kind, lines, samples, bands, keystone, masked, sigma, interference,
+     bunch, photon_k) = case
+    sensor = sim.make_sensor(
+        "vnir", samples=samples, bands=bands, prnu_spread=0.02,
+        smile_nm=sim.quadratic_smile(bands, samples, 1.0),
+        keystone_px=sim.linear_keystone(bands, samples, 1.4, ref_band=2)
+        if keystone else 0.0,
+        read_noise_dn=2.0, photon_noise_k=photon_k,
+        masked_channels=masked)
+    art = sim.ArtifactConfig(
+        interference=(sim.InterferenceComponent(0.125, 8.0),
+                      sim.InterferenceComponent(0.31, 3.0, 0.7))
+        if interference else (),
+        bunch=sim.make_bunch_clusters((1, bands - 2), (2, samples - 12),
+                                      max_len=10) if bunch else (),
+        stray=None if sigma is None else sim.StrayLightSpec(
+            tail_scale_px=2.2, cross_track_sigma_px=sigma))
+    scene = _scene(kind, lines, samples)
+    steering = sim.linear_steering(lines)
+    cube, _ = sim.render_raw(scene, sensor, art, seed=11,
+                             temperature_k=300.0, steering_deg=steering)
+    expected = _reference_render_raw(scene, sensor, art, 11, 300.0,
+                                     steering)
+    return cube.data, expected
+
+
 class TestRenderMatchesPerBandReference:
     @pytest.mark.parametrize("case", _RENDER_CASES,
                              ids=[f"{c[0]}-{c[1]}l" for c in _RENDER_CASES])
     def test_render_raw_bytes(self, case):
-        (kind, lines, samples, bands, keystone, masked, sigma, interference,
-         bunch, photon_k) = case
-        sensor = sim.make_sensor(
-            "vnir", samples=samples, bands=bands, prnu_spread=0.02,
-            smile_nm=sim.quadratic_smile(bands, samples, 1.0),
-            keystone_px=sim.linear_keystone(bands, samples, 1.4, ref_band=2)
-            if keystone else 0.0,
-            read_noise_dn=2.0, photon_noise_k=photon_k,
-            masked_channels=masked)
-        art = sim.ArtifactConfig(
-            interference=(sim.InterferenceComponent(0.125, 8.0),
-                          sim.InterferenceComponent(0.31, 3.0, 0.7))
-            if interference else (),
-            bunch=sim.make_bunch_clusters((1, bands - 2), (2, samples - 12),
-                                          max_len=10) if bunch else (),
-            stray=None if sigma is None else sim.StrayLightSpec(
-                tail_scale_px=2.2, cross_track_sigma_px=sigma))
-        scene = _scene(kind, lines, samples)
-        steering = sim.linear_steering(lines)
-        cube, _ = sim.render_raw(scene, sensor, art, seed=11,
-                                 temperature_k=300.0, steering_deg=steering)
-        expected = _reference_render_raw(scene, sensor, art, 11, 300.0,
-                                         steering)
-        assert cube.data.dtype == np.uint16
-        assert np.array_equal(cube.data, expected)
+        data, expected = _render_case(case)
+        assert data.dtype == np.uint16
+        assert np.array_equal(data, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_does_not_change_bytes(self, workers, monkeypatch):
+        # stray, keystone, bunch, interference and photon noise on eight
+        # bands of 100 lines (two stray segments); the chunk budget makes
+        # three quantization tasks (three uint16 bands each) and one-band
+        # keystone chunks, and stray splits into one band slice per worker
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(sim, "_ROW_CHUNK_BYTES", 3 * 2 * 100 * 32)
+        case = ("library-bars", 100, 32, 8, True, (1,), 1.3, True, True, 0.4)
+        data, expected = _render_case(case)
+        assert np.array_equal(data, expected)
 
     def test_swir_256_bands(self):
         sensor = sim.make_sensor(
@@ -453,12 +472,15 @@ class TestRenderMatchesPerBandReference:
         assert np.array_equal(
             cube.data, _reference_render_dark(sensor, 37, 305.0, 6))
 
-    def test_render_peak_memory_bounded(self, monkeypatch):
-        # 256 KB keystone chunks keep the chunk buffers a sliver of the
-        # 8 MB cube, so a full-cube temporary shows against its size; the
-        # cube, one stray block copy and its filtered tile (a quarter cube
-        # each) fit under 1.75 cubes (scipy.ndimage is imported above, so
-        # its first import is not counted)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_render_peak_memory_bounded(self, workers, monkeypatch):
+        # 256 KB keystone and quantization chunks keep the chunk buffers a
+        # sliver of the 8 MB cube, so a full-cube temporary shows against
+        # its size; the cube, the stray block copies and their filtered
+        # tiles (a quarter cube each, split over the workers) fit under
+        # 1.75 cubes (scipy.ndimage is imported above, so its first import
+        # is not counted)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(sim, "_ROW_CHUNK_BYTES", 256 << 10)
         sensor = sim.make_sensor(
             "swir", samples=64, read_noise_dn=2.0,
