@@ -182,18 +182,15 @@ def remove_interference(cube: SpectralCube, freqs):
     banding profile taken from the mean of the atmospheric-absorption
     window bands, zero-meaned and subtracted everywhere.
     """
-    for f in freqs:
-        f0 = f[0] if isinstance(f, (tuple, list)) else float(f)
-        if f0 <= 0:
-            raise EstimationError("cannot notch at DC")
-    data = cube.data.astype(np.float64)
     lines = cube.lines
     fgrid = np.fft.rfftfreq(lines)
     gain = np.ones_like(fgrid)
     for f in freqs:
         f0 = f[0] if isinstance(f, (tuple, list)) else float(f)
+        if f0 <= 0:
+            raise EstimationError("cannot notch at DC")
         gain *= _notch_gain(fgrid, f0, NOTCH_HALF_WIDTH, NOTCH_ORDER)
-    spec = np.fft.rfft(data, axis=0)
+    spec = np.fft.rfft(cube.data.astype(np.float64), axis=0)
     out = np.fft.irfft(spec * gain[:, None, None], n=lines, axis=0)
 
     b0, b1 = BANDING_BANDS
@@ -252,12 +249,6 @@ class StrayPSFModel:
         k = self.kernel(steering_deg, sample_frac)
         h = k.shape[0] // 2
         return float((np.arange(-h, h + 1) * k).sum())
-
-    @classmethod
-    def identity(cls, tap_count: int = 31) -> "StrayPSFModel":
-        taps = np.zeros((2, 2, tap_count))
-        taps[:, :, tap_count // 2] = 1.0
-        return cls(np.array([-2.0, 2.0]), np.array([0.0, 1.0]), taps)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps({

@@ -9,7 +9,7 @@ cubes are 64-bit float in W m-2 sr-1 um-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +129,6 @@ class SpectralCube:
     def bad_bands(self) -> list:
         return [i for i, m in enumerate(self.band_meta) if m.quality == "bad"]
 
-    def full_roi(self) -> RegionOfInterest:
-        return RegionOfInterest(0, self.lines - 1, 0, self.samples - 1,
-                                0, self.bands - 1)
-
     def with_data(self, data: np.ndarray, pixel_kind: str | None = None,
                   band_meta=None) -> "SpectralCube":
         """A cube derived from this one.  Float data for a ``dn12`` cube is
@@ -151,30 +147,6 @@ class SpectralCube:
             band_meta=tuple(band_meta) if band_meta is not None else self.band_meta,
             interleave=self.interleave,
         )
-
-    def with_quality(self, bad_bands) -> "SpectralCube":
-        bad = set(int(b) for b in bad_bands)
-        meta = tuple(
-            replace(m, quality="bad") if i in bad else m
-            for i, m in enumerate(self.band_meta)
-        )
-        return self.with_data(self.data, band_meta=meta)
-
-
-def uniform_band_meta(bands: int, instrument: str = "vnir",
-                      lo: float | None = None, hi: float | None = None,
-                      fwhm: float | None = None) -> tuple:
-    """Evenly spaced band metadata over the instrument's spectral range."""
-    if instrument == "vnir":
-        lo = 400.0 if lo is None else lo
-        hi = 900.0 if hi is None else hi
-        fwhm = 9.24 if fwhm is None else fwhm
-    else:
-        lo = 850.0 if lo is None else lo
-        hi = 2500.0 if hi is None else hi
-        fwhm = 5.87 if fwhm is None else fwhm
-    centers = np.linspace(lo, hi, bands)
-    return tuple(BandMeta(float(c), float(fwhm), instrument) for c in centers)
 
 
 def _header_path(path: Path) -> Path:

@@ -14,12 +14,13 @@ import csv
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, EstimationError
-from .cube import SpectralCube
+from .cube import SpectralCube, _parse_header
 from .kernels import cubic_apply, cubic_plan
 from .registration import shift_2d
 
@@ -47,9 +48,6 @@ class BoresightBias:
     droll: float = 0.0
     dpitch: float = 0.0
     dyaw: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.droll, self.dpitch, self.dyaw])
 
 
 @dataclass(frozen=True)
@@ -350,18 +348,23 @@ def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int):
     return (np.array(ys), np.array(xs), np.array(dys), np.array(dxs))
 
 
-def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64):
+def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int | None = None):
     """Co-register SWIR to VNIR on a shared map grid and merge the bands.
 
     Misregistration is measured with sub-pixel patch correlation on the
     spectrally overlapping bands, modeled as a polynomial surface of degree
-    BUNDLE_DEGREE per axis, and applied to the SWIR cube only.  The merged
-    cube keeps every VNIR band plus the SWIR bands above the VNIR range,
-    so wavelengths increase strictly across the seam.  Returns
-    ``(merged cube, residual_px)``.
+    BUNDLE_DEGREE per axis, and applied to the SWIR cube only.  The default
+    ``patch`` is the largest of 64, 32 and 16 px giving BUNDLE_DEGREE + 1
+    patches along each grid axis.  The merged cube keeps every VNIR band
+    plus the SWIR bands above the VNIR range, so wavelengths increase
+    strictly across the seam.  Returns ``(merged cube, residual_px)``.
     """
     if vnir.data.shape[:2] != swir.data.shape[:2]:
         raise ConfigError("bundle inputs must share one map grid")
+    rows, cols = vnir.data.shape[:2]
+    if patch is None:
+        patch = next((p for p in (64, 32) if min(rows, cols) // p
+                      > BUNDLE_DEGREE), 16)
     if patch < 1:
         raise EstimationError("patch must be at least 1 pixel")
     v_centers = np.array([m.center_nm for m in vnir.band_meta])
@@ -393,7 +396,6 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int = 64):
             "shared bands are featureless: no registration signal")
     ys, xs, dys, dxs = (np.concatenate(s) for s in zip(*found))
 
-    rows, cols = vnir.data.shape[:2]
     design = _poly2d_design(ys / rows, xs / cols, BUNDLE_DEGREE)
     cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
     cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
@@ -463,13 +465,7 @@ def write_grid(path: str, grid: MapGrid) -> None:
 
 
 def read_grid(path: str) -> MapGrid:
-    fields = {}
-    with open(path) as fh:
-        for raw in fh:
-            if "=" not in raw:
-                continue
-            key, val = raw.split("=", 1)
-            fields[key.strip()] = val.strip()
+    fields = _parse_header(Path(path))
     try:
         return MapGrid(float(fields["origin_east"]),
                        float(fields["origin_north"]),

@@ -88,15 +88,6 @@ def resample_rows(image: np.ndarray, coords: np.ndarray):
     return out, valid
 
 
-def resample_signal(signal: np.ndarray, coords: np.ndarray):
-    """1-D form of :func:`resample_rows`."""
-    out, valid = resample_rows(
-        np.asarray(signal, dtype=np.float64)[None, :],
-        np.asarray(coords, dtype=np.float64)[None, :],
-    )
-    return out[0], valid[0]
-
-
 # Budget for the band chunks of a cubic apply in flight, per float64
 # temporary: each of the WORKERS tasks gets an equal share.
 _CHUNK_BYTES = 8 << 20

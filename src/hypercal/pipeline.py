@@ -634,7 +634,8 @@ STAGES = {stage.name: stage for stage in (
         "margin_cells": (int, 4), "save": _SAVE},
         needs=("cube",), provides=("cube", "geo", "grid", "ortho_valid")),
     Stage("bundle", _stage_bundle, {
-        "offset_px": (float, 0.8), "patch": (int, 64), "save": _SAVE},
+        "offset_px": (float, 0.8), "patch": (_optional(int), None),
+        "save": _SAVE},
         after=("ortho",), needs=("cube", "sensor", "scene", "geo", "grid"),
         provides=("cube",)),
     Stage("report", _stage_report, {"preview_bands": (_each(int), ())},

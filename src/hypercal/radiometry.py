@@ -4,13 +4,12 @@ flat-field update, and vicarious gain refinement."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cube import SpectralCube, DN_MAX
+from .cube import SpectralCube, DN_MAX, _parse_header
 from .errors import CubeFormatError, EstimationError
 
 R2_FLAG_THRESHOLD = 0.99
@@ -35,11 +34,7 @@ def _write_arrays(path, header: dict, arrays: dict) -> None:
 
 def _read_arrays(path):
     path = Path(path)
-    hdr = {}
-    for raw in path.with_suffix(".hdr").read_text(encoding="utf-8").splitlines():
-        if "=" in raw:
-            k, v = raw.split("=", 1)
-            hdr[k.strip()] = v.strip()
+    hdr = _parse_header(path.with_suffix(".hdr"))
     names = hdr["arrays"].split(",")
     shape = tuple(int(d) for d in hdr["shape"].split(","))
     count = int(np.prod(shape))
@@ -138,17 +133,6 @@ class VicariousResult:
     deviation_pct: np.ndarray   # (B,) post-calibration
     pre_deviation_pct: np.ndarray
     bad_bands: np.ndarray       # (B,) bool
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["band", "multiplier", "deviation_pct",
-                        "pre_deviation_pct", "flag"])
-            for i in range(self.multiplier.shape[0]):
-                w.writerow([i, repr(float(self.multiplier[i])),
-                            repr(float(self.deviation_pct[i])),
-                            repr(float(self.pre_deviation_pct[i])),
-                            "bad" if self.bad_bands[i] else "good"])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .kernels import resample_signal
+from .kernels import resample_rows
 
 _UPSAMPLE = 64
 
@@ -219,11 +219,9 @@ def shift_1d(a, b, max_shift: float | None = None) -> ShiftEstimate:
                          confidence=float(confidences[0]))
 
 
-def _estimate_2d(a: np.ndarray, b: np.ndarray):
-    ny, nx = a.shape
-    win = np.outer(np.hanning(ny), np.hanning(nx))
-    fa = np.fft.fft2((a - a.mean()) * win)
-    fb = np.fft.fft2((b - b.mean()) * win)
+def _estimate_2d(fa: np.ndarray, fb: np.ndarray):
+    """Correlation shift and confidence from windowed patch spectra."""
+    ny, nx = fa.shape
     xpow = _whiten(fa * np.conj(fb))
     corr = np.fft.ifft2(xpow).real
     iy, ix = np.unravel_index(int(np.argmax(corr)), corr.shape)
@@ -257,11 +255,9 @@ def _estimate_2d(a: np.ndarray, b: np.ndarray):
     return float(-ry), float(-rx), confidence
 
 
-def _phase_slope_2d(a: np.ndarray, b: np.ndarray):
-    ny, nx = a.shape
-    win = np.outer(np.hanning(ny), np.hanning(nx))
-    fa = np.fft.fft2((a - a.mean()) * win)
-    fb = np.fft.fft2((b - b.mean()) * win)
+def _phase_slope_2d(fa: np.ndarray, fb: np.ndarray):
+    """Phase-slope residual shift from windowed, aligned patch spectra."""
+    ny, nx = fa.shape
     cross = fa * np.conj(fb)
     mag = np.abs(cross)
     fy = np.fft.fftfreq(ny)[:, None] * np.ones((1, nx))
@@ -300,20 +296,28 @@ def shift_2d(a, b) -> tuple:
         raise EstimationError("patches must be at least 16x16")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise EstimationError("constant patch has no spectral content")
+    win = np.outer(np.hanning(a.shape[0]), np.hanning(a.shape[1]))
+
+    def spectrum(x):
+        return np.fft.fft2((x - x.mean()) * win)
+
+    fa = spectrum(a)
+    fb = spectrum(b)
     wy, wx = 0, 0
     b_aligned = b
     conf = 0.0
     for _ in range(3):  # settle integer alignment before the phase fit
-        sy, sx, conf = _estimate_2d(a, b_aligned)
+        sy, sx, conf = _estimate_2d(fa, fb)
         dy, dx = int(np.round(sy)), int(np.round(sx))
         if dy == 0 and dx == 0:
             break
         wy += dy
         wx += dx
         b_aligned = np.roll(b, (-wy, -wx), axis=(0, 1))
-    ry, rx = _phase_slope_2d(a, b_aligned)
+        fb = spectrum(b_aligned)
+    ry, rx = _phase_slope_2d(fa, fb)
     if abs(ry) > 0.75 or abs(rx) > 0.75:
-        ry, rx, conf = _estimate_2d(a, b_aligned)
+        ry, rx, conf = _estimate_2d(fa, fb)
     # window-induced bias scales with the residual: iterate with fractional
     # Fourier re-alignment until the residual vanishes
     fy = np.fft.fftfreq(b_aligned.shape[0])[:, None]
@@ -324,30 +328,18 @@ def shift_2d(a, b) -> tuple:
             break
         b_frac = np.fft.ifft2(
             fb0 * np.exp(2j * np.pi * (fy * ry + fx * rx))).real
-        dy2, dx2 = _phase_slope_2d(a, b_frac)
+        dy2, dx2 = _phase_slope_2d(fa, spectrum(b_frac))
         ry += dy2
         rx += dx2
     return float(wy + ry), float(wx + rx), float(conf)
 
 
-def resample_1d(signal, mapping):
-    """Cubic-convolution resampling: ``out[j] = signal(mapping[j])``.
-
-    Uses the shared Keys kernel (a = -0.5); source coordinates are clamped
-    to the signal extent.  Returns ``(out, valid)`` where ``valid`` flags
-    outputs whose kernel support stayed inside the array.  An identity
-    mapping reproduces the input bit-for-bit.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    mapping = np.asarray(mapping, dtype=np.float64)
-    if not np.all(np.isfinite(mapping)):
-        raise EstimationError("mapping contains non-finite coordinates")
-    return resample_signal(signal, mapping)
-
-
 def shift_signal(signal, delta: float):
     """Resample ``signal`` so the output is the input shifted by ``delta``
-    samples (``out(x) = signal(x - delta)``)."""
-    n = np.asarray(signal).shape[0]
-    coords = np.arange(n, dtype=np.float64) - delta
-    return resample_1d(signal, coords)
+    samples (``out(x) = signal(x - delta)``).  Returns ``(out, valid)``;
+    a non-finite ``delta`` raises :class:`EstimationError`."""
+    if not np.isfinite(delta):
+        raise EstimationError("shift must be finite")
+    coords = np.arange(np.shape(signal)[0], dtype=np.float64) - delta
+    out, valid = resample_rows(np.asarray(signal)[None, :], coords[None, :])
+    return out[0], valid[0]

@@ -430,8 +430,6 @@ def _to_jsonable(value):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, tuple):
         return [_to_jsonable(v) for v in value]
     if hasattr(value, "__dataclass_fields__"):
@@ -640,23 +638,10 @@ def render_raw(scene: Scene, sensor: SensorModel,
     cube = SpectralCube(data=data, pixel_kind="dn12",
                         band_meta=sensor.band_meta())
     manifest = ArtifactManifest(
-        instrument=sensor.instrument,
+        **{**asdict(sensor),
+           "masked_channels": tuple(sorted(sensor.masked_channels))},
         seed=int(seed),
         temperature_k=float(temperature_k),
-        centers_nm=sensor.centers_nm.copy(),
-        fwhm_nm=sensor.fwhm_nm.copy(),
-        smile_nm=sensor.smile_nm.copy(),
-        center_error_nm=sensor.center_error_nm,
-        keystone_px=sensor.keystone_px.copy(),
-        prnu=sensor.prnu.copy(),
-        dark_dn=sensor.dark_dn.copy(),
-        dark_temp_slope=sensor.dark_temp_slope,
-        t_ref_k=sensor.t_ref_k,
-        read_noise_dn=sensor.read_noise_dn,
-        photon_noise_k=sensor.photon_noise_k,
-        gain_dn_per_radiance=sensor.gain_dn_per_radiance.copy(),
-        sat_radiance=sensor.sat_radiance.copy(),
-        masked_channels=tuple(sorted(sensor.masked_channels)),
         interference=tuple(artifacts.interference),
         bunch=tuple(artifacts.bunch),
         stray=artifacts.stray,

@@ -17,7 +17,7 @@ import numpy as np
 from .cube import SpectralCube
 from .errors import EstimationError
 from .kernels import _ROW_CHUNK_BYTES, resample_rows
-from .registration import shift_1d_batch
+from .registration import _parabolic_vertex, shift_1d_batch
 
 SMILE_WINDOW = 10          # band-index correlation window
 KEYSTONE_REF_BAND = 30
@@ -69,14 +69,6 @@ class RSRScan:
     responding: np.ndarray      # (bands, samples) bool
 
 
-def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
-    """Vertex abscissa of the parabola through three points."""
-    d2 = y[0] - 2.0 * y[1] + y[2]
-    if d2 == 0.0:
-        return float(x[1])
-    return float(x[1] + 0.5 * (y[0] - y[2]) / d2 * (x[2] - x[1]))
-
-
 def _half_max_width(wl: np.ndarray, resp: np.ndarray) -> float:
     peak = resp.max()
     half = 0.5 * peak
@@ -122,7 +114,8 @@ def rsr_from_scan(wavelengths_nm: np.ndarray,
             if r[i] <= RSR_NOISE_FLOOR:
                 continue
             if 0 < i < r.shape[0] - 1:
-                center[b, s] = _parabolic_vertex(wl[i - 1:i + 2], r[i - 1:i + 2])
+                center[b, s] = wl[i] + _parabolic_vertex(*r[i - 1:i + 2]) \
+                    * (wl[i + 1] - wl[i])
             else:
                 center[b, s] = wl[i]
             try:
@@ -172,11 +165,6 @@ class SmileModel:
         return cls(raw["instrument"], np.asarray(raw["offsets_nm"]),
                    raw["kind"], tuple(raw["coefficients"]),
                    raw["peak_to_peak_nm"], raw["residual_rms_nm"])
-
-
-
-def _column_spectra(cube: SpectralCube) -> np.ndarray:
-    return cube.data.astype(np.float64).mean(axis=0)   # (samples, bands)
 
 
 def _detrended_std(w: np.ndarray) -> float:
@@ -233,7 +221,7 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
     with confidence weights, then fit linear-vs-quadratic in sample
     position.  The model is anchored to exactly 0 at the center column.
     """
-    spectra = _column_spectra(cube)
+    spectra = cube.data.astype(np.float64).mean(axis=0)   # (samples, bands)
     samples, bands = spectra.shape
     if bands < window:
         raise EstimationError("fewer bands than the correlation window")
@@ -359,7 +347,8 @@ def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
             continue
         if i == 0 or i == ratio.size - 1:
             continue
-        obs = _parabolic_vertex(wl[i - 1:i + 2], np.log(ratio[i - 1:i + 2]))
+        obs = wl[i] + _parabolic_vertex(*np.log(ratio[i - 1:i + 2])) \
+            * (wl[i + 1] - wl[i])
         per_line[line.nominal_nm] = obs - line.nominal_nm
     if len(per_line) < 2:
         raise EstimationError(

@@ -7,6 +7,22 @@ from hypercal import geometry, simulate as sim
 from hypercal.cube import BandMeta, SpectralCube
 
 
+def uniform_band_meta(bands: int, instrument: str = "vnir",
+                      lo: float | None = None, hi: float | None = None,
+                      fwhm: float | None = None) -> tuple:
+    """Evenly spaced band metadata over the instrument's spectral range."""
+    if instrument == "vnir":
+        lo = 400.0 if lo is None else lo
+        hi = 900.0 if hi is None else hi
+        fwhm = 9.24 if fwhm is None else fwhm
+    else:
+        lo = 850.0 if lo is None else lo
+        hi = 2500.0 if hi is None else hi
+        fwhm = 5.87 if fwhm is None else fwhm
+    centers = np.linspace(lo, hi, bands)
+    return tuple(BandMeta(float(c), float(fwhm), instrument) for c in centers)
+
+
 def quiet_sensor(instrument="vnir", samples=256, bands=None, **kw):
     """Sensor with all noise and artifact fields off unless overridden."""
     defaults = dict(smile_nm=0.0, keystone_px=0.0, prnu_spread=0.0,

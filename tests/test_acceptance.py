@@ -12,13 +12,13 @@ from hypercal import geometry as geo
 from hypercal import radiometry as rad
 from hypercal import simulate as sim
 from hypercal import spectral
-from hypercal.cube import SpectralCube, read_cube, uniform_band_meta, write_cube
+from hypercal.cube import SpectralCube, read_cube, write_cube
 from hypercal.errors import EstimationError
 from hypercal.pipeline import validate_config, run
 from hypercal.registration import shift_1d
 
 from conftest import (boresight_strips, quiet_sensor, smooth_texture,
-                      stray_point_grid)
+                      stray_point_grid, uniform_band_meta)
 
 
 def _radiance(scene, sensor, seed=0, artifacts=None, steering=None):

@@ -11,7 +11,7 @@ from hypercal import simulate as sim
 from hypercal.cube import SpectralCube
 from hypercal.errors import EstimationError
 
-from conftest import quiet_sensor, stray_point_grid
+from conftest import quiet_sensor, stray_point_grid, uniform_band_meta
 
 
 def _flatfield(cube, sensor):
@@ -286,11 +286,13 @@ class TestStrayLight:
 
     def test_identity_model_is_pass_through(self):
         rng = np.random.default_rng(0)
-        from hypercal.cube import SpectralCube, uniform_band_meta
         cube = SpectralCube(rng.uniform(10, 90, (128, 64, 3)), "radiance",
                             uniform_band_meta(3, "vnir"))
-        fixed = ano.correct_stray(cube, ano.StrayPSFModel.identity(),
-                                  np.zeros(128))
+        taps = np.zeros((2, 2, 31))
+        taps[:, :, 15] = 1.0
+        identity = ano.StrayPSFModel(np.array([-2.0, 2.0]),
+                                     np.array([0.0, 1.0]), taps)
+        fixed = ano.correct_stray(cube, identity, np.zeros(128))
         rms = np.sqrt(np.mean((fixed.data - cube.data) ** 2))
         assert rms < 1e-9
 
@@ -399,7 +401,6 @@ class TestStrayLight:
 
     def test_steering_length_mismatch_rejected(self):
         model, steering = self._model()
-        from hypercal.cube import SpectralCube, uniform_band_meta
         cube = SpectralCube(np.full((64, 16, 1), 5.0), "radiance",
                             uniform_band_meta(1, "vnir"))
         with pytest.raises(EstimationError):

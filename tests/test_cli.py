@@ -153,6 +153,15 @@ class TestOverridesAndSubcommands:
         cfg = _write_config(tmp_path, stages, preset="swir")
         assert main(["run", "--config", cfg]) == EXIT_OK
 
+    @pytest.mark.parametrize("lines, samples", [(128, 128), (160, 96)])
+    def test_dual_default_chain_below_256(self, tmp_path, lines, samples):
+        # the default bundle patch shrinks until three fit along each axis
+        stages = [dict(name=name, **params)
+                  for name, params in default_config(preset="dual").stages]
+        stages[0].update(lines=lines, samples=samples)
+        cfg = _write_config(tmp_path, stages, preset="dual")
+        assert main(["run", "--config", cfg]) == EXIT_OK
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,12 +1,15 @@
 """Cube data model and raw/header file I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercal import (BandMeta, CubeFormatError, RegionOfInterest,
                       SpectralCube, read_cube, region_stats, write_cube)
-from hypercal.cube import uniform_band_meta
+
+from conftest import uniform_band_meta
 
 
 def _cube(lines=4, samples=5, bands=3, pixel_kind="dn12", interleave="bsq",
@@ -141,7 +144,10 @@ class TestRoundTrip:
         assert np.array_equal(back.data, cube.data)
 
     def test_bad_band_quality_round_trips(self, tmp_path):
-        cube = _cube().with_quality([1])
+        cube = _cube()
+        meta = list(cube.band_meta)
+        meta[1] = dataclasses.replace(meta[1], quality="bad")
+        cube = cube.with_data(cube.data, band_meta=meta)
         write_cube(cube, tmp_path / "c.img")
         assert read_cube(tmp_path / "c.img").bad_bands == [1]
 
@@ -188,7 +194,7 @@ class TestRegionStats:
         data = np.zeros((2, 2, 1))
         data[:, :, 0] = [[1.0, 2.0], [3.0, 4.0]]
         cube = SpectralCube(data, "radiance", uniform_band_meta(1, "vnir"))
-        stats = region_stats(cube, cube.full_roi())
+        stats = region_stats(cube, RegionOfInterest(0, 1, 0, 1, 0, 0))
         assert stats["mean"][0] == pytest.approx(2.5)
         # divide-by-N convention
         assert stats["std"][0] == pytest.approx(np.sqrt(1.25))
@@ -203,5 +209,5 @@ class TestRegionStats:
     def test_constant_region_zero_std(self):
         cube = SpectralCube(np.full((3, 3, 2), 7.0), "radiance",
                             uniform_band_meta(2, "vnir"))
-        stats = region_stats(cube, cube.full_roi())
+        stats = region_stats(cube, RegionOfInterest(0, 2, 0, 2, 0, 1))
         assert np.all(stats["std"] == 0.0)

@@ -1,6 +1,7 @@
 """Geolocation, boresight calibration, orthorectification, and dual-camera
 band bundling."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -11,10 +12,11 @@ from hypercal import geometry as geo
 from hypercal import kernels
 from hypercal import simulate as sim
 from hypercal.cube import SpectralCube
-from hypercal.errors import ConfigError, EstimationError
+from hypercal.errors import ConfigError, CubeFormatError, EstimationError
 from hypercal.registration import shift_2d
 
-from conftest import boresight_strips, smooth_texture, synth_gcps
+from conftest import (boresight_strips, smooth_texture, synth_gcps,
+                      uniform_band_meta)
 
 
 class TestGeolocate:
@@ -127,13 +129,14 @@ class TestBoresight:
     def test_unbiased_strips_fit_to_null(self):
         strips = boresight_strips(geo.BoresightBias())
         fit = geo.optimize_boresight(strips)
-        assert np.abs(np.rad2deg(fit.as_array())).max() < 1e-3
+        assert np.abs(np.rad2deg(dataclasses.astuple(fit))).max() < 1e-3
 
     def test_strip_order_does_not_matter(self):
         strips = boresight_strips(self.TRUE, noise=20.0, seed=5)
         a = geo.optimize_boresight(strips)
         b = geo.optimize_boresight(list(reversed(strips)))
-        assert np.allclose(a.as_array(), b.as_array(), atol=np.deg2rad(1e-4))
+        assert np.allclose(dataclasses.astuple(a), dataclasses.astuple(b),
+                           atol=np.deg2rad(1e-4))
 
     def test_yaw_stays_inside_the_bound(self):
         strips = boresight_strips(
@@ -346,7 +349,6 @@ def _distinct_bands(cube):
 class TestSamplingPlanReferences:
     @pytest.mark.parametrize("pixel_kind", ["radiance", "dn12"])
     def test_orthorectify_equals_per_band_loop(self, pixel_kind):
-        from hypercal.cube import uniform_band_meta
         tex = smooth_texture(48, 40, seed=5, scale=400.0, level=2000.0)
         data = tex[:, :, None] * np.linspace(0.6, 1.4, 6)
         if pixel_kind == "dn12":
@@ -367,7 +369,7 @@ class TestSamplingPlanReferences:
         vnir, swir = _dual_cubes(rows=128, cols=128)
         swir = _distinct_bands(swir)
         merged, resid = geo.bundle(vnir, swir)
-        expect, expect_resid = _reference_bundle(vnir, swir)
+        expect, expect_resid = _reference_bundle(vnir, swir, patch=32)
         assert np.array_equal(merged.data, expect)
         assert resid == expect_resid
 
@@ -412,6 +414,14 @@ class TestInterchange:
     def test_grid_missing_field_rejected(self, tmp_path):
         (tmp_path / "g.txt").write_text("origin_east = 1.0\nrows = 4\n")
         with pytest.raises(ConfigError):
+            geo.read_grid(tmp_path / "g.txt")
+
+    def test_grid_garbled_line_rejected(self, tmp_path):
+        grid = geo.MapGrid(123.5, -77.25, 30.0, 10, 12)
+        geo.write_grid(tmp_path / "g.txt", grid)
+        with open(tmp_path / "g.txt", "a") as fh:
+            fh.write("cols 12\n")
+        with pytest.raises(CubeFormatError, match="garbled"):
             geo.read_grid(tmp_path / "g.txt")
 
     def test_bias_report_contents(self, tmp_path):

@@ -15,6 +15,12 @@ def _texture(rows=6, cols=128, seed=0):
     return rng.normal(50.0, 10.0, (rows, cols))
 
 
+def _resample_row(sig, coords):
+    """One-row :func:`kernels.resample_rows` call."""
+    out, valid = kernels.resample_rows(sig[None, :], coords[None, :])
+    return out[0], valid[0]
+
+
 class TestResample:
     def test_integer_coordinates_bit_exact(self):
         img = _texture()
@@ -28,19 +34,19 @@ class TestResample:
         x = np.arange(64.0)
         sig = 0.3 * x * x - 2.0 * x + 5.0
         coords = x - 0.41
-        out, valid = kernels.resample_signal(sig, coords)
+        out, valid = _resample_row(sig, coords)
         expect = 0.3 * coords ** 2 - 2.0 * coords + 5.0
         assert np.allclose(out[valid], expect[valid], atol=1e-9)
 
     def test_kernel_weights_sum_to_one(self):
         sig = np.full(32, 7.25)
-        out, valid = kernels.resample_signal(sig, np.arange(32.0) + 0.37)
+        out, valid = _resample_row(sig, np.arange(32.0) + 0.37)
         assert np.allclose(out[valid], 7.25, atol=1e-12)
 
     def test_out_of_range_coordinates_invalid_but_clamped(self):
         sig = np.arange(16.0)
         coords = np.linspace(-2.0, 20.0, 16)
-        out, valid = kernels.resample_signal(sig, coords)
+        out, valid = _resample_row(sig, coords)
         assert not valid[coords < 0.0].any()
         assert not valid[coords > 15.0].any()
         assert np.isfinite(out).all()
@@ -49,7 +55,7 @@ class TestResample:
         sig = np.arange(16.0)
         coords = np.arange(16.0) + 0.5
         coords[-1] = 14.5
-        _, valid = kernels.resample_signal(sig, coords)
+        _, valid = _resample_row(sig, coords)
         assert not valid[0] and valid[4] and not valid[-1]
 
     def test_shape_mismatch_rejected(self):
