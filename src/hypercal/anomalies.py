@@ -3,13 +3,11 @@ removal, and spatially varying along-track stray-light deconvolution."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .cube import DN_MAX, SpectralCube
+from .cube import DN_MAX, SpectralCube, read_json
 from .errors import EstimationError
 from .simulate import BunchCluster, SEGMENT_LINES, STRAY_BLOCKS
 
@@ -250,16 +248,9 @@ class StrayPSFModel:
         h = k.shape[0] // 2
         return float((np.arange(-h, h + 1) * k).sum())
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps({
-            "steering_deg": self.steering_deg.tolist(),
-            "sample_pos": self.sample_pos.tolist(),
-            "taps": self.taps.tolist(),
-        }, indent=1), encoding="utf-8")
-
     @classmethod
     def from_json(cls, path) -> "StrayPSFModel":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = read_json(path)
         return cls(np.asarray(raw["steering_deg"]),
                    np.asarray(raw["sample_pos"]), np.asarray(raw["taps"]))
 

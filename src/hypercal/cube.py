@@ -5,11 +5,15 @@ Cubes are stored as raw little-endian binary alongside a plain-text
 are supported: band-sequential (``bsq``) and band-interleaved-by-line
 (``bil``).  12-bit DN cubes live in an unsigned 16-bit container; radiance
 cubes are 64-bit float in W m-2 sr-1 um-1.
+
+Every ``key = value`` file goes through :func:`write_header`, and every JSON
+model file and the artifact manifest through :func:`write_json`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -173,19 +177,21 @@ def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
     except OSError as exc:
         raise CubeFormatError(f"cannot write {path}: {exc}") from exc
 
-    lines = [
-        f"lines = {cube.lines}",
-        f"samples = {cube.samples}",
-        f"bands = {cube.bands}",
-        f"interleave = {interleave}",
-        f"pixel_kind = {cube.pixel_kind}",
-        "byte_order = little-endian",
-        "center_nm = " + ",".join(repr(m.center_nm) for m in cube.band_meta),
-        "fwhm_nm = " + ",".join(repr(m.fwhm_nm) for m in cube.band_meta),
-        "instrument = " + ",".join(m.instrument for m in cube.band_meta),
-        "bad_bands = " + ",".join(str(i) for i in cube.bad_bands),
-    ]
-    _header_path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_header(_header_path(path), {
+        "lines": cube.lines, "samples": cube.samples, "bands": cube.bands,
+        "interleave": interleave, "pixel_kind": cube.pixel_kind,
+        "byte_order": "little-endian",
+        "center_nm": ",".join(repr(m.center_nm) for m in cube.band_meta),
+        "fwhm_nm": ",".join(repr(m.fwhm_nm) for m in cube.band_meta),
+        "instrument": ",".join(m.instrument for m in cube.band_meta),
+        "bad_bands": ",".join(str(i) for i in cube.bad_bands)})
+
+
+def write_header(path, entries: dict) -> None:
+    """Write a ``key = value`` text file, one entry per line in the given
+    order; :func:`_parse_header` reads it back."""
+    Path(path).write_text("".join(f"{k} = {v}\n" for k, v in entries.items()),
+                          encoding="utf-8")
 
 
 def _parse_header(hdr_path: Path) -> dict:
@@ -241,6 +247,32 @@ def read_cube(path) -> SpectralCube:
     )
     return SpectralCube(data=np.ascontiguousarray(data), pixel_kind=pixel_kind,
                         band_meta=meta, interleave=interleave)
+
+
+def _to_jsonable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, tuple):
+        return [_to_jsonable(v) for v in value]
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _to_jsonable(v) for k, v in value.items()}
+    return value
+
+
+def write_json(value, path, sort_keys: bool = False) -> None:
+    """Write a model or mapping as JSON with a one-space indent: arrays and
+    tuples become lists, dataclasses mappings in field order."""
+    Path(path).write_text(json.dumps(_to_jsonable(value), indent=1,
+                                     sort_keys=sort_keys), encoding="utf-8")
+
+
+def read_json(path):
+    """Read a :func:`write_json` file; arrays come back as lists."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def region_stats(cube: SpectralCube, roi: RegionOfInterest) -> dict:

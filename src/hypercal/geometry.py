@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, EstimationError
-from .cube import SpectralCube, _parse_header
+from .cube import SpectralCube, _parse_header, write_header
 from .kernels import cubic_apply, cubic_plan
 from .registration import shift_2d
 
@@ -456,12 +456,7 @@ def read_gcps(path: str):
 
 
 def write_grid(path: str, grid: MapGrid) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"origin_east = {grid.origin_east!r}\n")
-        fh.write(f"origin_north = {grid.origin_north!r}\n")
-        fh.write(f"cell_m = {grid.cell_m!r}\n")
-        fh.write(f"rows = {grid.rows}\n")
-        fh.write(f"cols = {grid.cols}\n")
+    write_header(path, dataclasses.asdict(grid))
 
 
 def read_grid(path: str) -> MapGrid:
@@ -476,8 +471,8 @@ def read_grid(path: str) -> MapGrid:
 
 
 def write_bias_report(path: str, bias: BoresightBias, final_cost: float) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"delta_roll_deg = {np.rad2deg(bias.droll):.6f}\n")
-        fh.write(f"delta_pitch_deg = {np.rad2deg(bias.dpitch):.6f}\n")
-        fh.write(f"delta_yaw_deg = {np.rad2deg(bias.dyaw):.6f}\n")
-        fh.write(f"final_cost_m = {final_cost:.6f}\n")
+    write_header(path, {
+        "delta_roll_deg": f"{np.rad2deg(bias.droll):.6f}",
+        "delta_pitch_deg": f"{np.rad2deg(bias.dpitch):.6f}",
+        "delta_yaw_deg": f"{np.rad2deg(bias.dyaw):.6f}",
+        "final_cost_m": f"{final_cost:.6f}"})

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anomalies, geometry, radiometry, spectral
 from . import simulate as sim
-from .cube import SpectralCube, write_cube
+from .cube import SpectralCube, write_cube, write_json
 from .errors import ConfigError, EstimationError, HypercalError
 
 __all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
@@ -289,7 +289,7 @@ def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
                  steering=steering, clusters_true=clusters)
     if p["save"]:
         write_cube(cube, out / "raw.img")
-        manifest.to_json(out / "manifest.json")
+        write_json(manifest, out / "manifest.json", sort_keys=True)
     return {"lines": cube.lines, "bands": cube.bands,
             "raw_mean_dn": float(cube.data.mean())}
 
@@ -346,16 +346,15 @@ def _stage_bunch(state, p, out: Path, cfg: PipelineConfig):
     flat = sim.synth_scene("uniform", cube.lines, cube.samples, level=60.0)
     acq, _ = sim.render_raw(
         flat, sensor,
-        sim.ArtifactConfig(bunch=state.get("clusters_true", ()), noise=True),
-        seed=cfg.seed + 57, steering_deg=state.get("steering"))
-    if "flatfield" in state:
-        acq, _, _ = radiometry.apply_flatfield(acq, state["flatfield"],
-                                               state["dark"])
+        sim.ArtifactConfig(bunch=state["clusters_true"], noise=True),
+        seed=cfg.seed + 57, steering_deg=state["steering"])
+    acq, _, _ = radiometry.apply_flatfield(acq, state["flatfield"],
+                                           state["dark"])
     clusters = anomalies.detect_bunch_pixels(acq, k=p["mad_k"])
     corrected, valid = anomalies.correct_bunch_pixels(cube, clusters)
     state["cube"] = corrected
     return {"clusters_detected": len(clusters),
-            "clusters_injected": len(state.get("clusters_true", ())),
+            "clusters_injected": len(state["clusters_true"]),
             "columns_uncorrected": int((~valid).any(axis=(0, 2)).sum())}
 
 
@@ -399,7 +398,7 @@ def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
         model.kernel(float(model.steering_deg[-1]), 0.5))
     state.update(cube=corrected, stray_model=model)
     if p["save"]:
-        model.to_json(out / "stray_model.json")
+        write_json(model, out / "stray_model.json")
     return {"kernel_extent_px": extent,
             "grid_angles": model.steering_deg.size}
 
@@ -412,7 +411,7 @@ def _stage_smile(state, p, out: Path, cfg: PipelineConfig):
     spacing = float(np.abs(np.diff(cube.centers_nm)).mean())
     state.update(cube=corrected, smile_model=model)
     if p["save"]:
-        model.to_json(out / "smile_model.json")
+        write_json(model, out / "smile_model.json")
     return {"peak_to_peak_nm": model.peak_to_peak_nm,
             "residual_peak_to_peak_nm": check.peak_to_peak_nm,
             "residual_fraction_of_band": abs(check.peak_to_peak_nm) / spacing}
@@ -443,7 +442,7 @@ def _stage_keystone(state, p, out: Path, cfg: PipelineConfig):
     check = spectral.estimate_keystone(corrected, ref_band=ref_band)
     state.update(cube=corrected, keystone_model=model)
     if p["save"]:
-        model.to_json(out / "keystone_model.json")
+        write_json(model, out / "keystone_model.json")
     return {"max_shift_px": float(np.abs(model.shifts()).max()),
             "residual_px": float(np.abs(check.shifts()).max())}
 
@@ -605,7 +604,8 @@ STAGES = {stage.name: stage for stage in (
         needs=("cube", "sensor", "dark"),
         provides=("cube", "flatfield")),
     Stage("bunch", _stage_bunch, {"mad_k": (float, anomalies.BUNCH_MAD_K)},
-          after=("flat-field",), needs=("cube", "sensor"),
+          after=("flat-field",), needs=("cube", "sensor", "flatfield", "dark",
+                                        "clusters_true", "steering"),
           provides=("cube",)),
     Stage("interference", _stage_interference,
           {"snr_threshold": (float, anomalies.INTERFERENCE_SNR)},
@@ -662,7 +662,10 @@ def run(config: PipelineConfig) -> ReportBundle:
     """Execute the configured stages in order and emit the report bundle; a
     stage missing a run-state input fails naming the stage that provides it."""
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create {out}: {exc}") from exc
     report = ReportBundle()
     state = {"report": report}
     for i, (name, given) in enumerate(config.stages):
@@ -677,9 +680,12 @@ def run(config: PipelineConfig) -> ReportBundle:
                     f"stage first"))
         try:
             metrics = stage.fn(state, params, out, config)
-        except HypercalError as exc:
+        except (HypercalError, OSError) as exc:
             raise StageError(name, exc) from exc
         for metric, value in metrics.items():
             report.add(name, metric, value)
-    _write_summary(report, out)
+    try:
+        _write_summary(report, out)
+    except OSError as exc:
+        raise HypercalError(f"cannot write the summary: {exc}") from exc
     return report

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import SpectralCube, DN_MAX, _parse_header
+from .cube import SpectralCube, DN_MAX, _parse_header, write_header
 from .errors import CubeFormatError, EstimationError
 
 R2_FLAG_THRESHOLD = 0.99
@@ -24,19 +24,21 @@ def _write_arrays(path, header: dict, arrays: dict) -> None:
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                     for a in arrays.values())
     path.write_bytes(blob)
-    lines = [f"{k} = {v}" for k, v in header.items()]
-    lines.append("arrays = " + ",".join(arrays))
-    lines.append("shape = " + ",".join(str(d) for d in
-                                       next(iter(arrays.values())).shape))
-    path.with_suffix(".hdr").write_text("\n".join(lines) + "\n",
-                                        encoding="utf-8")
+    shape = next(iter(arrays.values())).shape
+    write_header(path.with_suffix(".hdr"), {
+        **header, "arrays": ",".join(arrays),
+        "shape": ",".join(str(d) for d in shape)})
 
 
 def _read_arrays(path):
     path = Path(path)
     hdr = _parse_header(path.with_suffix(".hdr"))
-    names = hdr["arrays"].split(",")
-    shape = tuple(int(d) for d in hdr["shape"].split(","))
+    try:
+        names = hdr["arrays"].split(",")
+        shape = tuple(int(d) for d in hdr["shape"].split(","))
+    except (KeyError, ValueError) as exc:
+        raise CubeFormatError(
+            f"garbled header {path.with_suffix('.hdr')}: {exc}") from exc
     count = int(np.prod(shape))
     flat = np.frombuffer(path.read_bytes(), dtype="<f8")
     if flat.size != count * len(names):

@@ -7,15 +7,13 @@ integration (with smile and absolute wavelength error), keystone spatial
 resampling, along-track stray-light convolution, gain and PRNU, dark bias
 (plus a temperature term for SWIR), scan interference, bunch-pixel
 multipliers, Gaussian noise, saturation clipping and 12-bit quantization.
-Every injected parameter is copied into an :class:`ArtifactManifest`, the
-ground-truth oracle for closed-loop validation.
+Every injected parameter is copied into the manifest :func:`render_raw`
+returns, the ground-truth oracle for closed-loop validation.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict, replace
-from pathlib import Path
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 from scipy.special import erf
@@ -423,80 +421,6 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
 
 
 # ---------------------------------------------------------------------------
-# manifest
-
-def _to_jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, tuple):
-        return [_to_jsonable(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: _to_jsonable(v) for k, v in asdict(value).items()}
-    return value
-
-
-@dataclass
-class ArtifactManifest:
-    """Copy of every injected parameter set; the closed-loop oracle."""
-
-    instrument: str
-    seed: int
-    temperature_k: float
-    centers_nm: np.ndarray
-    fwhm_nm: np.ndarray
-    smile_nm: np.ndarray
-    center_error_nm: float
-    keystone_px: np.ndarray
-    prnu: np.ndarray
-    dark_dn: np.ndarray
-    dark_temp_slope: float
-    t_ref_k: float
-    read_noise_dn: float
-    photon_noise_k: float
-    gain_dn_per_radiance: np.ndarray
-    sat_radiance: np.ndarray
-    masked_channels: tuple
-    interference: tuple = ()
-    bunch: tuple = ()
-    stray: StrayLightSpec | None = None
-    steering_deg: np.ndarray | None = None
-    noise: bool = True
-    boresight: dict = field(default_factory=dict)
-
-    def to_json(self, path) -> None:
-        payload = {k: _to_jsonable(v) for k, v in self.__dict__.items()}
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1),
-                              encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path) -> "ArtifactManifest":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        arrays = {"centers_nm", "fwhm_nm", "smile_nm", "keystone_px", "prnu",
-                  "dark_dn", "gain_dn_per_radiance", "sat_radiance"}
-        kwargs = {}
-        for k, v in raw.items():
-            if k in arrays:
-                kwargs[k] = np.asarray(v, dtype=np.float64)
-            elif k == "steering_deg":
-                kwargs[k] = None if v is None else np.asarray(v, dtype=np.float64)
-            elif k == "interference":
-                kwargs[k] = tuple(InterferenceComponent(**c) for c in v)
-            elif k == "bunch":
-                kwargs[k] = tuple(
-                    BunchCluster(c["band"], c["start_sample"], c["length"],
-                                 tuple(c["profile"])) for c in v)
-            elif k == "stray":
-                kwargs[k] = None if v is None else StrayLightSpec(**v)
-            elif k == "masked_channels":
-                kwargs[k] = tuple(v)
-            else:
-                kwargs[k] = v
-        return cls(**kwargs)
-
-
-# ---------------------------------------------------------------------------
 # rendering
 
 def _check_coverage(scene: Scene, sensor: SensorModel) -> None:
@@ -549,9 +473,10 @@ def render_raw(scene: Scene, sensor: SensorModel,
                artifacts: ArtifactConfig | None = None, seed: int = 0,
                temperature_k: float | None = None,
                steering_deg: np.ndarray | None = None):
-    """Render a raw DN cube plus its ground-truth manifest.  Fields are
-    band-major; a scene whose lines are all the same renders one line, which
-    is repeated before stray light (every earlier step acts within a line)."""
+    """Render a raw DN cube plus its ground-truth manifest, the mapping
+    written to ``manifest.json``.  Fields are band-major; a scene whose lines
+    are all the same renders one line, which is repeated before stray light
+    (every earlier step acts within a line)."""
     artifacts = artifacts or ArtifactConfig()
     _check_coverage(scene, sensor)
     if scene.samples != sensor.samples:
@@ -637,17 +562,15 @@ def render_raw(scene: Scene, sensor: SensorModel,
     band_map(quantize, range(0, bands, qstep))
     cube = SpectralCube(data=data, pixel_kind="dn12",
                         band_meta=sensor.band_meta())
-    manifest = ArtifactManifest(
-        **{**asdict(sensor),
-           "masked_channels": tuple(sorted(sensor.masked_channels))},
-        seed=int(seed),
-        temperature_k=float(temperature_k),
-        interference=tuple(artifacts.interference),
-        bunch=tuple(artifacts.bunch),
-        stray=artifacts.stray,
-        steering_deg=steering_deg.copy() if artifacts.stray else None,
-        noise=bool(artifacts.noise),
-    )
+    manifest = {
+        **asdict(sensor),
+        "masked_channels": tuple(sorted(sensor.masked_channels)),
+        "seed": int(seed), "temperature_k": float(temperature_k),
+        "interference": tuple(artifacts.interference),
+        "bunch": tuple(artifacts.bunch), "stray": artifacts.stray,
+        "steering_deg": steering_deg.copy() if artifacts.stray else None,
+        "noise": bool(artifacts.noise), "boresight": {},
+    }
     return cube, manifest
 
 

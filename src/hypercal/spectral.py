@@ -8,13 +8,11 @@ keystone estimation/correction against a reference band.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .cube import SpectralCube
+from .cube import SpectralCube, read_json
 from .errors import EstimationError
 from .kernels import _ROW_CHUNK_BYTES, resample_rows
 from .registration import _parabolic_vertex, shift_1d_batch
@@ -149,19 +147,9 @@ class SmileModel:
         if self.kind not in ("linear", "quadratic"):
             raise EstimationError(f"unknown smile fit kind {self.kind!r}")
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps({
-            "instrument": self.instrument,
-            "offsets_nm": self.offsets_nm.tolist(),
-            "kind": self.kind,
-            "coefficients": list(self.coefficients),
-            "peak_to_peak_nm": self.peak_to_peak_nm,
-            "residual_rms_nm": self.residual_rms_nm,
-        }, indent=1), encoding="utf-8")
-
     @classmethod
     def from_json(cls, path) -> "SmileModel":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = read_json(path)
         return cls(raw["instrument"], np.asarray(raw["offsets_nm"]),
                    raw["kind"], tuple(raw["coefficients"]),
                    raw["peak_to_peak_nm"], raw["residual_rms_nm"])
@@ -385,19 +373,9 @@ class KeystoneModel:
             out[i] = np.interp(s, self.field_samples, at_fields[i])
         return np.clip(out, -self.max_px, self.max_px)
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps({
-            "ref_band": self.ref_band,
-            "field_samples": self.field_samples.tolist(),
-            "coefficients": self.coefficients.tolist(),
-            "samples": self.samples,
-            "bands": self.bands,
-            "max_px": self.max_px,
-        }, indent=1), encoding="utf-8")
-
     @classmethod
     def from_json(cls, path) -> "KeystoneModel":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = read_json(path)
         return cls(raw["ref_band"], np.asarray(raw["field_samples"]),
                    np.asarray(raw["coefficients"]), raw["samples"],
                    raw["bands"], raw["max_px"])

@@ -8,7 +8,7 @@ import pytest
 
 from hypercal import anomalies as ano
 from hypercal import simulate as sim
-from hypercal.cube import SpectralCube
+from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 
 from conftest import quiet_sensor, stray_point_grid, uniform_band_meta
@@ -408,7 +408,7 @@ class TestStrayLight:
 
     def test_model_round_trip(self, tmp_path):
         model, _ = self._model()
-        model.to_json(tmp_path / "psf.json")
+        write_json(model, tmp_path / "psf.json")
         back = ano.StrayPSFModel.from_json(tmp_path / "psf.json")
         assert np.allclose(back.taps, model.taps)
         assert np.allclose(back.steering_deg, model.steering_deg)

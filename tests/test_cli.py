@@ -87,6 +87,25 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == EXIT_STAGE
         assert "add a 'simulate' stage first" in capsys.readouterr().err
 
+    def test_out_is_a_file_returns_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, [SIM_SMALL])
+        (tmp_path / "taken").write_text("")
+        rc = main(["simulate", "--config", cfg, "--out",
+                   str(tmp_path / "taken")])
+        assert rc == EXIT_CONFIG
+        assert "config error: out: cannot create" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("product, message", [
+        ("manifest.json", "stage 'simulate' failed"),
+        ("summary.json", "cannot write the summary"),
+    ])
+    def test_unwritable_product_returns_three(self, tmp_path, capsys,
+                                              product, message):
+        cfg = _write_config(tmp_path, [SIM_SMALL])
+        (tmp_path / "out" / product).mkdir(parents=True)
+        assert main(["simulate", "--config", cfg]) == EXIT_STAGE
+        assert message in capsys.readouterr().err
+
     def test_unknown_stage_filter_returns_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, [SIM_SMALL])
         rc = main(["run", "--config", cfg, "--stages", "simulate,warp"])

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypercal import (BandMeta, CubeFormatError, RegionOfInterest,
                       SpectralCube, read_cube, region_stats, write_cube)
+from hypercal import anomalies, geometry, radiometry, spectral
+from hypercal.cube import write_json
 
 from conftest import uniform_band_meta
 
@@ -211,3 +213,50 @@ class TestRegionStats:
                             uniform_band_meta(2, "vnir"))
         stats = region_stats(cube, RegionOfInterest(0, 2, 0, 2, 0, 1))
         assert np.all(stats["std"] == 0.0)
+
+
+class TestProductBytes:
+    """The exact text of the small calibration products, which
+    ``perfbench/closed_loop.py`` and outside readers parse."""
+
+    def test_smile_model(self, tmp_path):
+        model = spectral.SmileModel("vnir", np.array([0.5, -0.25]), "linear",
+                                    (0.375,), 0.75, 0.01)
+        write_json(model, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == (
+            b'{\n "instrument": "vnir",\n "offsets_nm": [\n  0.5,\n  -0.25\n'
+            b' ],\n "kind": "linear",\n "coefficients": [\n  0.375\n ],\n'
+            b' "peak_to_peak_nm": 0.75,\n "residual_rms_nm": 0.01\n}')
+
+    def test_keystone_model(self, tmp_path):
+        model = spectral.KeystoneModel(1, np.array([8.0]),
+                                       np.array([[0.5, -0.5]]), 16, 3)
+        write_json(model, tmp_path / "k.json")
+        assert (tmp_path / "k.json").read_bytes() == (
+            b'{\n "ref_band": 1,\n "field_samples": [\n  8.0\n ],\n'
+            b' "coefficients": [\n  [\n   0.5,\n   -0.5\n  ]\n ],\n'
+            b' "samples": 16,\n "bands": 3,\n "max_px": 3.0\n}')
+
+    def test_stray_model(self, tmp_path):
+        model = anomalies.StrayPSFModel(np.array([2.0]), np.array([0.5]),
+                                        np.array([[[0.25, 0.75]]]))
+        write_json(model, tmp_path / "p.json")
+        assert (tmp_path / "p.json").read_bytes() == (
+            b'{\n "steering_deg": [\n  2.0\n ],\n "sample_pos": [\n  0.5\n'
+            b' ],\n "taps": [\n  [\n   [\n    0.25,\n    0.75\n   ]\n  ]\n'
+            b' ]\n}')
+
+    def test_map_grid(self, tmp_path):
+        grid = geometry.MapGrid(-205.5, 9530.0, 30.0, 4, 5)
+        geometry.write_grid(tmp_path / "o.grid", grid)
+        assert (tmp_path / "o.grid").read_bytes() == (
+            b"origin_east = -205.5\norigin_north = 9530.0\ncell_m = 30.0\n"
+            b"rows = 4\ncols = 5\n")
+
+    def test_dark_model_header(self, tmp_path):
+        radiometry.DarkModel.constant(np.full((2, 3), 64.0)).save(
+            tmp_path / "d.bin")
+        assert (tmp_path / "d.hdr").read_bytes() == (
+            b"kind = dark\ninstrument = vnir\nt_ref_k = 293.0\n"
+            b"stability_dn = 0.0\narrays = dark_dn,slope_dn_per_k\n"
+            b"shape = 2,3\n")

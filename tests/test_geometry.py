@@ -427,6 +427,6 @@ class TestInterchange:
     def test_bias_report_contents(self, tmp_path):
         bias = geo.BoresightBias(np.deg2rad(0.02), 0.0, 0.0)
         geo.write_bias_report(tmp_path / "b.txt", bias, 12.5)
-        text = (tmp_path / "b.txt").read_text()
-        assert "delta_roll_deg = 0.020000" in text
-        assert "final_cost_m = 12.500000" in text
+        assert (tmp_path / "b.txt").read_bytes() == (
+            b"delta_roll_deg = 0.020000\ndelta_pitch_deg = 0.000000\n"
+            b"delta_yaw_deg = 0.000000\nfinal_cost_m = 12.500000\n")

@@ -188,6 +188,16 @@ class TestDarkModels:
         with pytest.raises(CubeFormatError, match="garbled"):
             rad.DarkModel.load(tmp_path / "d.npz")
 
+    @pytest.mark.parametrize("key", ["arrays", "shape"])
+    def test_sidecar_missing_field_rejected(self, tmp_path, key):
+        rad.DarkModel.constant(np.full((2, 3), 64.0)).save(tmp_path / "d.bin")
+        hdr = tmp_path / "d.hdr"
+        kept = [line for line in hdr.read_text().splitlines(True)
+                if not line.startswith(key)]
+        hdr.write_text("".join(kept))
+        with pytest.raises(CubeFormatError, match=f"'{key}'"):
+            rad.DarkModel.load(tmp_path / "d.bin")
+
 
 class TestSNR:
     def test_read_noise_limited_snr_matches_oracle(self):

@@ -1,13 +1,14 @@
 """Forward sensor model: scenes, artifact injection, and renders."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, gaussian_filter1d
 
 from hypercal import kernels, simulate as sim
+from hypercal.cube import read_json, write_json
 from hypercal.errors import HypercalError
 
 from conftest import quiet_sensor
@@ -197,11 +198,15 @@ class TestRenderRaw:
         scene = sim.synth_scene("uniform", 8, 16, level=50.0)
         _, manifest = sim.render_raw(scene, sensor,
                                      sim.ArtifactConfig(noise=False), seed=4)
-        manifest.to_json(tmp_path / "m.json")
-        back = sim.ArtifactManifest.from_json(tmp_path / "m.json")
-        assert np.allclose(back.prnu, manifest.prnu)
-        assert np.allclose(back.centers_nm, manifest.centers_nm)
-        assert back.seed == manifest.seed
+        render = {"seed", "temperature_k", "interference", "bunch", "stray",
+                  "steering_deg", "noise", "boresight"}
+        assert set(manifest) == {f.name for f in fields(sensor)} | render
+        write_json(manifest, tmp_path / "m.json", sort_keys=True)
+        back = read_json(tmp_path / "m.json")
+        assert list(back) == sorted(manifest)
+        assert np.array_equal(back["prnu"], manifest["prnu"])
+        assert np.array_equal(back["centers_nm"], manifest["centers_nm"])
+        assert back["seed"] == manifest["seed"] == 4
 
 
 class TestCalibrationRenders:

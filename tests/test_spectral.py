@@ -6,6 +6,7 @@ import pytest
 
 from hypercal import simulate as sim
 from hypercal import spectral
+from hypercal.cube import write_json
 from hypercal.errors import EstimationError
 from hypercal.registration import shift_1d, shift_signal
 
@@ -184,7 +185,7 @@ class TestSmile:
                               smile_nm=sim.quadratic_smile(60, 64, 4.17))
         scene = sim.synth_scene("spectral-library", 48, 64, level=100.0)
         model = spectral.estimate_smile(render_radiance(scene, sensor))
-        model.to_json(tmp_path / "m.json")
+        write_json(model, tmp_path / "m.json")
         back = spectral.SmileModel.from_json(tmp_path / "m.json")
         assert np.allclose(back.offsets_nm, model.offsets_nm)
         assert back.kind == model.kind
@@ -296,7 +297,7 @@ class TestKeystone:
     def test_model_round_trip(self, tmp_path):
         cube, _ = self._bar_cube(1.0)
         model = spectral.estimate_keystone(cube)
-        model.to_json(tmp_path / "k.json")
+        write_json(model, tmp_path / "k.json")
         back = spectral.KeystoneModel.from_json(tmp_path / "k.json")
         assert np.allclose(back.shifts(), model.shifts())
 
