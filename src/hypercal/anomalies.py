@@ -82,40 +82,34 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
     corrupted = np.zeros((bands, samples), dtype=bool)
     for c in clusters:
         corrupted[c.band, c.start_sample:c.start_sample + c.length] = True
-    out = data.copy()
+    # repairs go into ``data``: every read below is of a clean cell
     for c in clusters:
+        clean = np.flatnonzero(~corrupted[c.band])
         for p in range(c.start_sample, c.start_sample + c.length):
-            # nearest 5 clean columns on each side (clusters can cover the
-            # whole +-5 window, so walk outward past them)
-            neigh = []
-            for step in (-1, 1):
-                q, found = p + step, 0
-                while 0 <= q < samples and found < 5 and abs(q - p) <= 40:
-                    if not corrupted[c.band, q]:
-                        neigh.append(q)
-                        found += 1
-                    q += step
-            cand = ~corrupted[:, p] & ~corrupted[:, neigh].any(axis=1)
-            cand[c.band] = False
+            # nearest 5 clean columns on each side within 40 (clusters can
+            # cover the whole +-5 window), left ones first, nearest first
+            k = np.searchsorted(clean, p)
+            neigh = np.r_[clean[max(k - 5, 0):k][::-1], clean[k:k + 5]]
+            neigh = neigh[np.abs(neigh - p) <= 40]
+            # candidates: the bands clean at p and at every neighbour
+            bb = np.flatnonzero(~corrupted[:, np.r_[p, neigh]].any(axis=1))
             x = data[:, neigh, c.band].ravel()
-            if not cand.any() or not neigh or x.std() == 0:
+            r = np.full(bb.size, -np.inf)  # a flat candidate never wins
+            if neigh.size and x.std() != 0:
+                # Pearson r but for x's spread, common to all candidates
+                ys = data[:, neigh[:, None], bb].reshape(x.size, bb.size)
+                ys -= ys.mean(axis=0)
+                ss = np.einsum("ij,ij->j", ys, ys)
+                np.divide((x - x.mean()) @ ys, np.sqrt(ss), out=r,
+                          where=ss > 0)
+            if not r.max(initial=-np.inf) > -np.inf:
                 valid[:, p, c.band] = False
                 continue
-            best, best_r = None, -2.0
-            for bb in np.flatnonzero(cand):
-                y = data[:, neigh, bb].ravel()
-                if y.std() == 0:
-                    continue
-                r = float(np.corrcoef(x, y)[0, 1])
-                if r > best_r:
-                    best, best_r = bb, r
-            if best is None:
-                valid[:, p, c.band] = False
-                continue
+            best = bb[np.argmax(r)]
             y = data[:, neigh, best].ravel()
             alpha, beta = np.polyfit(y, x, 1)
-            out[:, p, c.band] = alpha * data[:, p, best] + beta
-    return cube.with_data(out), valid
+            data[:, p, c.band] = alpha * data[:, p, best] + beta
+    return cube.with_data(data), valid
 
 
 # ---------------------------------------------------------------------------

@@ -461,13 +461,15 @@ def write_grid(path: str, grid: MapGrid) -> None:
 
 def read_grid(path: str) -> MapGrid:
     fields = _parse_header(Path(path))
-    try:
-        return MapGrid(float(fields["origin_east"]),
-                       float(fields["origin_north"]),
-                       float(fields["cell_m"]),
-                       int(fields["rows"]), int(fields["cols"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid sidecar missing field {exc}") from exc
+    values = []
+    for name, kind in (("origin_east", float), ("origin_north", float),
+                       ("cell_m", float), ("rows", int), ("cols", int)):
+        try:
+            values.append(kind(fields[name]))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"grid sidecar field '{name}' missing or not "
+                              "a number") from exc
+    return MapGrid(*values)
 
 
 def write_bias_report(path: str, bias: BoresightBias, final_cost: float) -> None:

@@ -1,8 +1,7 @@
 """Hot numeric kernels: cubic-convolution resampling and Gaussian band integration.
 
-Each kernel has one vectorized numpy implementation.  Band-independent
-loops run through :func:`band_map` on one thread per CPU.
-"""
+Each kernel has one vectorized numpy implementation; band-independent loops
+run through :func:`band_map`, which alone splits them, one thread per CPU."""
 
 from __future__ import annotations
 
@@ -23,20 +22,24 @@ USING_NUMBA = False
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
+_CHUNK_BYTES = 8 << 20  # per buffer of the band_map tasks in flight
 
-def band_map(fn, items) -> None:
-    """Call ``fn(item)`` for each item, WORKERS at a time on a thread pool.
-    Each item must own a disjoint band slice of the output, so the result
-    does not depend on the order.  Each call runs in a copy of the caller's
-    context, which carries ``np.errstate``."""
-    items = list(items)
-    if WORKERS < 2 or len(items) < 2:
-        for item in items:
-            fn(item)
+
+def band_map(fn, n: int, item_bytes: int) -> None:
+    """Call ``fn(slice)`` on consecutive slices of ``range(n)``, WORKERS at a
+    time on a thread pool; a slice holds the items that fit in one worker's
+    share of ``_CHUNK_BYTES`` at ``item_bytes`` per item in each buffer.  A
+    task owns a disjoint part of the output and calls nothing that uses the
+    pool; each runs in a copy of the caller's context (``np.errstate``)."""
+    step = max(1, _CHUNK_BYTES // WORKERS // max(item_bytes, 1))
+    slices = [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    if WORKERS < 2 or len(slices) < 2:
+        for sl in slices:
+            fn(sl)
         return
-    with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
-        tasks = [pool.submit(contextvars.copy_context().run, fn, item)
-                 for item in items]
+    with ThreadPoolExecutor(min(WORKERS, len(slices))) as pool:
+        tasks = [pool.submit(contextvars.copy_context().run, fn, sl)
+                 for sl in slices]
         for task in tasks:
             task.result()
 
@@ -64,34 +67,42 @@ def _axis_taps(coords: np.ndarray, n: int):
     return taps, weights, i0, exact, valid
 
 
-def resample_rows(image: np.ndarray, coords: np.ndarray):
-    """Cubic-convolution resampling of each row (last axis) of ``image`` at
-    per-output source column coordinates ``coords``, shaped as the output or
-    broadcasting to it (one row of coordinates and taps for many rows).
+def resample_rows(image: np.ndarray, coords: np.ndarray,
+                  out: np.ndarray | None = None):
+    """Cubic-convolution resampling of each row (last axis) of an image of
+    2+ dimensions at per-output source column coordinates ``coords``, shaped
+    as the output or broadcasting to it (one row of coordinates and taps for
+    many rows), by :func:`band_map` over first-axis views, into float64
+    ``out`` (made if None; may be a strided view or ``image`` itself).
 
     Returns ``(out, valid)`` where ``valid`` (shaped as ``coords``) marks
     outputs whose kernel support stayed inside the row.  Source coordinates
     are clamped to the row extent; exact integer coordinates reproduce the
     input bit-for-bit.
     """
-    image = np.ascontiguousarray(image, dtype=np.float64)
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if coords.ndim != image.ndim or coords.shape[-1] != image.shape[-1] \
+    image = np.asarray(image)
+    coords = np.asarray(coords, dtype=np.float64)
+    if image.ndim < 2 or coords.ndim != image.ndim \
+            or coords.shape[-1] != image.shape[-1] \
             or np.broadcast_shapes(coords.shape, image.shape) != image.shape:
-        raise ValueError("coords shape must broadcast to image shape")
+        raise ValueError("need a 2+-D image and coords broadcasting to it")
     taps, weights, i0, exact, valid = _axis_taps(coords, image.shape[-1])
-    out = np.zeros(image.shape, dtype=np.float64)
-    for idx, w in zip(taps, weights):
-        out += w * np.take_along_axis(image, idx, axis=-1)
-    if np.any(exact):
-        np.copyto(out, np.take_along_axis(image, i0, axis=-1), where=exact)
+    out = np.empty(image.shape) if out is None else out
+
+    def resample(sl):
+        src = image[sl]
+        at = sl if coords.shape[0] > 1 else slice(None)  # a shared row
+        acc = np.zeros(src.shape)
+        for idx, w in zip(taps, weights):
+            acc += w[at] * np.take_along_axis(src, idx[at], axis=-1)
+        if exact[at].any():
+            np.copyto(acc, np.take_along_axis(src, i0[at], axis=-1),
+                      where=exact[at])
+        out[sl] = acc
+
+    band_map(resample, image.shape[0], 8 * int(np.prod(image.shape[1:])))
     return out, valid
 
-
-# Budget for the band chunks of a cubic apply in flight, per float64
-# temporary: each of the WORKERS tasks gets an equal share.
-_CHUNK_BYTES = 8 << 20
-_ROW_CHUNK_BYTES = 2 << 20  # float64 rows per chunked resample_rows call
 
 CubicPlan = namedtuple("CubicPlan", "shape taps wy valid")
 
@@ -130,19 +141,18 @@ def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
     shape = plan.valid.shape
     if out is None:
         out = np.empty(shape + (sel.size,))
-    step = max(1, _CHUNK_BYTES // WORKERS // (8 * max(plan.valid.size, 1)))
 
-    def sample(c0):
-        src = np.take(stack, sel[c0:c0 + step], axis=2).reshape(ny * nx, -1)
+    def sample(sl):
+        src = np.take(stack, sel[sl], axis=2).reshape(ny * nx, -1)
         src = src.astype(np.float64, copy=False)
         acc = np.zeros((plan.valid.size, src.shape[1]))
         for taps, wy in zip(plan.taps, plan.wy):
             row = taps @ src
             row *= wy
             acc += row
-        out[..., c0:c0 + step] = acc.reshape(shape + (-1,))
+        out[..., sl] = acc.reshape(shape + (-1,))
 
-    band_map(sample, range(0, sel.size, step))
+    band_map(sample, sel.size, 8 * plan.valid.size)
     return out
 
 

@@ -116,6 +116,8 @@ class DarkModel:
     @classmethod
     def load(cls, path) -> "DarkModel":
         hdr, arrays = _read_arrays(path)
+        if "t_ref_k" not in hdr:
+            raise CubeFormatError(f"garbled header of {path}: no 't_ref_k'")
         return cls(arrays["dark_dn"], arrays["slope_dn_per_k"],
                    float(hdr["t_ref_k"]), hdr.get("instrument", "vnir"),
                    float(hdr.get("stability_dn", 0.0)))

@@ -20,8 +20,7 @@ from scipy.special import erf
 
 from .cube import BandMeta, SpectralCube, DN_MAX
 from .errors import HypercalError
-from . import kernels
-from .kernels import _ROW_CHUNK_BYTES, band_integrals, band_map, resample_rows
+from .kernels import band_integrals, band_map, resample_rows
 from .spectral import ABSORPTION_LINES, MONOCHROMATOR_LINE_NM
 
 WL_START = 350.0
@@ -440,8 +439,9 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
     stack, in place: kernels constant within SEGMENT_LINES x STRAY_BLOCKS
     tiles, evaluated at the tile's mean steering angle and center sample.
     A tile reads its lines plus a tap_count // 2 halo from a copy of its
-    block taken before the block is written.  Each worker of
-    :func:`band_map` filters one band slice of the stack."""
+    block taken before the block is written.  Each task of :func:`band_map`
+    filters one slice of bands, as many as one worker's share of its budget
+    holds at one float64 band each."""
     from scipy.ndimage import convolve1d, gaussian_filter1d
 
     bands, lines, samples = fields.shape
@@ -464,9 +464,7 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
                 fields[sl, seg0:seg1, c0:c1] = sub[:, seg0 - r0:seg1 - r0]
             block = sub = None  # freed before the next block's copy
 
-    edges = np.linspace(0, bands, min(kernels.WORKERS, bands) + 1).astype(int)
-    band_map(filter_bands, [slice(b0, b1) for b0, b1
-                            in zip(edges[:-1], edges[1:])])
+    band_map(filter_bands, bands, 8 * lines * samples)
 
 
 def render_raw(scene: Scene, sensor: SensorModel,
@@ -498,16 +496,13 @@ def render_raw(scene: Scene, sensor: SensorModel,
                  and np.all(scene.spectrum_index == scene.spectrum_index[:1]))
     rows = min(1, lines) if invariant else lines
     spatial, index = scene.spatial[:rows], scene.spectrum_index[:rows]
-    coords = (np.arange(samples) + sensor.keystone_px)[:, None, :]
-    has_keystone = bool(np.any(sensor.keystone_px != 0.0))
-
-    fields = np.empty((bands, rows, samples))
-    step = max(1, _ROW_CHUNK_BYTES // (8 * max(rows * samples, 1)))
-    for b0 in range(0, bands, step):
-        chunk = spatial * resp[b0:b0 + step, np.arange(samples), index]
-        if has_keystone:
-            chunk, _ = resample_rows(chunk, coords[b0:b0 + step])
-        fields[b0:b0 + step] = chunk
+    # fields[b, l, s] = resp[b, s, index[l, s]], gathered band-major
+    fields = np.take(resp.reshape(bands, -1),
+                     np.arange(samples) * resp.shape[2] + index, axis=1)
+    fields *= spatial
+    if np.any(sensor.keystone_px != 0.0):
+        coords = (np.arange(samples) + sensor.keystone_px)[:, None, :]
+        resample_rows(fields, coords, out=fields)
     illuminated = np.array([b not in sensor.masked_channels for b in range(bands)])
     fields[~illuminated] = 0.0
 
@@ -529,12 +524,11 @@ def render_raw(scene: Scene, sensor: SensorModel,
     noisy = artifacts.noise and (sensor.read_noise_dn > 0
                                  or sensor.photon_noise_k > 0)
     data = np.empty((lines, samples, bands), dtype=np.uint16)
-    qstep = max(1, _ROW_CHUNK_BYTES // (2 * max(lines * samples, 1)))
 
-    def quantize(b0):
-        # band-major uint16 chunk, stored into the band-last cube in one
+    def quantize(sl):
+        # band-major uint16 slice, stored into the band-last cube in one
         # copy: per-band stores would be strided scatters
-        b1 = min(b0 + qstep, bands)
+        b0, b1 = sl.start, sl.stop
         buf = np.empty((b1 - b0, lines, samples), dtype=np.uint16)
         dn = np.empty((lines, samples))
         for b in range(b0, b1):
@@ -557,9 +551,9 @@ def render_raw(scene: Scene, sensor: SensorModel,
                 dn += rng.standard_normal((lines, samples)) * std
             np.minimum(dn, sat_dn[b], out=dn)
             buf[b - b0] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
-        data[:, :, b0:b1] = buf.transpose(1, 2, 0)
+        data[:, :, sl] = buf.transpose(1, 2, 0)
 
-    band_map(quantize, range(0, bands, qstep))
+    band_map(quantize, bands, 2 * lines * samples)
     cube = SpectralCube(data=data, pixel_kind="dn12",
                         band_meta=sensor.band_meta())
     manifest = {

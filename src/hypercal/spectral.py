@@ -14,7 +14,7 @@ import numpy as np
 
 from .cube import SpectralCube, read_json
 from .errors import EstimationError
-from .kernels import _ROW_CHUNK_BYTES, resample_rows
+from .kernels import resample_rows
 from .registration import _parabolic_vertex, shift_1d_batch
 
 SMILE_WINDOW = 10          # band-index correlation window
@@ -267,27 +267,16 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
 def correct_smile(cube: SpectralCube, model: SmileModel):
     """Resample every column's spectrum onto the center column's wavelength
     registration.  Returns ``(corrected cube, validity mask)`` where the
-    mask flags spectral-edge pixels whose kernel support left the cube."""
+    mask, a read-only view repeated over the lines, flags spectral-edge
+    pixels whose kernel support left the cube."""
     if model.offsets_nm.shape[0] != cube.samples:
         raise EstimationError("smile model sample count does not match cube")
     spacing = np.gradient(cube.centers_nm)
     coords = np.arange(cube.bands, dtype=np.float64) \
         - model.offsets_nm[:, None] / spacing
-    out = np.empty(cube.data.shape)
-    valid = np.empty(cube.data.shape, dtype=bool)
-    _resample_last_axis(cube.data, coords, out, valid)
-    return cube.with_data(out, pixel_kind="radiance"), valid
-
-
-def _resample_last_axis(data, coords, out, valid) -> None:
-    """:func:`resample_rows` along the last axis of a (lines, m, n) view at
-    per-(m, n) coordinates ``coords``, a few MB of rows per call; writes
-    into the (lines, m, n) views ``out`` and ``valid``."""
-    lines, m, n = data.shape
-    step = max(1, _ROW_CHUNK_BYTES // (8 * lines * n))
-    for j in range(0, m, step):
-        out[:, j:j + step], valid[:, j:j + step] = resample_rows(
-            data[:, j:j + step], coords[None, j:j + step])
+    out, valid = resample_rows(cube.data, coords[None])
+    return (cube.with_data(out, pixel_kind="radiance"),
+            np.broadcast_to(valid, out.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +434,14 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
 
 def correct_keystone(cube: SpectralCube, model: KeystoneModel):
     """Resample each band's rows by the negated keystone shift.  Returns
-    ``(corrected cube, validity mask)``; the reference band passes through
-    bit-identically."""
+    ``(corrected cube, validity mask)``, the mask a read-only view repeated
+    over the lines; the reference band passes through bit-identically."""
     if model.bands != cube.bands or model.samples != cube.samples:
         raise EstimationError("keystone model does not match cube dimensions")
     coords = np.arange(cube.samples, dtype=np.float64) - model.shifts()
     out = np.empty(cube.data.shape)
-    valid = np.empty(cube.data.shape, dtype=bool)
     # (lines, bands, samples) views: rows run along the samples
-    _resample_last_axis(cube.data.transpose(0, 2, 1), coords,
-                        out.transpose(0, 2, 1), valid.transpose(0, 2, 1))
-    return cube.with_data(out), valid
+    _, valid = resample_rows(cube.data.transpose(0, 2, 1), coords[None],
+                             out=out.transpose(0, 2, 1))
+    return cube.with_data(out), np.broadcast_to(valid.transpose(0, 2, 1),
+                                                out.shape)

@@ -78,6 +78,97 @@ class TestBunchPixels:
         assert valid.all()
 
 
+def _reference_correct_bunch(cube, clusters):
+    """The walk to each column's clean neighbours and the per-candidate
+    ``np.corrcoef`` loop the array version replaced, writing into a copy."""
+    data = cube.data.astype(np.float64)
+    lines, samples, bands = data.shape
+    valid = np.ones(data.shape, dtype=bool)
+    corrupted = np.zeros((bands, samples), dtype=bool)
+    for c in clusters:
+        corrupted[c.band, c.start_sample:c.start_sample + c.length] = True
+    out = data.copy()
+    for c in clusters:
+        for p in range(c.start_sample, c.start_sample + c.length):
+            neigh = []
+            for step in (-1, 1):
+                q, found = p + step, 0
+                while 0 <= q < samples and found < 5 and abs(q - p) <= 40:
+                    if not corrupted[c.band, q]:
+                        neigh.append(q)
+                        found += 1
+                    q += step
+            cand = ~corrupted[:, p] & ~corrupted[:, neigh].any(axis=1)
+            cand[c.band] = False
+            x = data[:, neigh, c.band].ravel()
+            if not cand.any() or not neigh or x.std() == 0:
+                valid[:, p, c.band] = False
+                continue
+            best, best_r = None, -2.0
+            for bb in np.flatnonzero(cand):
+                y = data[:, neigh, bb].ravel()
+                if y.std() == 0:
+                    continue
+                r = float(np.corrcoef(x, y)[0, 1])
+                if r > best_r:
+                    best, best_r = bb, r
+            if best is None:
+                valid[:, p, c.band] = False
+                continue
+            y = data[:, neigh, best].ravel()
+            alpha, beta = np.polyfit(y, x, 1)
+            out[:, p, c.band] = alpha * data[:, p, best] + beta
+    return out, valid
+
+
+def _bunch_case(seed, tie=False, lines=40, samples=160, bands=8):
+    """Radiance cube of one scene seen by bands of random gain and noise,
+    with band 5 flat; a column corrupted in every band, six abutting
+    clusters in band 1 (the middle columns have no clean column within
+    40), and twelve random clusters, overlaps allowed.  With ``tie``, band
+    6 is three times band 2, so the two correlate alike within rounding."""
+    rng = np.random.default_rng(seed)
+    scene = rng.normal(100.0, 10.0, (lines, samples))
+    data = scene[:, :, None] * rng.uniform(0.5, 2.0, bands) \
+        + rng.normal(0.0, 3.0, (lines, samples, bands))
+    data[:, :, 5] = 70.0
+    if tie:
+        data[:, :, 2] = scene + rng.normal(0.0, 0.5, (lines, samples))
+        data[:, :, 6] = 3.0 * data[:, :, 2]
+    clusters = [sim.BunchCluster(b, 100, 1, (1.6,)) for b in range(bands)]
+    clusters += [sim.BunchCluster(1, s0, 15, (1.3,) * 15)
+                 for s0 in range(0, 90, 15)]
+    for _ in range(12):
+        length = int(rng.integers(1, 16))
+        clusters.append(sim.BunchCluster(
+            int(rng.integers(bands)), int(rng.integers(samples - length)),
+            length, tuple(rng.uniform(1.1, 1.8, length))))
+    for c in clusters:
+        data[:, c.start_sample:c.start_sample + c.length, c.band] *= \
+            np.asarray(c.profile)
+    return SpectralCube(data, "radiance", uniform_band_meta(bands)), clusters
+
+
+class TestBunchCorrectionMatchesCandidateLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bytes(self, seed):
+        cube, clusters = _bunch_case(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed, valid = ano.correct_bunch_pixels(cube, clusters)
+        out, ref_valid = _reference_correct_bunch(cube, clusters)
+        assert np.array_equal(fixed.data, out)
+        assert np.array_equal(valid, ref_valid)
+        assert not valid[:, 100, :].any() and not valid[:, 45, 1].any()
+
+    def test_planted_tie_within_rounding(self):
+        cube, clusters = _bunch_case(3, tie=True)
+        fixed, valid = ano.correct_bunch_pixels(cube, clusters)
+        out, ref_valid = _reference_correct_bunch(cube, clusters)
+        np.testing.assert_allclose(fixed.data, out, rtol=1e-9, atol=0.0)
+        assert np.array_equal(valid, ref_valid)
+
+
 def _reference_detect_bunch(cube, k=ano.BUNCH_MAD_K):
     """The per-column double loop the vectorized detector replaced.  A
     column without neighbors takes the median of nothing (NaN, with a

@@ -416,6 +416,17 @@ class TestInterchange:
         with pytest.raises(ConfigError):
             geo.read_grid(tmp_path / "g.txt")
 
+    @pytest.mark.parametrize("field", ["origin_east", "rows"])
+    def test_grid_non_numeric_field_rejected(self, tmp_path, field):
+        grid = geo.MapGrid(123.5, -77.25, 30.0, 10, 12)
+        geo.write_grid(tmp_path / "g.txt", grid)
+        text = (tmp_path / "g.txt").read_text().splitlines(True)
+        (tmp_path / "g.txt").write_text("".join(
+            f"{field} = x\n" if line.startswith(field) else line
+            for line in text))
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            geo.read_grid(tmp_path / "g.txt")
+
     def test_grid_garbled_line_rejected(self, tmp_path):
         grid = geo.MapGrid(123.5, -77.25, 30.0, 10, 12)
         geo.write_grid(tmp_path / "g.txt", grid)

@@ -62,6 +62,76 @@ class TestResample:
         with pytest.raises(ValueError):
             kernels.resample_rows(np.zeros((2, 8)), np.zeros((2, 9)))
 
+    def test_one_dimensional_image_rejected(self):
+        # slicing the first axis of a 1-D image would cut the row itself
+        with pytest.raises(ValueError):
+            kernels.resample_rows(np.arange(8.0), np.arange(8.0) + 0.5)
+
+
+class TestResampleSlices:
+    """:func:`kernels.resample_rows` runs slices of its first axis on the
+    pool; the split, the output buffer and the input's layout and dtype
+    leave every output byte as the one-task call writes it."""
+
+    def _case(self, shared=True):
+        rng = np.random.default_rng(31)
+        img = rng.normal(50.0, 10.0, (7, 5, 40))
+        coords = _test_coords(rng, (1 if shared else 7, 5, 40), 40)
+        return img, coords
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_out_in_place_and_strided_equal_plain_call(self, workers, shared,
+                                                       monkeypatch):
+        img, coords = self._case(shared)
+        plain, valid = kernels.resample_rows(img, coords)
+        # two of the seven lines per task: four tasks at any count
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 5 * 40 * 2 * workers)
+        same = img.copy()
+        got, got_valid = kernels.resample_rows(same, coords, out=same)
+        assert got is same and np.array_equal(same, plain)
+        assert np.array_equal(got_valid, valid)
+        big = np.zeros((7, 10, 40))
+        got, _ = kernels.resample_rows(img, coords, out=big[:, ::2])
+        assert np.array_equal(got, plain) and not big[:, 1::2].any()
+        turned = np.zeros((40, 5, 7)).transpose(2, 1, 0)
+        kernels.resample_rows(img, coords, out=turned)
+        assert np.array_equal(turned, plain)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strided_uint16_view_equals_float64_copy(self, workers,
+                                                     monkeypatch):
+        img, coords = self._case()
+        cube = np.rint(img).astype(np.uint16).transpose(0, 2, 1)
+        view = cube.transpose(0, 2, 1)
+        plain, _ = kernels.resample_rows(view.astype(np.float64), coords)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 5 * 40 * 3 * workers)
+        got, _ = kernels.resample_rows(view, coords)
+        assert np.array_equal(got, plain)
+
+
+class TestBandMap:
+    @pytest.mark.parametrize("n,item_bytes,expect", [
+        (0, 100, []),
+        (3, 1000, [(0, 1), (1, 2), (2, 3)]),      # one item over the share
+        (7, 200, [(0, 3), (3, 6), (6, 7)]),       # uneven last slice
+        (7, 0, [(0, 7)]),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slices_cover_range_once_in_order(self, n, item_bytes, expect,
+                                              workers, monkeypatch):
+        # a 600-byte share per worker
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 600 * workers)
+        seen = []
+        kernels.band_map(seen.append, n, item_bytes)
+        got = [(sl.start, sl.stop) for sl in seen]
+        if workers > 1:
+            got.sort()
+        assert got == expect
+
 
 class TestBicubic:
     def test_integer_grid_bit_exact(self):

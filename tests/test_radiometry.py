@@ -188,7 +188,7 @@ class TestDarkModels:
         with pytest.raises(CubeFormatError, match="garbled"):
             rad.DarkModel.load(tmp_path / "d.npz")
 
-    @pytest.mark.parametrize("key", ["arrays", "shape"])
+    @pytest.mark.parametrize("key", ["arrays", "shape", "t_ref_k"])
     def test_sidecar_missing_field_rejected(self, tmp_path, key):
         rad.DarkModel.constant(np.full((2, 3), 64.0)).save(tmp_path / "d.bin")
         hdr = tmp_path / "d.hdr"

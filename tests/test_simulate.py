@@ -438,14 +438,18 @@ class TestRenderMatchesPerBandReference:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count_does_not_change_bytes(self, workers, monkeypatch):
         # stray, keystone, bunch, interference and photon noise on eight
-        # bands of 100 lines (two stray segments); the chunk budget makes
-        # three quantization tasks (three uint16 bands each) and one-band
-        # keystone chunks, and stray splits into one band slice per worker
+        # bands of 100 lines (two stray segments; the scene renders one
+        # line before stray light), then keystone on 40 distinct lines;
+        # each worker's share of the budget makes three quantization tasks
+        # (three uint16 bands each), one-band stray tasks, and one-band
+        # keystone tasks on the second scene
         monkeypatch.setattr(kernels, "WORKERS", workers)
-        monkeypatch.setattr(sim, "_ROW_CHUNK_BYTES", 3 * 2 * 100 * 32)
-        case = ("library-bars", 100, 32, 8, True, (1,), 1.3, True, True, 0.4)
-        data, expected = _render_case(case)
-        assert np.array_equal(data, expected)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 3 * 2 * 100 * 32 * workers)
+        for case in (
+                ("library-bars", 100, 32, 8, True, (1,), 1.3, True, True, 0.4),
+                ("checkerboard", 40, 32, 8, True, (), None, False, False, 0.0)):
+            data, expected = _render_case(case)
+            assert np.array_equal(data, expected)
 
     def test_swir_256_bands(self):
         sensor = sim.make_sensor(
@@ -479,14 +483,14 @@ class TestRenderMatchesPerBandReference:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_render_peak_memory_bounded(self, workers, monkeypatch):
-        # 256 KB keystone and quantization chunks keep the chunk buffers a
-        # sliver of the 8 MB cube, so a full-cube temporary shows against
-        # its size; the cube, the stray block copies and their filtered
-        # tiles (a quarter cube each, split over the workers) fit under
-        # 1.75 cubes (scipy.ndimage is imported above, so its first import
-        # is not counted)
+        # 256 KB keystone, stray and quantization slices per worker keep
+        # the task buffers a sliver of the 8 MB cube, so a full-cube
+        # temporary shows against its size; the cube, the stray block
+        # copies and their filtered tiles fit under 1.75 cubes
+        # (scipy.ndimage is imported above, so its first import is not
+        # counted)
         monkeypatch.setattr(kernels, "WORKERS", workers)
-        monkeypatch.setattr(sim, "_ROW_CHUNK_BYTES", 256 << 10)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", (256 << 10) * workers)
         sensor = sim.make_sensor(
             "swir", samples=64, read_noise_dn=2.0,
             keystone_px=sim.linear_keystone(256, 64, 1.5))

@@ -4,9 +4,10 @@ shift, and keystone."""
 import numpy as np
 import pytest
 
+from hypercal import kernels
 from hypercal import simulate as sim
 from hypercal import spectral
-from hypercal.cube import write_json
+from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 from hypercal.registration import shift_1d, shift_signal
 
@@ -318,3 +319,45 @@ class TestKeystone:
         assert np.allclose(model.coefficients,
                            _reference_keystone_coefficients(cube),
                            rtol=0, atol=1e-9)
+
+
+class TestCorrectionSlices:
+    """Smile and keystone correction run their rows through
+    :func:`kernels.band_map`; the worker count and the split leave every
+    byte as one task writes it."""
+
+    def _case(self):
+        rng = np.random.default_rng(40)
+        lines, samples, bands = 9, 24, 30
+        cube = SpectralCube(rng.normal(100.0, 20.0, (lines, samples, bands)),
+                            "radiance", sim.make_sensor(
+                                "vnir", samples=samples,
+                                bands=bands).band_meta())
+        u = np.arange(samples) - samples // 2
+        smile = spectral.SmileModel("vnir", 0.02 * u * u - 0.3 * u,
+                                    "quadratic", (0.02, -0.3, 0.0), 0.0, 0.0)
+        key = spectral.KeystoneModel(
+            3, np.array([4.0, 12.0, 20.0]),
+            np.array([[0.01, -0.2], [0.0, 0.05], [-0.01, 0.3]]),
+            samples, bands)
+        return cube, smile, key
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_does_not_change_bytes(self, workers, monkeypatch):
+        cube, smile, key = self._case()
+        smiled, smile_valid = spectral.correct_smile(cube, smile)
+        keyed, key_valid = spectral.correct_keystone(cube, key)
+        # two lines per task: five tasks at any worker count
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES",
+                            8 * cube.samples * cube.bands * 2 * workers)
+        got, valid = spectral.correct_smile(cube, smile)
+        assert np.array_equal(got.data, smiled.data)
+        assert np.array_equal(valid, smile_valid)
+        assert valid.shape == cube.data.shape and not valid.flags.writeable
+        got, valid = spectral.correct_keystone(cube, key)
+        assert np.array_equal(got.data, keyed.data)
+        assert np.array_equal(valid, key_valid)
+        assert valid.shape == cube.data.shape and not valid.flags.writeable
+        assert not smile_valid.all() and smile_valid.any()
+        assert not key_valid.all() and key_valid.any()
