@@ -17,7 +17,7 @@ NOTCH_ORDER = 4
 NOTCH_HALF_WIDTH = 0.01        # cycles/line
 INTERFERENCE_SNR = 6.0
 INTERFERENCE_MIN_FREQ = 0.01   # below this the banding path applies
-BANDING_BANDS = (160, 170)     # inclusive SWIR indices
+BANDING_WINDOW_NM = (1884.0, 1955.0)   # 1.9 um water-absorption window
 WIENER_EPS = 1e-3
 KERNEL_EXTENT_REL = 0.01       # tap level counted by kernel_extent
 
@@ -127,9 +127,8 @@ def detect_interference(cube: SpectralCube,
     """
     if cube.lines < 128:
         raise EstimationError("interference detection needs >= 128 lines")
-    data = cube.data.astype(np.float64)
     lines = cube.lines
-    sig = data.mean(axis=1)                     # (L, B)
+    sig = cube.data.mean(axis=1, dtype=np.float64)   # (L, B)
     sig = sig - sig.mean(axis=0, keepdims=True)
     amp = np.abs(np.fft.rfft(sig, axis=0)) * 2.0 / lines   # (F, B)
     spectrum = np.median(amp, axis=1)
@@ -171,8 +170,8 @@ def remove_interference(cube: SpectralCube, freqs):
 
     (1) Per band, an along-track Butterworth notch (order 4, half-width
     0.01 cycles/line) at each detected frequency; (2) the low-frequency
-    banding profile taken from the mean of the atmospheric-absorption
-    window bands, zero-meaned and subtracted everywhere.
+    banding profile taken from the mean of the bands in the
+    BANDING_WINDOW_NM absorption window, zero-meaned and subtracted.
     """
     lines = cube.lines
     fgrid = np.fft.rfftfreq(lines)
@@ -182,14 +181,16 @@ def remove_interference(cube: SpectralCube, freqs):
         if f0 <= 0:
             raise EstimationError("cannot notch at DC")
         gain *= _notch_gain(fgrid, f0, NOTCH_HALF_WIDTH, NOTCH_ORDER)
-    spec = np.fft.rfft(cube.data.astype(np.float64), axis=0)
-    out = np.fft.irfft(spec * gain[:, None, None], n=lines, axis=0)
+    spec = np.fft.rfft(cube.data, axis=0)
+    spec *= gain[:, None, None]
+    out = np.fft.irfft(spec, n=lines, axis=0)
 
-    b0, b1 = BANDING_BANDS
-    if b1 < cube.bands:
+    lo, hi = BANDING_WINDOW_NM
+    window = np.flatnonzero((cube.centers_nm >= lo) & (cube.centers_nm <= hi))
+    if window.size:
         # banding path: only instruments carrying the atmospheric-absorption
         # window bands see the low-frequency banding pattern
-        profile = out[:, :, b0:b1 + 1].mean(axis=(1, 2))
+        profile = out[:, :, window[0]:window[-1] + 1].mean(axis=(1, 2))
         out -= (profile - profile.mean())[:, None, None]
     return cube.with_data(out)
 
@@ -273,11 +274,10 @@ def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
     h = tap_count // 2
     entries = []
     for cube, (l0, s0) in point_cubes:
-        data = cube.data.astype(np.float64)
-        lines, samples = data.shape[0], data.shape[1]
+        lines, samples = cube.lines, cube.samples
         if not (h <= l0 < lines - h):
             raise EstimationError("point source too close to the strip edge")
-        col = data[:, s0, band]
+        col = cube.data[:, s0, band].astype(np.float64)
         window = col[l0 - h:l0 + h + 1].copy()
         bg_idx = np.r_[0:max(l0 - 2 * h, 1), min(l0 + 2 * h, lines - 1):lines]
         background = np.median(col[bg_idx])
@@ -320,7 +320,7 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
     identity kernel passes data through unchanged and flux is conserved.
     """
     steering_deg = np.asarray(steering_deg, dtype=np.float64)
-    data = cube.data.astype(np.float64)
+    data = np.asarray(cube.data, dtype=np.float64)
     lines, samples, bands = data.shape
     if steering_deg.shape[0] != lines:
         raise EstimationError("steering profile length must equal cube lines")

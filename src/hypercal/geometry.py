@@ -83,7 +83,6 @@ class GeoModel:
     roll: np.ndarray
     pitch: np.ndarray
     yaw: np.ndarray
-    steering_deg: np.ndarray
     mounting: tuple = (0.0, 0.0, 0.0)
     bias: BoresightBias = field(default_factory=BoresightBias)
 
@@ -93,7 +92,7 @@ class GeoModel:
         if self.samples < 2:
             raise ConfigError("strip must have at least 2 samples")
         n = self.track_along_m.shape[0]
-        for name in ("track_across_m", "roll", "pitch", "yaw", "steering_deg"):
+        for name in ("track_across_m", "roll", "pitch", "yaw"):
             if getattr(self, name).shape[0] != n:
                 raise ConfigError(
                     "attitude/track series must all cover the strip lines")
@@ -114,14 +113,12 @@ class GeoModel:
         return dataclasses.replace(self, bias=bias)
 
 
-def make_geo(lines: int, samples: int, altitude_m: float = DEFAULT_ALTITUDE_M,
-             gsd_m: float = DEFAULT_GSD_M, roll=0.0, pitch=0.0, yaw=0.0,
-             steering_deg=0.0, mounting=(0.0, 0.0, 0.0),
-             bias: BoresightBias | None = None,
+def make_geo(lines: int, samples: int, roll=0.0, pitch=0.0, yaw=0.0,
              track_start_north: float = 0.0,
              track_across: float = 0.0) -> GeoModel:
-    """Build a straight-track geometry: the satellite advances one GSD of
-    along-track (north) distance per line at constant across-track offset."""
+    """Build a straight-track geometry at DEFAULT_ALTITUDE_M: the satellite
+    advances one DEFAULT_GSD_M of along-track (north) distance per line at
+    constant across-track offset."""
 
     def series(v):
         arr = np.asarray(v, dtype=np.float64)
@@ -131,14 +128,12 @@ def make_geo(lines: int, samples: int, altitude_m: float = DEFAULT_ALTITUDE_M,
             raise ConfigError("attitude series must be scalar or one per line")
         return arr
 
-    along = track_start_north + gsd_m * np.arange(lines, dtype=np.float64)
+    along = track_start_north + DEFAULT_GSD_M * np.arange(lines, dtype=float)
     return GeoModel(
-        altitude_m=float(altitude_m), gsd_m=float(gsd_m), samples=int(samples),
-        track_along_m=along,
+        altitude_m=DEFAULT_ALTITUDE_M, gsd_m=DEFAULT_GSD_M,
+        samples=int(samples), track_along_m=along,
         track_across_m=np.full(lines, float(track_across)),
-        roll=series(roll), pitch=series(pitch), yaw=series(yaw),
-        steering_deg=series(steering_deg), mounting=tuple(mounting),
-        bias=bias if bias is not None else BoresightBias())
+        roll=series(roll), pitch=series(pitch), yaw=series(yaw))
 
 
 def _los(geo: GeoModel, line, sample):

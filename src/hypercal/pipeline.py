@@ -83,6 +83,14 @@ class Stage:
     provides: tuple = ()
 
 
+def _finite(value) -> float:
+    """``float``, rejecting NaN and the infinities that JSON lets through."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite number, not {value!r}")
+    return value
+
+
 def _bounded(convert, lo, above=False):
     """``convert``, then require a value >= ``lo`` (> ``lo`` if ``above``)."""
     def check(value):
@@ -118,11 +126,13 @@ def _components(value) -> list:
                 raise ConfigError(f"[{j}].{key}: unknown key")
             if key not in comp:
                 raise ConfigError(f"[{j}].{key}: missing")
-        try:
-            comps.append(dict(comp, **{k: float(comp[k]) for k in comp
-                                       if k != "kind"}))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"[{j}]: {exc}") from None
+        comp = dict(comp)
+        for key in [k for k in comp if k != "kind"]:
+            try:
+                comp[key] = _finite(comp[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"[{j}].{key}: {exc}") from None
+        comps.append(comp)
     return comps
 
 
@@ -203,9 +213,8 @@ def load_config(path: str) -> PipelineConfig:
     return validate_config(doc)
 
 
-def default_config(preset: str = "vnir", seed: int = 0,
-                   out: str = "out") -> PipelineConfig:
-    """Full-chain configuration at desk scale."""
+def default_config(preset: str = "vnir") -> PipelineConfig:
+    """Full-chain configuration at desk scale, seed 0, written to ``out``."""
     stages = [
         {"name": "simulate", "scene": "library-bars", "lines": 256,
          "samples": 256, "smile_nm": 4.17, "keystone_px": 1.5,
@@ -221,8 +230,7 @@ def default_config(preset: str = "vnir", seed: int = 0,
     ]
     if preset == "dual":
         stages.insert(-1, {"name": "bundle"})
-    doc = {"preset": preset, "seed": seed, "out": out, "stages": stages}
-    return validate_config(doc)
+    return validate_config({"preset": preset, "stages": stages})
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -303,11 +311,10 @@ def _stage_caldark(state, p, out: Path, cfg: PipelineConfig):
         dark = radiometry.fit_dark_swir(darks, t_ref_k=sensor.t_ref_k)
     else:
         frame = sim.render_dark(sensor, lines, sensor.t_ref_k, seed=seed + 11)
-        data = frame.data.astype(np.float64)
-        level = data.mean(axis=0).T
+        level = frame.data.mean(axis=0, dtype=np.float64).T
         dark = radiometry.DarkModel(
             level, np.zeros_like(level), sensor.t_ref_k, "vnir",
-            float(data.std(axis=0).mean()))
+            float(frame.data.std(axis=0, dtype=np.float64).mean()))
     state["dark"] = dark
     if p["save"]:
         dark.save(out / "dark.bin")
@@ -324,8 +331,7 @@ def _stage_flatfield(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     band = min(30, cube.bands - 1)
     sphere = sim.render_sphere(sensor, 60.0, 64, seed=cfg.seed + 41)
-    nu_before = radiometry.nonuniformity(
-        sphere.data[:, :, band].astype(np.float64))
+    nu_before = radiometry.nonuniformity(sphere.data[:, :, band])
     corrected, _, _ = radiometry.apply_flatfield(sphere, table, state["dark"])
     nu_after = radiometry.nonuniformity(corrected.data[:, :, band])
     rad, _, clamped = radiometry.apply_flatfield(cube, table, state["dark"])
@@ -362,7 +368,7 @@ def _stage_interference(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     detected = anomalies.detect_interference(cube, p["snr_threshold"])
     cleaned = anomalies.remove_interference(cube, [f for f, _ in detected])
-    mean_shift = abs(cleaned.data.mean() - cube.data.astype(np.float64).mean())
+    mean_shift = abs(cleaned.data.mean() - cube.data.mean(dtype=np.float64))
     state["cube"] = cleaned
     metrics = {"components_detected": len(detected), "mean_shift": mean_shift}
     for i, (freq, amp) in enumerate(detected):
@@ -419,7 +425,7 @@ def _stage_smile(state, p, out: Path, cfg: PipelineConfig):
 
 def _stage_absolute_shift(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
-    mean_spectrum = cube.data.astype(np.float64).mean(axis=(0, 1))
+    mean_spectrum = cube.data.mean(axis=(0, 1), dtype=np.float64)
     delta, per_line = spectral.absolute_shift(
         mean_spectrum, cube.centers_nm, search_nm=p["search_nm"])
     try:
@@ -570,7 +576,7 @@ def _stage_report(state, p, out: Path, cfg: PipelineConfig):
         if not 0 <= b < cube.bands:
             raise ConfigError(f"preview band {b} outside the cube")
         name = f"preview_band{b:03d}.pgm"
-        write_pgm(out / name, cube.data[:, :, b].astype(np.float64))
+        write_pgm(out / name, cube.data[:, :, b])
         # relative to the output directory, so the summary does not
         # depend on where the run was written
         state["report"].previews.append(name)
@@ -585,30 +591,30 @@ def _stage_report(state, p, out: Path, cfg: PipelineConfig):
 STAGES = {stage.name: stage for stage in (
     Stage("simulate", _stage_simulate, {
         "scene": (str, "library-bars"), "lines": (_COUNT, 256),
-        "samples": (_COUNT, 256), "level": (float, 100.0),
-        "bands": (_optional(_COUNT), None), "smile_nm": (float, 0.0),
-        "center_error_nm": (float, 0.0), "keystone_px": (float, 0.0),
-        "prnu_spread": (float, 0.0), "read_noise_dn": (float, 2.0),
+        "samples": (_COUNT, 256), "level": (_finite, 100.0),
+        "bands": (_optional(_COUNT), None), "smile_nm": (_finite, 0.0),
+        "center_error_nm": (_finite, 0.0), "keystone_px": (_finite, 0.0),
+        "prnu_spread": (_finite, 0.0), "read_noise_dn": (_finite, 2.0),
         "interference": (_components, ()), "bunch": (bool, False),
         "stray": (bool, False), "noise": (bool, True),
-        "temperature_k": (_optional(float), None), "save": _SAVE},
+        "temperature_k": (_optional(_finite), None), "save": _SAVE},
         provides=("cube", "sensor", "manifest", "scene", "steering",
                   "clusters_true")),
     Stage("caldark", _stage_caldark, {
         "lines": (int, 400), "save": _SAVE,
-        "temperatures": (_each(float), (283.0, 293.0, 303.0))},
+        "temperatures": (_each(_finite), (283.0, 293.0, 303.0))},
         needs=("sensor",), provides=("dark",)),
     Stage("flat-field", _stage_flatfield, {
-        "levels": (_each(float), (0.5, 2.0, 30.0, 60.0, 90.0)),
+        "levels": (_each(_finite), (0.5, 2.0, 30.0, 60.0, 90.0)),
         "frames": (int, 200), "save": _SAVE},
         needs=("cube", "sensor", "dark"),
         provides=("cube", "flatfield")),
-    Stage("bunch", _stage_bunch, {"mad_k": (float, anomalies.BUNCH_MAD_K)},
+    Stage("bunch", _stage_bunch, {"mad_k": (_finite, anomalies.BUNCH_MAD_K)},
           after=("flat-field",), needs=("cube", "sensor", "flatfield", "dark",
                                         "clusters_true", "steering"),
           provides=("cube",)),
     Stage("interference", _stage_interference,
-          {"snr_threshold": (float, anomalies.INTERFERENCE_SNR)},
+          {"snr_threshold": (_finite, anomalies.INTERFERENCE_SNR)},
           after=("flat-field",), needs=("cube",), provides=("cube",)),
     Stage("stray", _stage_stray, {"tap_count": (int, 31), "save": _SAVE},
           after=("flat-field",), needs=("cube", "sensor", "steering"),
@@ -618,7 +624,7 @@ STAGES = {stage.name: stage for stage in (
         "stride": (_optional(_bounded(operator.index, 1)), None)},
         needs=("cube",), provides=("cube", "smile_model")),
     Stage("absolute-shift", _stage_absolute_shift,
-          {"search_nm": (float, 15.0)},
+          {"search_nm": (_finite, 15.0)},
           after=("smile",), needs=("cube",), provides=("cube",)),
     Stage("keystone", _stage_keystone, {
         "ref_band": (int, spectral.KEYSTONE_REF_BAND),
@@ -626,15 +632,15 @@ STAGES = {stage.name: stage for stage in (
         needs=("cube",), provides=("cube", "keystone_model")),
     Stage("geocal", _stage_geocal, {
         "strips": (int, 8), "gcps_per_strip": (int, 25),
-        "noise_m": (_bounded(float, 0), 0.0), "roll_km": (float, 3.5),
-        "pitch_km": (float, 2.0), "save": _SAVE},
+        "noise_m": (_bounded(_finite, 0), 0.0), "roll_km": (_finite, 3.5),
+        "pitch_km": (_finite, 2.0), "save": _SAVE},
         needs=("cube",), provides=("boresight",)),
     Stage("ortho", _stage_ortho, {
-        "cell_m": (_bounded(float, 0, above=True), geometry.DEFAULT_GSD_M),
+        "cell_m": (_bounded(_finite, 0, above=True), geometry.DEFAULT_GSD_M),
         "margin_cells": (int, 4), "save": _SAVE},
         needs=("cube",), provides=("cube", "geo", "grid", "ortho_valid")),
     Stage("bundle", _stage_bundle, {
-        "offset_px": (float, 0.8), "patch": (_optional(int), None),
+        "offset_px": (_finite, 0.8), "patch": (_optional(int), None),
         "save": _SAVE},
         after=("ortho",), needs=("cube", "sensor", "scene", "geo", "grid"),
         provides=("cube",)),

@@ -116,17 +116,22 @@ class DarkModel:
     @classmethod
     def load(cls, path) -> "DarkModel":
         hdr, arrays = _read_arrays(path)
-        if "t_ref_k" not in hdr:
-            raise CubeFormatError(f"garbled header of {path}: no 't_ref_k'")
+        numbers = {}
+        for key, default in (("t_ref_k", None), ("stability_dn", 0.0)):
+            try:
+                numbers[key] = float(hdr.get(key, default))
+            except (TypeError, ValueError):
+                raise CubeFormatError(f"garbled header of {path}: "
+                                      f"no number in {key!r}") from None
         return cls(arrays["dark_dn"], arrays["slope_dn_per_k"],
-                   float(hdr["t_ref_k"]), hdr.get("instrument", "vnir"),
-                   float(hdr.get("stability_dn", 0.0)))
+                   numbers["t_ref_k"], hdr.get("instrument", "vnir"),
+                   numbers["stability_dn"])
 
     @classmethod
-    def constant(cls, dark: np.ndarray, instrument: str = "vnir",
-                 t_ref_k: float = 293.0) -> "DarkModel":
+    def constant(cls, dark: np.ndarray) -> "DarkModel":
+        """A VNIR model with no temperature slope, referenced to 293 K."""
         dark = np.asarray(dark, dtype=np.float64)
-        return cls(dark, np.zeros_like(dark), t_ref_k, instrument)
+        return cls(dark, np.zeros_like(dark), 293.0)
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ class VicariousResult:
 # ---------------------------------------------------------------------------
 # flat-field
 
-def fit_flatfield(levels, epoch: str = "t0") -> FlatFieldTable:
+def fit_flatfield(levels) -> FlatFieldTable:
     """Least-squares light-transfer fit DN = a*L + b per pixel.
 
     ``levels`` is a list of (radiance level, sphere cube) pairs covering at
@@ -160,7 +165,7 @@ def fit_flatfield(levels, epoch: str = "t0") -> FlatFieldTable:
     if any(c.data.shape != shape for c in cubes):
         raise EstimationError("sphere cubes must share dimensions")
     # per-pixel mean over lines at each level: (n_levels, S, B)
-    means = np.stack([c.data.astype(np.float64).mean(axis=0) for c in cubes])
+    means = np.stack([c.data.mean(axis=0, dtype=np.float64) for c in cubes])
     x = lv[:, None, None]
     xm = lv.mean()
     ym = means.mean(axis=0)
@@ -174,8 +179,7 @@ def fit_flatfield(levels, epoch: str = "t0") -> FlatFieldTable:
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 0.0)
         gain = np.where(a > 0, 1.0 / a, np.nan)
-    return FlatFieldTable(gain.T.copy(), b.T.copy(), r2.T.copy(),
-                          provenance="lab", epoch=epoch)
+    return FlatFieldTable(gain.T.copy(), b.T.copy(), r2.T.copy())
 
 
 def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
@@ -217,8 +221,7 @@ def nonuniformity(frame: np.ndarray) -> float:
     return float(100.0 * cols.std() / abs(m))
 
 
-def update_flatfield_inorbit(scenes, old: FlatFieldTable,
-                             epoch: str = "update") -> FlatFieldTable:
+def update_flatfield_inorbit(scenes, old: FlatFieldTable) -> FlatFieldTable:
     """Refine flat-field gains from uniform in-orbit radiance scenes.
 
     Per band, each scene contributes a relative response estimate
@@ -234,7 +237,7 @@ def update_flatfield_inorbit(scenes, old: FlatFieldTable,
     for cube in scenes:
         if cube.data.shape[1:] != (samples, bands):
             raise EstimationError("scene dimensions do not match table")
-        prof = cube.data.astype(np.float64).mean(axis=0).T   # (B, S)
+        prof = cube.data.mean(axis=0, dtype=np.float64).T    # (B, S)
         level = prof.mean(axis=1)                            # (B,)
         usable = level > 1e-12
         ratio = np.ones_like(prof)
@@ -246,7 +249,7 @@ def update_flatfield_inorbit(scenes, old: FlatFieldTable,
     correction[updated] = num[updated] / den[updated, None]
     gain = old.gain / correction
     return FlatFieldTable(gain, old.offset.copy(), old.r_squared.copy(),
-                          provenance="in-orbit-update", epoch=epoch)
+                          provenance="in-orbit-update", epoch="update")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,7 @@ def fit_dark_swir(darks, t_ref_k: float = 293.0,
     temps = np.array([float(t) for t, _ in darks])
     if np.unique(temps).size < 2:
         raise EstimationError("dark temperatures are degenerate")
-    means = np.stack([c.data.astype(np.float64).mean(axis=0).T
+    means = np.stack([c.data.mean(axis=0, dtype=np.float64).T
                       for _, c in darks])                 # (n, B, S)
     t = temps - t_ref_k
     tm = t.mean()
@@ -296,7 +299,7 @@ def fit_dark_swir(darks, t_ref_k: float = 293.0,
 # ---------------------------------------------------------------------------
 # SNR
 
-def snr(cube: SpectralCube, saturation_dn: float = DN_MAX):
+def snr(cube: SpectralCube):
     """Temporal SNR from repeated uniform frames (lines act as repeats).
 
     Returns ``(band_snr, low_signal)``: per-(band, sample) SNR is temporal
@@ -305,10 +308,10 @@ def snr(cube: SpectralCube, saturation_dn: float = DN_MAX):
     is within the noise floor are flagged low-signal."""
     if cube.lines < 50:
         raise EstimationError("SNR needs >= 50 repeated frames")
-    data = cube.data.astype(np.float64)
-    mean = data.mean(axis=0)            # (S, B)
-    std = data.std(axis=0)
-    sat = (data >= saturation_dn).any(axis=0)
+    data = cube.data
+    mean = data.mean(axis=0, dtype=np.float64)      # (S, B)
+    std = data.std(axis=0, dtype=np.float64)
+    sat = (data >= DN_MAX).any(axis=0)
     if sat.all(axis=0).any():
         raise EstimationError("a band is saturated in every sample")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -324,17 +327,16 @@ def snr(cube: SpectralCube, saturation_dn: float = DN_MAX):
 # ---------------------------------------------------------------------------
 # vicarious calibration
 
-def vicarious_gains(measured: np.ndarray, reference: np.ndarray,
-                    bad_threshold_pct: float = BAD_BAND_DEVIATION_PCT
-                    ) -> VicariousResult:
+def vicarious_gains(measured: np.ndarray,
+                    reference: np.ndarray) -> VicariousResult:
     """Per-band gain refinement from target spectra.
 
     ``measured`` and ``reference`` are (targets, bands) radiance arrays for
     the same ground targets.  The multiplier is the median over targets of
     reference/measured; deviations are mean absolute percentage errors
     before and after applying it.  Bands whose post-calibration deviation
-    exceeds the threshold are flagged bad; bands with zero reference are
-    skipped (NaN multiplier, flagged)."""
+    exceeds BAD_BAND_DEVIATION_PCT are flagged bad; bands with zero
+    reference are skipped (NaN multiplier, flagged)."""
     measured = np.asarray(measured, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if measured.shape != reference.shape or measured.ndim != 2:
@@ -357,5 +359,5 @@ def vicarious_gains(measured: np.ndarray, reference: np.ndarray,
         mult[b] = m
         pre[b] = float(np.mean(100.0 * np.abs(mea[ok] - ref[ok]) / ref[ok]))
         dev[b] = float(np.mean(100.0 * np.abs(m * mea[ok] - ref[ok]) / ref[ok]))
-        bad[b] = dev[b] > bad_threshold_pct
+        bad[b] = dev[b] > BAD_BAND_DEVIATION_PCT
     return VicariousResult(mult, dev, pre, bad)

@@ -70,22 +70,13 @@ class Scene:
         return self.spatial[line, sample] * np.interp(wl, self.wavelengths, spec)
 
 
-def _dip_spectrum(grid: np.ndarray, level: float, lines_nm, depth: float,
-                  width_nm: float, tilt: float) -> np.ndarray:
-    cont = level * (1.0 + tilt * (grid - grid.mean()) / (grid[-1] - grid[0]))
-    dips = np.ones_like(grid)
-    for wl in lines_nm:
-        dips *= 1.0 - depth * np.exp(-0.5 * ((grid - wl) / width_nm) ** 2)
-    return cont * dips
-
-
 def synth_scene(kind: str, lines: int = 256, samples: int = 256,
                 level: float = 100.0, **kw) -> Scene:
     """Build a synthetic scene.
 
     Kinds: ``uniform``, ``bar-target`` (period, contrast), ``point-source``
     (points, background), ``checkerboard`` (block, contrast),
-    ``spectral-library`` (dip_depth, dip_width_nm, tilt).  Spectral-library
+    ``spectral-library`` (dip_depth).  Spectral-library
     scenes embed Gaussian absorption dips at the built-in O2/H2O/CO2 lines.
     """
     if level < 0:
@@ -119,12 +110,16 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
             spatial[int(pl), int(ps)] = amplitude
         spectra = flat
     elif kind == "spectral-library":
+        # a continuum tilted by 0.3 of the level across the grid, with a
+        # 7 nm Gaussian dip at each library line
         depth = float(kw.get("dip_depth", 0.4))
-        width = float(kw.get("dip_width_nm", 7.0))
-        tilt = float(kw.get("tilt", 0.3))
-        spectra = _dip_spectrum(grid, level,
-                                [ln.nominal_nm for ln in ABSORPTION_LINES],
-                                depth, width, tilt)[None, :]
+        span = grid[-1] - grid[0]
+        cont = level * (1.0 + 0.3 * (grid - grid.mean()) / span)
+        dips = np.ones_like(grid)
+        for line in ABSORPTION_LINES:
+            dips *= 1.0 - depth * np.exp(
+                -0.5 * ((grid - line.nominal_nm) / 7.0) ** 2)
+        spectra = (cont * dips)[None, :]
     else:
         raise HypercalError(f"unknown scene kind {kind!r}")
     return Scene(kind=kind, wavelengths=grid, spectra=np.asarray(spectra),
@@ -166,10 +161,10 @@ def random_prnu(bands: int, samples: int, spread: float, seed: int = 7) -> np.nd
     return np.clip(g, 0.05, None)
 
 
-def linear_steering(lines: int, start_deg: float = 2.0,
-                    end_deg: float = -2.0) -> np.ndarray:
-    """Default per-line platform steering profile (step-and-stare sweep)."""
-    return np.linspace(start_deg, end_deg, lines)
+def linear_steering(lines: int) -> np.ndarray:
+    """Per-line platform steering profile: a step-and-stare sweep from 2
+    to -2 degrees."""
+    return np.linspace(2.0, -2.0, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +207,10 @@ class BunchCluster:
 
 
 def make_bunch_clusters(bands, start_samples, max_len: int = 15,
-                        amplitude: float = 0.8, seed: int = 3) -> tuple:
+                        seed: int = 3) -> tuple:
     """Clusters at the given swath locations for each listed band, with
-    nonlinear multiplier profiles and lengths up to ``max_len``."""
+    nonlinear multiplier profiles peaking near 1.8 and lengths up to
+    ``max_len``."""
     rng = np.random.default_rng(seed)
     clusters = []
     for b in bands:
@@ -222,7 +218,7 @@ def make_bunch_clusters(bands, start_samples, max_len: int = 15,
             length = int(rng.integers(1, max_len + 1)) if j else max_len
             i = np.arange(length)
             bump = 0.3 + 0.7 * np.exp(-((i - length / 2.0) / (length / 2.0 + 0.5)) ** 2)
-            profile = tuple(1.0 + amplitude * bump)
+            profile = tuple(1.0 + 0.8 * bump)
             clusters.append(BunchCluster(int(b), int(s0), length, profile))
     return tuple(clusters)
 
@@ -361,14 +357,16 @@ def default_centers(instrument: str, bands: int) -> np.ndarray:
 
 
 def make_sensor(instrument: str = "vnir", samples: int = 256,
-                bands: int | None = None, *, fwhm_nm: float | None = None,
-                smile_nm=None, center_error_nm: float = 0.0, keystone_px=None,
+                bands: int | None = None, *, smile_nm=0.0,
+                center_error_nm: float = 0.0, keystone_px=0.0,
                 prnu=None, prnu_spread: float = 0.0, dark_dn=64.0,
                 dark_temp_slope: float = 0.0, t_ref_k: float = 293.0,
                 read_noise_dn: float = 2.0, photon_noise_k: float = 0.0,
-                sat_radiance=140.0, gain_dn_per_radiance=30.0,
-                gain_error=None, masked_channels=(), seed: int = 7) -> SensorModel:
+                sat_radiance=140.0, gain_error=None, masked_channels=(),
+                seed: int = 7) -> SensorModel:
     """Assemble a sensor; scalar parameters are broadcast per (band, sample).
+    Bands are 9.24 nm wide for VNIR and 5.87 nm for SWIR, with a DN gain of
+    30 per radiance unit.
 
     ``gain_error`` multiplies the per-band DN gain (used to inject the
     miscalibration that vicarious calibration recovers)."""
@@ -377,14 +375,10 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
     if bands is None:
         bands = 60 if instrument == "vnir" else 256
     centers = default_centers(instrument, bands)
-    if fwhm_nm is None:
-        fwhm_nm = 9.24 if instrument == "vnir" else 5.87
-    fwhm = np.full(bands, float(fwhm_nm))
+    fwhm = np.full(bands, 9.24 if instrument == "vnir" else 5.87)
     shape = (bands, samples)
 
-    def _field(value, default=0.0):
-        if value is None:
-            value = default
+    def _field(value):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             return np.full(shape, float(arr))
@@ -393,7 +387,7 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
     if prnu is None:
         prnu = random_prnu(bands, samples, prnu_spread, seed) \
             if prnu_spread > 0 else np.ones(shape)
-    gain = _field(gain_dn_per_radiance)
+    gain = np.full(shape, 30.0)
     if gain_error is not None:
         gain = gain * np.broadcast_to(
             np.asarray(gain_error, dtype=np.float64)[:, None], shape)

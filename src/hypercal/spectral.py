@@ -209,7 +209,7 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
     with confidence weights, then fit linear-vs-quadratic in sample
     position.  The model is anchored to exactly 0 at the center column.
     """
-    spectra = cube.data.astype(np.float64).mean(axis=0)   # (samples, bands)
+    spectra = cube.data.mean(axis=0, dtype=np.float64)    # (samples, bands)
     samples, bands = spectra.shape
     if bands < window:
         raise EstimationError("fewer bands than the correlation window")
@@ -283,7 +283,7 @@ def correct_smile(cube: SpectralCube, model: SmileModel):
 # absolute wavelength shift
 
 def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
-                   lines=ABSORPTION_LINES, search_nm: float = 15.0):
+                   search_nm: float = 15.0):
     """Absolute wavelength offset from atmospheric absorption dips.
 
     Each library line inside the band range is located by fitting a
@@ -300,7 +300,7 @@ def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
     if np.any(spectrum <= 0):
         raise EstimationError("non-positive radiance in dip search")
     per_line = {}
-    for line in lines:
+    for line in ABSORPTION_LINES:
         lo = line.nominal_nm - search_nm
         hi = line.nominal_nm + search_nm
         idx = np.flatnonzero((centers >= lo - 1e-9) & (centers <= hi + 1e-9))
@@ -381,8 +381,7 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
     KEYSTONE_MIN_CONFIDENCE (blurred or contaminated imagery), the estimate
     is refused.
     """
-    data = cube.data.astype(np.float64)
-    profiles = data.mean(axis=0).T            # (bands, samples)
+    profiles = cube.data.mean(axis=0, dtype=np.float64).T   # (bands, samples)
     bands, samples = profiles.shape
     if not 0 <= ref_band < bands:
         raise EstimationError("reference band outside cube")

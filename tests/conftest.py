@@ -1,5 +1,7 @@
 """Shared builders for closed-loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,14 @@ def stray_point_grid(sensor, spec, steering, band, seed=70, amplitude=1.0,
                                  seed=seed, steering_deg=steering)
         cubes.append((cube, (l0, s0)))
     return cubes
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak

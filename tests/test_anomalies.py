@@ -11,7 +11,8 @@ from hypercal import simulate as sim
 from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 
-from conftest import quiet_sensor, stray_point_grid, uniform_band_meta
+from conftest import (quiet_sensor, stray_point_grid, traced_peak,
+                      uniform_band_meta)
 
 
 def _flatfield(cube, sensor):
@@ -19,6 +20,13 @@ def _flatfield(cube, sensor):
     rad = (cube.data.astype(np.float64) - sensor.dark_dn.T[None]) \
         / (sensor.gain_dn_per_radiance * sensor.prnu).T[None]
     return cube.with_data(rad, pixel_kind="radiance")
+
+
+def _float64_cube():
+    """Random 256x128x60 radiance cube, for allocation checks."""
+    rng = np.random.default_rng(0)
+    return SpectralCube(rng.normal(100.0, 5.0, (256, 128, 60)), "radiance",
+                        uniform_band_meta(60, "vnir"))
 
 
 def _flagged_columns(clusters):
@@ -340,6 +348,28 @@ class TestInterference:
         change = np.abs(fixed.data.astype(float) - cube.data.astype(float))
         assert change.mean() < 0.001 * cube.data.mean()
 
+    def test_banding_window_chosen_by_wavelength(self):
+        # on 200 SWIR bands the 1.9 um window is bands 125-133
+        # (1886-1953 nm), not the 256-band grid's 160-170
+        lines, window = 128, slice(125, 134)
+        ramp = np.linspace(-1.0, 1.0, lines)
+        data = np.zeros((lines, 16, 200))
+        data[:, :, window] = ramp[:, None, None]
+        fixed = ano.remove_interference(
+            SpectralCube(data, "radiance", uniform_band_meta(200, "swir")), [])
+        assert np.allclose(fixed.data[:, :, 0], -ramp[:, None], atol=1e-9)
+        assert np.abs(fixed.data[:, :, window]).max() < 1e-9
+
+    def test_detection_reads_the_cube_in_place(self):
+        cube = _float64_cube()
+        peak = traced_peak(lambda: ano.detect_interference(cube))
+        assert peak < 0.5 * cube.data.nbytes
+
+    def test_removal_holds_only_spectrum_and_output(self):
+        cube = _float64_cube()
+        peak = traced_peak(lambda: ano.remove_interference(cube, [0.23]))
+        assert peak < 2.5 * cube.data.nbytes
+
     def test_dc_notch_rejected(self):
         cube = self._cube(lines=256)
         with pytest.raises(EstimationError):
@@ -386,6 +416,16 @@ class TestStrayLight:
         fixed = ano.correct_stray(cube, identity, np.zeros(128))
         rms = np.sqrt(np.mean((fixed.data - cube.data) ** 2))
         assert rms < 1e-9
+
+    def test_correction_holds_no_input_copy(self):
+        cube = _float64_cube()
+        taps = np.zeros((3, 3, 31))
+        taps[:, :, 15], taps[:, :, 16] = 0.9, 0.1
+        model = ano.StrayPSFModel(np.array([-2.0, 0.0, 2.0]),
+                                  np.array([0.1, 0.5, 0.9]), taps)
+        peak = traced_peak(lambda: ano.correct_stray(
+            cube, model, sim.linear_steering(cube.lines)))
+        assert peak < 2.0 * cube.data.nbytes
 
     def test_point_extent_reduced_from_fifteen(self):
         sensor = self._sensor()

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,29 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         where = 0 if stage == "simulate" else 1
         assert f"stages[{where}].{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage, key, token, path", [
+        ("simulate", "smile_nm", "NaN", "smile_nm"),
+        ("simulate", "level", "Infinity", "level"),
+        ("simulate", "temperature_k", "NaN", "temperature_k"),
+        ("simulate", "interference",
+         '[{"frequency": 0.1, "amplitude_dn": NaN}]',
+         "interference[0].amplitude_dn"),
+        ("flat-field", "levels", "[NaN, 1, 2]", "levels"),
+        ("ortho", "cell_m", "1e999", "cell_m"),
+    ])
+    def test_non_finite_number_returns_two_with_path(self, tmp_path, capsys,
+                                                     stage, key, token, path):
+        stages = [dict(SIM_SMALL)]
+        if stage != "simulate":
+            stages.append({"name": stage})
+        stages[-1][key] = "@"
+        cfg = Path(_write_config(tmp_path, stages))
+        cfg.write_text(cfg.read_text().replace('"@"', token))
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        where = len(stages) - 1
+        assert f"stages[{where}].{path}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unhashable_stage_name_returns_two(self, tmp_path, capsys):

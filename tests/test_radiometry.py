@@ -198,6 +198,16 @@ class TestDarkModels:
         with pytest.raises(CubeFormatError, match=f"'{key}'"):
             rad.DarkModel.load(tmp_path / "d.bin")
 
+    @pytest.mark.parametrize("key", ["t_ref_k", "stability_dn"])
+    def test_sidecar_non_numeric_field_rejected(self, tmp_path, key):
+        rad.DarkModel.constant(np.full((2, 3), 64.0)).save(tmp_path / "d.bin")
+        hdr = tmp_path / "d.hdr"
+        lines = [f"{key} = warm\n" if line.startswith(key) else line
+                 for line in hdr.read_text().splitlines(True)]
+        hdr.write_text("".join(lines))
+        with pytest.raises(CubeFormatError, match=f"'{key}'"):
+            rad.DarkModel.load(tmp_path / "d.bin")
+
 
 class TestSNR:
     def test_read_noise_limited_snr_matches_oracle(self):

@@ -11,7 +11,7 @@ from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 from hypercal.registration import shift_1d, shift_signal
 
-from conftest import quiet_sensor
+from conftest import quiet_sensor, traced_peak
 
 
 def render_radiance(scene, sensor, seed=0, artifacts=None, steering=None):
@@ -259,6 +259,14 @@ class TestKeystone:
         steering = sim.linear_steering(256) if stray is not None else None
         return render_radiance(scene, sensor, seed=seed, artifacts=art,
                                steering=steering), sensor
+
+    def test_estimation_reads_the_cube_in_place(self):
+        sensor = quiet_sensor("vnir", samples=256, bands=60)
+        scene = sim.synth_scene("bar-target", 64, 256, period=8,
+                                contrast=0.2)
+        cube = render_radiance(scene, sensor)
+        peak = traced_peak(lambda: spectral.estimate_keystone(cube))
+        assert peak < 1.0 * cube.data.nbytes
 
     def test_injected_keystone_recovered(self):
         cube, sensor = self._bar_cube(1.5)
