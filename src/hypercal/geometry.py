@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, EstimationError
 from .cube import SpectralCube, _parse_header, write_header
@@ -35,6 +34,9 @@ DEFAULT_ALTITUDE_M = 630_000.0
 DEFAULT_GSD_M = 30.0
 YAW_BOUND_RAD = np.deg2rad(0.05)
 BORESIGHT_RESTARTS = 4         # Nelder-Mead restarts after the first run
+NM_FATOL = 1e-4                # Nelder-Mead stop: spread of simplex values
+NM_XATOL = 1e-9                # ... and of simplex vertices (rad)
+NM_MAX_ITER = 2000             # Nelder-Mead iteration cap (counted from 1)
 INVERT_MAX_ITER = 20           # fixed-point steps of the inverse mapping
 INVERT_TOL_PX = 0.01           # inverse-mapping convergence, both axes
 OFFSET_MIN_CONFIDENCE = 0.02   # patch correlations below this are dropped
@@ -136,19 +138,21 @@ def make_geo(lines: int, samples: int, roll=0.0, pitch=0.0, yaw=0.0,
         roll=series(roll), pitch=series(pitch), yaw=series(yaw))
 
 
-def _los(geo: GeoModel, line, sample):
-    """Unit-free line-of-sight components (east, north, down) per input."""
-    line = np.asarray(line, dtype=np.float64)
-    sample = np.asarray(sample, dtype=np.float64)
+def _attitude(geo: GeoModel, line):
+    """Roll, pitch and yaw (rad) at fractional ``line``: the interpolated
+    attitude series plus the mounting angles, without the boresight bias."""
     idx = np.arange(geo.lines, dtype=np.float64)
-    roll = np.interp(line, idx, geo.roll) + geo.mounting[0] + geo.bias.droll
-    pitch = np.interp(line, idx, geo.pitch) + geo.mounting[1] + geo.bias.dpitch
-    yaw = np.interp(line, idx, geo.yaw) + geo.mounting[2] + geo.bias.dyaw
-    look = geo.look_angle(sample)
+    return tuple(np.interp(line, idx, series) + mount for series, mount in
+                 zip((geo.roll, geo.pitch, geo.yaw), geo.mounting))
+
+
+def _ray(sin_look, cos_look, roll, pitch, yaw):
+    """Unit-free line-of-sight components (east, north, down) of the ray at
+    a look angle, given its sine and cosine, under an attitude."""
     # instrument-frame ray: across-track fan, z pointing down
-    vx = np.sin(look)
+    vx = sin_look
     vy = np.zeros_like(vx)
-    vz = np.cos(look)
+    vz = cos_look
     # roll about the along-track axis moves the footprint across track
     cr, sr = np.cos(roll), np.sin(roll)
     vx, vz = vx * cr + vz * sr, -vx * sr + vz * cr
@@ -158,6 +162,8 @@ def _los(geo: GeoModel, line, sample):
     # yaw rotates the ground-plane components
     cy, sy = np.cos(yaw), np.sin(yaw)
     vx, vy = vx * cy - vy * sy, vx * sy + vy * cy
+    if np.any(vz <= 1e-9):
+        raise EstimationError("line of sight does not intersect the ground")
     return vx, vy, vz
 
 
@@ -170,9 +176,11 @@ def geolocate(geo: GeoModel, line, sample, height=0.0):
     line = np.asarray(line, dtype=np.float64)
     sample = np.asarray(sample, dtype=np.float64)
     height = np.asarray(height, dtype=np.float64)
-    vx, vy, vz = _los(geo, line, sample)
-    if np.any(vz <= 1e-9):
-        raise EstimationError("line of sight does not intersect the ground")
+    roll, pitch, yaw = _attitude(geo, line)
+    look = geo.look_angle(sample)
+    b = geo.bias
+    vx, vy, vz = _ray(np.sin(look), np.cos(look), roll + b.droll,
+                      pitch + b.dpitch, yaw + b.dyaw)
     dist = (geo.altitude_m - height) / vz
     idx = np.arange(geo.lines, dtype=np.float64)
     east = np.interp(line, idx, geo.track_across_m) + dist * vx
@@ -196,20 +204,122 @@ def residuals(geo: GeoModel, gcps) -> np.ndarray:
     return res
 
 
+def _gcp_terms(strips):
+    """Everything the boresight cost needs that does not depend on the bias,
+    for every GCP of every strip in strip order: a ``(10, n)`` array of
+    attitude plus mounting (roll, pitch, yaw), sine and cosine of the look
+    angle, ``altitude - height``, track (east, north) and surveyed (east,
+    north), and each strip's slice of its columns."""
+    if not strips:
+        raise EstimationError("no strips supplied")
+    parts, slices, stop = [], [], 0
+    for geo, gcps in strips:
+        if not gcps:
+            raise EstimationError("no ground control points supplied")
+        line, sample, height, east, north = np.array(
+            [(g.line, g.sample, g.height, g.east, g.north) for g in gcps],
+            dtype=np.float64).T
+        idx = np.arange(geo.lines, dtype=np.float64)
+        look = geo.look_angle(sample)
+        parts.append(np.array([
+            *_attitude(geo, line), np.sin(look), np.cos(look),
+            geo.altitude_m - height,
+            np.interp(line, idx, geo.track_across_m),
+            np.interp(line, idx, geo.track_along_m), east, north]))
+        slices.append(slice(stop, stop + len(gcps)))
+        stop += len(gcps)
+    return np.concatenate(parts, axis=1), slices
+
+
+def _terms_cost(terms, slices, droll, dpitch, dyaw) -> float:
+    """The boresight cost of one bias in one pass over every GCP; adds in
+    the order ``geolocate`` and ``residuals`` do."""
+    roll, pitch, yaw, sin_look, cos_look, depth, track_e, track_n, \
+        east, north = terms
+    vx, vy, vz = _ray(sin_look, cos_look, roll + droll, pitch + dpitch,
+                      yaw + dyaw)
+    dist = depth / vz
+    res = np.array([track_e + dist * vx - east, track_n + dist * vy - north])
+    total = 0.0
+    for s in slices:
+        (me, mn), (se, sn) = res[:, s].mean(axis=1), res[:, s].std(axis=1)
+        total += abs(me) + abs(mn) + se + sn
+    return float(total)
+
+
 def cost(bias: BoresightBias, strips) -> float:
     """Boresight objective: per strip, |mean| plus std of the across- and
     along-track residuals, summed over strips (meters).
 
-    ``strips`` is a sequence of ``(GeoModel, [GroundControlPoint])`` pairs.
+    ``strips`` is a sequence of ``(GeoModel, [GroundControlPoint])`` pairs;
+    each strip's own ``bias`` is replaced by ``bias``.
     """
-    if not strips:
-        raise EstimationError("no strips supplied")
-    total = 0.0
-    for geo, gcps in strips:
-        res = residuals(geo.with_bias(bias), gcps)
-        total += (abs(res[:, 0].mean()) + abs(res[:, 1].mean())
-                  + res[:, 0].std() + res[:, 1].std())
-    return float(total)
+    return _terms_cost(*_gcp_terms(strips), bias.droll, bias.dpitch,
+                       bias.dyaw)
+
+
+def _nelder_mead(fn, simplex):
+    """Minimize ``fn`` from an ``(n + 1, n)`` starting simplex by the
+    downhill simplex of Nelder & Mead (Computer Journal 7, 1965).
+
+    Step for step the non-adaptive variant of SciPy's ``minimize(...,
+    method="Nelder-Mead")`` with NM_FATOL, NM_XATOL and NM_MAX_ITER: the
+    same coefficients, evaluation order, sorts and stopping test, so it
+    returns the same bits.  ``fn`` gets a copy of each point.  Returns the
+    best vertex and the lowest function value.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=np.float64)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = fn(np.copy(sim[k]))
+    # SciPy sorts twice here; argsort need not be stable, so two sorts
+    # order tied values as SciPy does
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    for _ in range(NM_MAX_ITER - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = fn(np.copy(xr))
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = fn(np.copy(xe))
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            # outside contraction
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = fn(np.copy(xc))
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            # inside contraction
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = fn(np.copy(xcc))
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = fn(np.copy(sim[j]))
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
 
 
 def optimize_boresight(strips) -> BoresightBias:
@@ -219,10 +329,12 @@ def optimize_boresight(strips) -> BoresightBias:
     within YAW_BOUND_RAD; converged when a restart improves the cost by
     less than 0.01 m over its iterations.
     """
+    terms, slices = _gcp_terms(strips)
+
     def objective(x):
         if abs(x[2]) > YAW_BOUND_RAD:
             return 1e12 * (1.0 + abs(x[2]))
-        val = cost(BoresightBias(*x), strips)
+        val = _terms_cost(terms, slices, *x)
         if not np.isfinite(val):
             raise EstimationError("non-finite boresight cost (bad GCPs)")
         return val
@@ -233,12 +345,10 @@ def optimize_boresight(strips) -> BoresightBias:
     for _ in range(BORESIGHT_RESTARTS + 1):
         simplex = np.vstack([best_x, best_x + np.diag([step, step,
                                                        min(step, YAW_BOUND_RAD / 2)])])
-        res = minimize(objective, best_x, method="Nelder-Mead",
-                       options={"initial_simplex": simplex, "fatol": 1e-4,
-                                "xatol": 1e-9, "maxiter": 2000})
-        improved = best_f - res.fun
-        if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
+        x, f = _nelder_mead(objective, simplex)
+        improved = best_f - f
+        if f < best_f:
+            best_x, best_f = x, float(f)
         if improved < 0.01:
             break
         step /= 10.0

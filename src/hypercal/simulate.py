@@ -70,17 +70,34 @@ class Scene:
         return self.spatial[line, sample] * np.interp(wl, self.wavelengths, spec)
 
 
+_SCENE_PARAMS = {
+    "uniform": (),
+    "bar-target": ("period", "contrast"),
+    "point-source": ("points", "background", "amplitude"),
+    "checkerboard": ("block", "contrast"),
+    "spectral-library": ("dip_depth",),
+}
+
+
 def synth_scene(kind: str, lines: int = 256, samples: int = 256,
                 level: float = 100.0, **kw) -> Scene:
     """Build a synthetic scene.
 
-    Kinds: ``uniform``, ``bar-target`` (period, contrast), ``point-source``
-    (points, background), ``checkerboard`` (block, contrast),
-    ``spectral-library`` (dip_depth).  Spectral-library
-    scenes embed Gaussian absorption dips at the built-in O2/H2O/CO2 lines.
+    Kinds and the keyword parameters each reads:
+    ``uniform``; ``bar-target`` (period, contrast); ``point-source``
+    (points, background, amplitude: the value of each point pixel);
+    ``checkerboard`` (block, contrast); ``spectral-library`` (dip_depth).
+    Spectral-library scenes embed Gaussian absorption dips at the built-in
+    O2/H2O/CO2 lines.  A parameter the kind does not read is an error.
     """
     if level < 0:
         raise HypercalError("scene level must be non-negative")
+    if kind not in _SCENE_PARAMS:
+        raise HypercalError(f"unknown scene kind {kind!r}")
+    unknown = sorted(set(kw) - set(_SCENE_PARAMS[kind]))
+    if unknown:
+        raise HypercalError(
+            f"scene kind {kind!r} has no parameter {unknown[0]!r}")
     grid = spectral_grid()
     flat = np.full((1, grid.shape[0]), float(level))
     index = np.zeros((lines, samples), dtype=np.intp)
@@ -109,7 +126,7 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
         for pl, ps in points:
             spatial[int(pl), int(ps)] = amplitude
         spectra = flat
-    elif kind == "spectral-library":
+    else:  # spectral-library
         # a continuum tilted by 0.3 of the level across the grid, with a
         # 7 nm Gaussian dip at each library line
         depth = float(kw.get("dip_depth", 0.4))
@@ -120,8 +137,6 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
             dips *= 1.0 - depth * np.exp(
                 -0.5 * ((grid - line.nominal_nm) / 7.0) ** 2)
         spectra = (cont * dips)[None, :]
-    else:
-        raise HypercalError(f"unknown scene kind {kind!r}")
     return Scene(kind=kind, wavelengths=grid, spectra=np.asarray(spectra),
                  spectrum_index=index, spatial=np.asarray(spatial, dtype=np.float64))
 

@@ -209,3 +209,24 @@ class TestOverridesAndSubcommands:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_geocal_does_not_load_scipy_optimize(tmp_path):
+    """A fresh interpreter runs the boresight fit without scipy.optimize."""
+    import os
+    import subprocess
+    import sys
+
+    import hypercal
+
+    src = str(Path(hypercal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; import hypercal.cli as cli; "
+            f"rc = cli.main(['geocal', '--out', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == [str(EXIT_OK), "False"]
+    assert (tmp_path / "boresight.txt").exists()

@@ -96,6 +96,176 @@ class TestResidualsAndCost:
         with pytest.raises(EstimationError):
             geo.cost(geo.BoresightBias(), [])
 
+    def test_one_pass_cost_equals_per_strip_residuals_exactly(self):
+        # unequal GCP counts, mounting set the way the bundle stage sets
+        # it, and attitude series that vary per line
+        rng = np.random.default_rng(17)
+        strips = []
+        for i, n in enumerate((3, 25, 40)):
+            lines = 96 + 32 * i
+            t = np.arange(lines) / lines
+            gm = geo.make_geo(
+                lines, 128 + 64 * i,
+                roll=np.deg2rad(rng.uniform(-4, 4) + 0.3 * np.sin(6 * t)),
+                pitch=np.deg2rad(rng.uniform(-4, 4) - 0.2 * t),
+                yaw=np.deg2rad(0.01 * np.cos(3 * t)),
+                track_start_north=rng.uniform(0, 1e5),
+                track_across=rng.uniform(-1e4, 1e4))
+            gm = dataclasses.replace(
+                gm, mounting=tuple(np.deg2rad(rng.uniform(-0.05, 0.05, 3))))
+            strips.append((gm, synth_gcps(gm, n, noise=12.0, seed=40 + i,
+                                          strip_id=f"strip{i}")))
+        for _ in range(50):
+            bias = geo.BoresightBias(*rng.normal(0.0, np.deg2rad(0.05), 3))
+            total = 0.0
+            for gm, gcps in strips:
+                res = geo.residuals(gm.with_bias(bias), gcps)
+                total += (abs(res[:, 0].mean()) + abs(res[:, 1].mean())
+                          + res[:, 0].std() + res[:, 1].std())
+            assert geo.cost(bias, strips) == total
+
+    def test_strip_without_gcps_rejected(self):
+        strips = boresight_strips(geo.BoresightBias(), n_strips=2)
+        strips.append((geo.make_geo(8, 16), []))
+        with pytest.raises(EstimationError):
+            geo.cost(geo.BoresightBias(), strips)
+        with pytest.raises(EstimationError):
+            geo.optimize_boresight(strips)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _ill_conditioned(x):
+    return float(x @ np.diag([1.0, 10.0, 100.0]) @ x)
+
+
+def _wavy(x):
+    return float(np.sin(40.0 * x).sum() + x @ x)
+
+
+def _kinked(x):
+    return float(np.sum(x * x) + np.sum(np.abs(np.sin(25.0 * x))))
+
+
+_SIMPLEX_2D = np.array([[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]])
+_SIMPLEX_3D = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 2.0, 1.0],
+                        [1.0, 1.0, 2.0]])
+_NM_CASES = [(_rosenbrock, _SIMPLEX_2D), (_ill_conditioned, _SIMPLEX_3D),
+             (_wavy, _SIMPLEX_3D), (_kinked, _SIMPLEX_2D)]
+
+
+def _scipy_nelder_mead(fn, simplex, maxiter=None):
+    from scipy.optimize import minimize
+    return minimize(fn, simplex[0], method="Nelder-Mead", options={
+        "initial_simplex": simplex, "fatol": geo.NM_FATOL,
+        "xatol": geo.NM_XATOL,
+        "maxiter": geo.NM_MAX_ITER if maxiter is None else maxiter})
+
+
+def _scipy_moves(fn, simplex):
+    """The move each iteration of SciPy's run makes, read from its final
+    simplex after k and k + 1 iterations."""
+    moves = set()
+    prev = _scipy_nelder_mead(fn, simplex, maxiter=1)
+    for k in range(2, geo.NM_MAX_ITER):
+        cur = _scipy_nelder_mead(fn, simplex, maxiter=k)
+        if cur.nit == prev.nit:
+            return moves
+        sim = prev.final_simplex[0]
+        n = sim.shape[1]
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        worst = sim[-1]
+        calls = cur.nfev - prev.nfev
+        if calls == n + 2:
+            moves.add("shrink")
+        elif calls == 1:
+            moves.add("reflect")
+        else:
+            points = {"expand": 3 * xbar - 2 * worst,
+                      "reflect": 2 * xbar - worst,
+                      "outside": 1.5 * xbar - 0.5 * worst,
+                      "inside": 0.5 * xbar + 0.5 * worst}
+            moves.update(m for m, x in points.items()
+                         if (cur.final_simplex[0] == x).all(axis=1).any())
+        prev = cur
+    return moves
+
+
+def _scipy_boresight(strips):
+    """The boresight restart loop on SciPy's Nelder-Mead and the per-strip
+    residual accumulation."""
+    from scipy.optimize import minimize
+
+    def objective(x):
+        if abs(x[2]) > geo.YAW_BOUND_RAD:
+            return 1e12 * (1.0 + abs(x[2]))
+        total = 0.0
+        for gm, gcps in strips:
+            res = geo.residuals(gm.with_bias(geo.BoresightBias(*x)), gcps)
+            total += (abs(res[:, 0].mean()) + abs(res[:, 1].mean())
+                      + res[:, 0].std() + res[:, 1].std())
+        return total
+
+    x0 = np.zeros(3)
+    best_x, best_f = x0, objective(x0)
+    step = np.deg2rad(0.1)
+    for _ in range(geo.BORESIGHT_RESTARTS + 1):
+        simplex = np.vstack([best_x, best_x + np.diag(
+            [step, step, min(step, geo.YAW_BOUND_RAD / 2)])])
+        res = minimize(objective, best_x, method="Nelder-Mead",
+                       options={"initial_simplex": simplex, "fatol": 1e-4,
+                                "xatol": 1e-9, "maxiter": 2000})
+        improved = best_f - res.fun
+        if res.fun < best_f:
+            best_x, best_f = res.x, float(res.fun)
+        if improved < 0.01:
+            break
+        step /= 10.0
+    return geo.BoresightBias(*best_x)
+
+
+class TestNelderMead:
+    """``_nelder_mead`` against SciPy's ``minimize`` as the reference."""
+
+    @pytest.mark.parametrize("fn, simplex", _NM_CASES)
+    def test_same_bits_as_scipy(self, fn, simplex):
+        x, f = geo._nelder_mead(fn, simplex)
+        ref = _scipy_nelder_mead(fn, simplex)
+        assert x.tobytes() == ref.x.tobytes()
+        assert f == ref.fun
+
+    def test_cases_make_every_move(self):
+        moves = set().union(*(_scipy_moves(fn, s) for fn, s in _NM_CASES))
+        assert moves == {"reflect", "expand", "outside", "inside", "shrink"}
+
+    def test_stops_on_the_iteration_cap_as_scipy_does(self, monkeypatch):
+        monkeypatch.setattr(geo, "NM_MAX_ITER", 7)
+        x, f = geo._nelder_mead(_rosenbrock, _SIMPLEX_2D)
+        ref = _scipy_nelder_mead(_rosenbrock, _SIMPLEX_2D, maxiter=7)
+        assert ref.nit == 7 and not ref.success
+        assert x.tobytes() == ref.x.tobytes()
+        assert f == ref.fun
+
+    def test_objective_gets_a_copy(self):
+        def clobbering(x):
+            value = _rosenbrock(x)
+            x[:] = np.nan
+            return value
+
+        x, f = geo._nelder_mead(clobbering, _SIMPLEX_2D)
+        ref = _scipy_nelder_mead(_rosenbrock, _SIMPLEX_2D)
+        assert x.tobytes() == ref.x.tobytes()
+        assert f == ref.fun
+
+    @pytest.mark.parametrize("noise", [0.0, 15.0])
+    def test_boresight_fit_same_bits_as_scipy_loop(self, noise):
+        strips = boresight_strips(TestBoresight.TRUE, noise=noise, seed=4)
+        fit = geo.optimize_boresight(strips)
+        assert fit == _scipy_boresight(strips)
+
 
 class TestBoresight:
     TRUE = geo.BoresightBias(np.deg2rad(0.02), np.deg2rad(-0.015),

@@ -51,6 +51,14 @@ class TestScenes:
         with pytest.raises(HypercalError):
             sim.synth_scene("volcano", 8, 8)
 
+    @pytest.mark.parametrize("kind, key", [
+        ("spectral-library", "tilt"), ("spectral-library", "dip_width_nm"),
+        ("uniform", "block"), ("bar-target", "points"),
+        ("checkerboard", "amplitude"), ("point-source", "contrast")])
+    def test_parameter_of_another_kind_rejected(self, kind, key):
+        with pytest.raises(HypercalError, match=f"{kind}.*{key}"):
+            sim.synth_scene(kind, 4, 4, **{key: 0.9})
+
     def test_negative_level_rejected(self):
         with pytest.raises(HypercalError):
             sim.synth_scene("uniform", 8, 8, level=-1.0)
@@ -375,9 +383,10 @@ def _library_bars(lines, samples):
 def _scene(kind, lines, samples):
     if kind == "library-bars":
         return _library_bars(lines, samples)
-    extra = {"points": [(lines // 2, samples // 2), (0, 3)],
-             "background": 0.05} if kind == "point-source" else {}
-    return sim.synth_scene(kind, lines, samples, level=70.0, block=5, **extra)
+    extra = {"point-source": {"points": [(lines // 2, samples // 2), (0, 3)],
+                              "background": 0.05},
+             "checkerboard": {"block": 5}}.get(kind, {})
+    return sim.synth_scene(kind, lines, samples, level=70.0, **extra)
 
 
 # (scene, lines, samples, bands, keystone, masked, stray sigma or None,
