@@ -27,6 +27,9 @@ _SWIR_RANGE = (850.0, 2500.0)
 
 _DTYPES = {"dn12": np.dtype("<u2"), "radiance": np.dtype("<f8")}
 
+_SLAB_BYTES = 8 << 20  # per block of whole bands in a band-sequential write
+_TILE_PX = 256         # pixels per transposed tile of a block
+
 
 @dataclass(frozen=True)
 class BandMeta:
@@ -166,11 +169,11 @@ def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
         raise CubeFormatError(f"unknown interleave {interleave!r}")
     dtype = _DTYPES[cube.pixel_kind]
     if interleave == "bsq":
-        slabs = (cube.data[:, :, b] for b in range(cube.bands))
+        slabs = _band_planes(cube.data, dtype)
     else:
         slabs = (cube.data[i].T for i in range(cube.lines))
     try:
-        # one (lines, samples) band or (bands, samples) line at a time
+        # one band or one (bands, samples) line per write call
         with open(path, "wb") as fh:
             for slab in slabs:
                 fh.write(np.ascontiguousarray(slab, dtype=dtype))
@@ -185,6 +188,24 @@ def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
         "fwhm_nm": ",".join(repr(m.fwhm_nm) for m in cube.band_meta),
         "instrument": ",".join(m.instrument for m in cube.band_meta),
         "bad_bands": ",".join(str(i) for i in cube.bad_bands)})
+
+
+def _band_planes(data: np.ndarray, dtype: np.dtype):
+    """The bands of a pixel-interleaved cube, one flat plane at a time, each
+    valid until the next is drawn.  Blocks of whole bands within
+    ``_SLAB_BYTES`` are transposed into one reused buffer ``_TILE_PX``
+    pixels at a time, so that the pixels read stay in cache across the
+    block's bands."""
+    pixels = data.shape[0] * data.shape[1]
+    flat = data.reshape(pixels, data.shape[2])
+    step = max(1, _SLAB_BYTES // (dtype.itemsize * pixels or 1))
+    buf = np.empty((min(step, data.shape[2]), pixels), dtype)
+    for b0 in range(0, data.shape[2], step):
+        bands = flat[:, b0:b0 + step]
+        block = buf[:bands.shape[1]]
+        for p0 in range(0, pixels, _TILE_PX):
+            block[:, p0:p0 + _TILE_PX] = bands[p0:p0 + _TILE_PX].T
+        yield from block
 
 
 def write_header(path, entries: dict) -> None:

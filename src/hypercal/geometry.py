@@ -462,7 +462,10 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int | None = None):
     ``patch`` is the largest of 64, 32 and 16 px giving BUNDLE_DEGREE + 1
     patches along each grid axis.  The merged cube keeps every VNIR band
     plus the SWIR bands above the VNIR range, so wavelengths increase
-    strictly across the seam.  Returns ``(merged cube, residual_px)``.
+    strictly across the seam.  The registered SWIR cube is sampled in one
+    pass, straight into the merged cube's buffer; the residual is measured
+    on its shared bands there before the VNIR bands overwrite them.
+    Returns ``(merged cube, residual_px)``.
     """
     if vnir.data.shape[:2] != swir.data.shape[:2]:
         raise ConfigError("bundle inputs must share one map grid")
@@ -513,17 +516,22 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int | None = None):
     map_y = np.arange(rows)[:, None] + full @ cy
     map_x = np.arange(cols)[None, :] + full @ cx
 
-    plan = cubic_plan((rows, cols), map_y, map_x)
+    # SWIR centers increase, so the shared bands lead.  SWIR band i goes to
+    # merged band vnir.bands - shared.size + i: the bands above the VNIR
+    # range land in place, the shared ones where the VNIR bands go.  With
+    # fewer VNIR bands than shared ones the buffer starts at SWIR band 0
+    # and the merged cube is its tail.
+    lead = max(vnir.bands - shared.size, 0)
+    buf = np.empty((rows, cols, lead + swir.bands))
+    cubic_apply(cubic_plan((rows, cols), map_y, map_x), swir.data,
+                out=buf[:, :, lead:])
     # residual check on the shared overlap after correction
-    reg = cubic_apply(plan, swir.data, shared)
     resid = max([0.0] + [float(np.hypot(dy, dx).max()) for _, _, dy, dx
-                         in offsets(np.moveaxis(reg, 2, 0))])
+                         in offsets(buf[:, :, lead + sb] for sb in shared)])
 
-    keep = np.nonzero(s_centers > vmax)[0]
-    merged = np.empty((rows, cols, vnir.bands + keep.size))
+    merged = buf[:, :, lead + shared.size - vnir.bands:]
     merged[:, :, :vnir.bands] = vnir.data
-    cubic_apply(plan, swir.data, keep, out=merged[:, :, vnir.bands:])
-    meta = tuple(vnir.band_meta) + tuple(swir.band_meta[i] for i in keep)
+    meta = vnir.band_meta + swir.band_meta[shared.size:]
     out = SpectralCube(data=merged, pixel_kind="radiance",
                        band_meta=meta, interleave=vnir.interleave)
     return out, resid

@@ -1,7 +1,8 @@
 """Hot numeric kernels: cubic-convolution resampling and Gaussian band integration.
 
-Each kernel has one vectorized numpy implementation; band-independent loops
-run through :func:`band_map`, which alone splits them, one thread per CPU."""
+Each kernel has one vectorized numpy implementation; loops over independent
+bands, rows or output points run through :func:`band_map`, which alone splits
+them, one thread per CPU."""
 
 from __future__ import annotations
 
@@ -110,10 +111,12 @@ CubicPlan = namedtuple("CubicPlan", "shape taps wy valid")
 def cubic_plan(shape, yy: np.ndarray, xx: np.ndarray) -> CubicPlan:
     """Taps, weights and validity of a cubic sampling of a ``(ny, nx)``
     grid at (row, col) coordinates ``yy``, ``xx``, worked out once per
-    coordinate map.  Per row tap, ``taps`` holds one sparse
+    coordinate map.  Per row tap, ``taps`` holds one sparse CSR
     ``(points, ny*nx)`` matrix with the four column taps of each point
     (flat index, x weight) in tap order, clamped duplicates and zero
-    weights kept, and ``wy`` the ``(points, 1)`` row weights."""
+    weights kept, and ``wy`` the ``(points, 1)`` row weights.  Every row
+    holds four entries, so :func:`_point_rows` takes a slice of points as
+    a view."""
     ny, nx = shape
     rows, wy, _, _, ok_y = _axis_taps(np.asarray(yy, dtype=np.float64), ny)
     cols, wx, _, _, ok_x = _axis_taps(np.asarray(xx, dtype=np.float64), nx)
@@ -127,32 +130,61 @@ def cubic_plan(shape, yy: np.ndarray, xx: np.ndarray) -> CubicPlan:
                      ok_y & ok_x)
 
 
-def cubic_apply(plan: CubicPlan, stack: np.ndarray, bands=None,
+def _point_rows(taps, sl: slice):
+    """Rows ``sl`` of a :func:`cubic_plan` tap matrix as views of its
+    arrays (a scipy row slice copies them); each row keeps its four column
+    taps in order."""
+    n = sl.stop - sl.start
+    span = slice(4 * sl.start, 4 * sl.stop)
+    return sparse.csr_array(
+        (taps.data[span], taps.indices[span], taps.indptr[:n + 1]),
+        shape=(n, taps.shape[1]), copy=False)
+
+
+def cubic_apply(plan: CubicPlan, stack: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Sample ``bands`` (default: all) of a band-last ``(ny, nx, B)`` stack
-    of any dtype with ``plan``, a float64 chunk of bands per task of
-    :func:`band_map`, into ``out`` (made if None) and return it.  Each
-    sparse product sums a row tap's four column taps in order from zero,
-    so each band equals its one-band call bit for bit."""
+    """Sample every band of a band-last ``(ny, nx, B)`` stack of any dtype
+    with ``plan`` into ``out`` (made if None; may be a strided view whose
+    point axes merge into one) and return it.
+
+    A C-contiguous float64 stack is read in place as its ``(ny*nx, B)``
+    view; any other goes through float64 blocks of bands within
+    ``_CHUNK_BYTES``.  :func:`band_map` splits the output points: a task
+    multiplies its rows of the four tap matrices with the source, sums the
+    row-weighted products and stores its rows of ``out``.  Each point's
+    sparse product sums its four column taps in order from zero, so every
+    band equals its one-band call bit for bit, however points and bands
+    are split."""
     ny, nx, nb = stack.shape
     if (ny, nx) != plan.shape:
         raise ValueError("stack grid does not match the sampling plan")
-    sel = np.arange(nb) if bands is None else np.asarray(bands, dtype=np.intp)
-    shape = plan.valid.shape
+    n = plan.valid.size
     if out is None:
-        out = np.empty(shape + (sel.size,))
+        out = np.empty(plan.valid.shape + (nb,))
+    flat = out.reshape(n, nb)
+    if flat.size and not np.may_share_memory(flat, out):
+        raise ValueError("out's point axes do not merge into one")
+    if stack.dtype == np.float64 and stack.flags.c_contiguous:
+        block = max(nb, 1)
+    else:
+        block = max(1, _CHUNK_BYTES // (8 * ny * nx or 1))
 
-    def sample(sl):
-        src = np.take(stack, sel[sl], axis=2).reshape(ny * nx, -1)
-        src = src.astype(np.float64, copy=False)
-        acc = np.zeros((plan.valid.size, src.shape[1]))
-        for taps, wy in zip(plan.taps, plan.wy):
-            row = taps @ src
-            row *= wy
-            acc += row
-        out[..., sl] = acc.reshape(shape + (-1,))
+    for b0 in range(0, nb, block):
+        bands = slice(b0, b0 + block)
+        src = np.ascontiguousarray(stack[:, :, bands], dtype=np.float64)
+        src = src.reshape(ny * nx, -1)
+        dst = flat[:, bands]
 
-    band_map(sample, sel.size, 8 * plan.valid.size)
+        def sample(sl):
+            acc = np.zeros((sl.stop - sl.start, src.shape[1]))
+            for taps, wy in zip(plan.taps, plan.wy):
+                row = _point_rows(taps, sl) @ src
+                row *= wy[sl]
+                acc += row
+                del row  # freed before the next product is made
+            dst[sl] = acc
+
+        band_map(sample, n, 8 * src.shape[1])
     return out
 
 

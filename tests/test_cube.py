@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypercal import (BandMeta, CubeFormatError, RegionOfInterest,
                       SpectralCube, read_cube, region_stats, write_cube)
 from hypercal import anomalies, geometry, radiometry, spectral
+from hypercal import cube as cube_module
 from hypercal.cube import write_json
 
 from conftest import uniform_band_meta
@@ -127,6 +128,19 @@ class TestRoundTrip:
         write_cube(cube, tmp_path / "c.img", interleave=interleave)
         assert (tmp_path / "c.img").read_bytes() == \
             _one_shot_bytes(cube.data, pixel_kind, interleave)
+
+    @pytest.mark.parametrize("pixel_kind", ["dn12", "radiance"])
+    def test_band_blocks_and_pixel_tiles_with_remainders(
+            self, tmp_path, pixel_kind, monkeypatch):
+        # 42 pixels in tiles of 10 leave a two-pixel tile; two-band blocks
+        # of five bands leave a one-band block
+        cube = _cube(lines=6, samples=7, bands=5, pixel_kind=pixel_kind)
+        monkeypatch.setattr(cube_module, "_SLAB_BYTES",
+                            2 * 42 * cube.data.itemsize)
+        monkeypatch.setattr(cube_module, "_TILE_PX", 10)
+        write_cube(cube, tmp_path / "c.img", interleave="bsq")
+        assert (tmp_path / "c.img").read_bytes() == \
+            _one_shot_bytes(cube.data, pixel_kind, "bsq")
 
     def test_float_data_written_as_dn12_casts_per_slab(self, tmp_path):
         cube = _cube(lines=6, samples=7, bands=5)

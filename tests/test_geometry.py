@@ -393,7 +393,8 @@ class TestOrthorectify:
                              geo.MapGrid(0.0, 0.0, 30.0, 8, 8))
 
 
-def _dual_cubes(shift=(0.55, -0.58), rows=256, cols=256, seed=12):
+def _dual_cubes(shift=(0.55, -0.58), rows=256, cols=256, seed=12,
+                vnir_bands=60):
     """VNIR/SWIR map-grid cubes sharing one texture; SWIR is misregistered
     by a known sub-pixel amount."""
     from hypercal.cube import BandMeta
@@ -402,10 +403,10 @@ def _dual_cubes(shift=(0.55, -0.58), rows=256, cols=256, seed=12):
     fx = np.fft.fftfreq(cols)[None, :]
     moved = np.fft.ifft2(np.fft.fft2(tex) * np.exp(
         -2j * np.pi * (fy * shift[0] + fx * shift[1]))).real
-    v_centers = sim.default_centers("vnir", 60)
+    v_centers = sim.default_centers("vnir", vnir_bands)
     s_centers = sim.default_centers("swir", 256)
     vnir = SpectralCube(
-        np.repeat(tex[:, :, None], 60, axis=2), "radiance",
+        np.repeat(tex[:, :, None], vnir_bands, axis=2), "radiance",
         tuple(BandMeta(c, 9.24, "vnir") for c in v_centers))
     swir = SpectralCube(
         np.repeat(moved[:, :, None], 256, axis=2), "radiance",
@@ -540,6 +541,19 @@ class TestSamplingPlanReferences:
         swir = _distinct_bands(swir)
         merged, resid = geo.bundle(vnir, swir)
         expect, expect_resid = _reference_bundle(vnir, swir, patch=32)
+        assert np.array_equal(merged.data, expect)
+        assert resid == expect_resid
+
+    @pytest.mark.parametrize("vnir_bands", [4, 6, 7, 20])
+    def test_bundle_with_few_vnir_bands_equals_per_band_loop(self,
+                                                             vnir_bands):
+        # the seven SWIR bands up to 900 nm overlap every VNIR layout here:
+        # fewer, as many and more VNIR bands than shared ones
+        vnir, swir = _dual_cubes(rows=128, cols=128, vnir_bands=vnir_bands)
+        vnir, swir = _distinct_bands(vnir), _distinct_bands(swir)
+        merged, resid = geo.bundle(vnir, swir)
+        expect, expect_resid = _reference_bundle(vnir, swir, patch=32)
+        assert merged.bands == vnir_bands + 249
         assert np.array_equal(merged.data, expect)
         assert resid == expect_resid
 

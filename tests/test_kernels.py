@@ -306,8 +306,9 @@ class TestCubicPlan:
     @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
     def test_apply_equals_per_band_sampling(self, dtype, monkeypatch):
         stack, yy, xx = self._case(dtype)
-        # three bands per chunk: seven bands leave a one-band remainder
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 3)
+        # three-band float64 blocks of the 20 x 30 grid: the uint16 stack's
+        # seven bands leave a one-band remainder block
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 20 * 30 * 3)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
         out = kernels.cubic_apply(plan, stack)
         for b in range(stack.shape[2]):
@@ -318,27 +319,37 @@ class TestCubicPlan:
             assert np.array_equal(plan.valid, valid)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
-    def test_band_subset_into_out_view(self, dtype, monkeypatch):
+    def test_all_bands_into_strided_out_view(self, dtype, monkeypatch):
+        # every band written into a band range of a wider buffer, as bundle
+        # writes the registered SWIR bands into the merged cube
         stack, yy, xx = self._case(dtype, bands=9)
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
-        bands = [8, 0, 3, 4, 5]
-        target = np.full(yy.shape + (7,), -1.0)
-        got = kernels.cubic_apply(plan, stack, bands, out=target[:, :, 1:6])
+        target = np.full(yy.shape + (11,), -1.0)
+        got = kernels.cubic_apply(plan, stack, out=target[:, :, 1:10])
         assert np.shares_memory(got, target)
-        assert (target[:, :, 0] == -1.0).all() and (target[:, :, 6] == -1.0).all()
-        for i, b in enumerate(bands):
+        assert (target[:, :, 0] == -1.0).all() and (target[:, :, 10] == -1.0).all()
+        for b in range(stack.shape[2]):
             vals, _ = kernels.bicubic_sample(stack[:, :, b], yy, xx)
-            assert np.array_equal(target[:, :, 1 + i], vals)
+            assert np.array_equal(target[:, :, 1 + b], vals)
+
+    def test_out_whose_point_axes_do_not_merge_rejected(self):
+        stack, yy, xx = self._case(np.float64)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        target = np.zeros((15, 16, 7))
+        with pytest.raises(ValueError, match="merge"):
+            kernels.cubic_apply(plan, stack, out=target[:, :15])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
     def test_worker_count_does_not_change_output(self, workers, dtype,
                                                  monkeypatch):
-        # two bands per task: nine bands make five tasks at any count
+        # 20-point tasks over the float64 stack's nine bands, 180-point
+        # tasks over each one-band block of the uint16 one, at any count:
+        # the 225 points leave a remainder slice either way
         stack, yy, xx = self._case(dtype, bands=9)
         monkeypatch.setattr(kernels, "WORKERS", workers)
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2 * workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 9 * 20 * workers)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
         out = kernels.cubic_apply(plan, stack)
         for b in range(stack.shape[2]):
@@ -349,15 +360,16 @@ class TestCubicPlan:
         # an inf sample on the row after exact row coordinates and at the
         # exact column: that row tap's product is inf and its row weight
         # zero, so 0 * inf, which the caller's np.errstate silences;
-        # one-band tasks on two workers run it on worker threads, which
-        # must see the same errstate
+        # four-point tasks on two workers (15 points: a three-point
+        # remainder) run it on worker threads, which must see the same
+        # errstate
         rng = np.random.default_rng(25)
         stack = rng.normal(50.0, 10.0, (12, 9, 4))
         stack[5, 3] = np.inf
         yy = np.full((3, 5), 4.0)
         xx = np.full((3, 5), 3.0)
         monkeypatch.setattr(kernels, "WORKERS", 2)
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 4 * 4 * 2)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
         with np.errstate(invalid="ignore"):
             out = kernels.cubic_apply(plan, stack)
@@ -409,10 +421,11 @@ class TestCubicPlan:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_apply_holds_four_chunk_temporaries(self, workers, monkeypatch):
-        # 256 bands of 256 x 256 uint16 in 8 MB float64 chunks, split over
-        # the workers: the source chunk, the accumulator and two row
-        # products (4 x 8 MB); one more chunk-sized temporary per tap (a
-        # gather of the four column taps) goes past the bound
+        # 256 bands of 256 x 256 uint16 in 8 MB float64 blocks of 16 bands,
+        # points split over the workers: the block plus the row products
+        # and accumulators of the tasks in flight (8 MB each); one more
+        # chunk-sized temporary per tap (a gather of the four column taps)
+        # goes past the bound
         monkeypatch.setattr(kernels, "WORKERS", workers)
         rng = np.random.default_rng(24)
         stack = rng.integers(0, 4096, (256, 256, 256)).astype(np.uint16)
@@ -427,3 +440,25 @@ class TestCubicPlan:
         finally:
             tracemalloc.stop()
         assert peak < 36 << 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_place_float64_stack_is_not_copied(self, workers,
+                                                  monkeypatch):
+        # the float64 twin: a C-contiguous 256 x 256 x 256 stack is read in
+        # place, so only the row products and accumulators of the tasks in
+        # flight are held (8 MB each); a copy of the stack (128 MB) or of
+        # one 8 MB band block goes past the bound
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        rng = np.random.default_rng(26)
+        stack = rng.normal(50.0, 10.0, (256, 256, 256))
+        yy = _test_coords(rng, (256, 256), 256)
+        xx = _test_coords(rng, (256, 256), 256)
+        plan = kernels.cubic_plan((256, 256), yy, xx)
+        out = np.empty((256, 256, 256))
+        tracemalloc.start()
+        try:
+            kernels.cubic_apply(plan, stack, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
