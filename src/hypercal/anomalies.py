@@ -9,6 +9,7 @@ import numpy as np
 
 from .cube import DN_MAX, SpectralCube, read_json
 from .errors import EstimationError
+from .kernels import band_map
 from .simulate import BunchCluster, SEGMENT_LINES, STRAY_BLOCKS
 
 BUNCH_MAD_K = 6.0
@@ -36,8 +37,16 @@ def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K) -> list:
     swath is never hot.  Adjacent hot columns merge into clusters capped at
     length 15.
     """
-    col_med = np.median(np.asarray(cube.data, dtype=np.float64), axis=0)
-    samples, bands = col_med.shape
+    lines, samples, bands = cube.data.shape
+    col_med = np.empty((samples, bands))
+
+    def column_medians(sl):
+        # each column's median is its own: blocks of samples partition a
+        # float64 copy of their block only
+        col_med[sl] = np.median(
+            np.asarray(cube.data[:, sl], dtype=np.float64), axis=0)
+
+    band_map(column_medians, samples, 8 * lines * bands)
     h = BUNCH_BASELINE_HALF
     offsets = np.r_[-3 * h:-h + 1, h:3 * h + 1]
     neighbors = np.arange(samples)[:, None] + offsets      # (S, 34), ascending
@@ -181,9 +190,14 @@ def remove_interference(cube: SpectralCube, freqs):
         if f0 <= 0:
             raise EstimationError("cannot notch at DC")
         gain *= _notch_gain(fgrid, f0, NOTCH_HALF_WIDTH, NOTCH_ORDER)
-    spec = np.fft.rfft(cube.data, axis=0)
-    spec *= gain[:, None, None]
-    out = np.fft.irfft(spec, n=lines, axis=0)
+    out = np.empty(cube.data.shape)
+
+    def notch(sl):
+        spec = np.fft.rfft(cube.data[:, sl], axis=0)
+        spec *= gain[:, None, None]
+        out[:, sl] = np.fft.irfft(spec, n=lines, axis=0)
+
+    band_map(notch, cube.samples, 8 * lines * cube.bands)
 
     lo, hi = BANDING_WINDOW_NM
     window = np.flatnonzero((cube.centers_nm >= lo) & (cube.centers_nm <= hi))

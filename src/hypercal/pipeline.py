@@ -357,6 +357,7 @@ def _stage_bunch(state, p, out: Path, cfg: PipelineConfig):
     acq, _, _ = radiometry.apply_flatfield(acq, state["flatfield"],
                                            state["dark"])
     clusters = anomalies.detect_bunch_pixels(acq, k=p["mad_k"])
+    del acq  # not resident during the repair
     corrected, valid = anomalies.correct_bunch_pixels(cube, clusters)
     state["cube"] = corrected
     return {"clusters_detected": len(clusters),
@@ -563,6 +564,7 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
                                           state["grid"])
     del swir_cube
     merged, resid = geometry.bundle(vnir, swir_ortho, patch=p["patch"])
+    del swir_ortho  # not resident while bundle.img is written
     state["cube"] = merged
     if p["save"]:
         write_cube(merged, out / "bundle.img")

@@ -198,11 +198,15 @@ def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
         temperature_k = dark.t_ref_k
     d = dark.at(temperature_k).T[None, :, :]       # (1, S, B)
     g = table.gain.T[None, :, :]
-    rad = g * (cube.data.astype(np.float64) - d)
-    valid = np.broadcast_to(np.isfinite(g), rad.shape).copy()
-    rad = np.where(valid, rad, 0.0)
+    # one float64 cube, worked in place
+    rad = cube.data.astype(np.float64)
+    rad -= d
+    np.multiply(g, rad, out=rad)
+    finite = np.isfinite(g)
+    np.copyto(rad, 0.0, where=~finite)
+    valid = np.broadcast_to(finite, rad.shape).copy()
     clamped = int(np.count_nonzero(rad < 0))
-    rad = np.clip(rad, 0.0, None)
+    np.clip(rad, 0.0, None, out=rad)
     meta = cube.band_meta
     return cube.with_data(rad, pixel_kind="radiance",
                           band_meta=meta), valid, clamped

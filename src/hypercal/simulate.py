@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .cube import BandMeta, SpectralCube, DN_MAX
 from .errors import HypercalError
@@ -33,6 +32,8 @@ _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # of SEGMENT_LINES lines times STRAY_BLOCKS equal sample blocks
 SEGMENT_LINES = 64
 STRAY_BLOCKS = 4
+
+_DBL_EPSILON = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
@@ -442,38 +443,96 @@ def _check_coverage(scene: Scene, sensor: SensorModel) -> None:
         raise HypercalError("degenerate FWHM")
 
 
-def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
-                 steering: np.ndarray) -> None:
-    """Non-stationary along-track convolution of a (bands, lines, samples)
-    stack, in place: kernels constant within SEGMENT_LINES x STRAY_BLOCKS
-    tiles, evaluated at the tile's mean steering angle and center sample.
-    A tile reads its lines plus a tap_count // 2 halo from a copy of its
-    block taken before the block is written.  Each task of :func:`band_map`
-    filters one slice of bands, as many as one worker's share of its budget
-    holds at one float64 band each."""
-    from scipy.ndimage import convolve1d, gaussian_filter1d
+def _correlate(ext: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``ext`` along ``axis`` with odd-length ``weights`` where they
+    fit: output ``i`` sums ``weights[j] * ext[i + j]``, so an input padded by
+    ``len(weights) // 2`` on each side gives its own length back.
 
-    bands, lines, samples = fields.shape
+    The terms are added in the order of scipy.ndimage's ``NI_Correlate1D``,
+    so a padded line equals ``correlate1d`` bit for bit: weights symmetric
+    about the centre within DBL_EPSILON sum the centre term and then each
+    mirrored pair, left weight times (left + right) input, outermost first;
+    antisymmetric ones the same with (left - right); any other the last
+    term and then every other one from the left."""
+    h = weights.size // 2
+    n = ext.shape[axis] - 2 * h
+    tail = (slice(None),) * (ext.ndim - axis - 1)
+
+    def tap(k):
+        return ext[(slice(None),) * axis + (slice(k, k + n),) + tail]
+
+    ii = np.arange(1, h + 1)
+    left, right = weights[h - ii], weights[h + ii]
+    sign = 1 if not np.any(np.abs(right - left) > _DBL_EPSILON) else \
+        -1 if not np.any(np.abs(right + left) > _DBL_EPSILON) else 0
+    first = h if sign else 2 * h
+    out = tap(first) * weights[first]
+    term = np.empty_like(out)
+    pair = {1: np.add, -1: np.subtract}.get(sign)
+    for k in range(first):
+        if pair is None:
+            np.multiply(tap(k), weights[k], out=term)
+        else:
+            pair(tap(k), tap(2 * h - k), out=term)
+            term *= weights[k]
+        out += term
+    return out
+
+
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """scipy.ndimage's ``gaussian_filter1d`` correlation weights (radius
+    ``int(4 sigma + 0.5)``), bit for bit."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return (phi / phi.sum())[::-1]
+
+
+def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
+                 steering: np.ndarray) -> np.ndarray:
+    """Non-stationary along-track convolution of a (bands, rows, samples)
+    stack with edge-clamped lines, returned as (bands, lines, samples) for
+    ``lines = steering.size``: kernels constant within SEGMENT_LINES x
+    STRAY_BLOCKS tiles, evaluated at the tile's mean steering angle and
+    center sample.  A tile reads its lines plus a tap_count // 2 halo.
+
+    A stack of all its lines is filtered in place, each block read from a
+    copy taken before the block is written.  A line-invariant stack of one
+    row (``rows < lines``) is filtered once per tile on that row and
+    repeated to the tile's lines: with clamped edges every line of a tile
+    sums the same terms.  Each task of :func:`band_map` filters one slice
+    of bands, as many as one worker's share of its budget holds at one
+    float64 band each."""
+    bands, rows, samples = fields.shape
+    lines = steering.shape[0]
+    out = fields if rows == lines else np.empty((bands, lines, samples))
     h = spec.tap_count // 2
     block_edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
+    sigma = spec.cross_track_sigma_px
+    lobe = _gaussian_weights(sigma) if sigma > 0 else None
 
     def filter_bands(sl):
         for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
             frac = (0.5 * (c0 + c1)) / samples
-            block = fields[sl, :, c0:c1].copy()
+            block = fields[sl, :, c0:c1]
+            if rows == lines:
+                block = block.copy()
             for seg0 in range(0, lines, SEGMENT_LINES):
                 seg1 = min(seg0 + SEGMENT_LINES, lines)
-                r0, r1 = max(seg0 - h, 0), min(seg1 + h, lines)
                 taps = spec.kernel(float(steering[seg0:seg1].mean()), frac)
-                sub = convolve1d(block[:, r0:r1], taps, axis=1,
-                                 mode="nearest")
-                if spec.cross_track_sigma_px > 0:
-                    sub = gaussian_filter1d(sub, spec.cross_track_sigma_px,
-                                            axis=2, mode="nearest")
-                fields[sl, seg0:seg1, c0:c1] = sub[:, seg0 - r0:seg1 - r0]
+                span = np.arange(seg0 - h, seg1 + h) if rows == lines \
+                    else np.arange(-h, h + 1)
+                sub = _correlate(block[:, np.clip(span, 0, rows - 1)],
+                                 taps[::-1], axis=1)
+                if lobe is not None:
+                    r, n = lobe.size // 2, c1 - c0
+                    cols = np.clip(np.arange(-r, n + r), 0, n - 1)
+                    sub = _correlate(sub[:, :, cols], lobe, axis=2)
+                out[sl, seg0:seg1, c0:c1] = sub
             block = sub = None  # freed before the next block's copy
 
     band_map(filter_bands, bands, 8 * lines * samples)
+    return out
 
 
 def render_raw(scene: Scene, sensor: SensorModel,
@@ -482,8 +541,9 @@ def render_raw(scene: Scene, sensor: SensorModel,
                steering_deg: np.ndarray | None = None):
     """Render a raw DN cube plus its ground-truth manifest, the mapping
     written to ``manifest.json``.  Fields are band-major; a scene whose lines
-    are all the same renders one line, which is repeated before stray light
-    (every earlier step acts within a line)."""
+    are all the same renders one line (every step before stray light acts
+    within a line), which stray light filters once per segment and repeats
+    to the segment's lines."""
     artifacts = artifacts or ArtifactConfig()
     _check_coverage(scene, sensor)
     if scene.samples != sensor.samples:
@@ -516,9 +576,7 @@ def render_raw(scene: Scene, sensor: SensorModel,
     fields[~illuminated] = 0.0
 
     if artifacts.stray is not None:
-        if rows < lines:
-            fields = np.repeat(fields, lines, axis=1)
-        _apply_stray(fields, artifacts.stray, steering_deg)
+        fields = _apply_stray(fields, artifacts.stray, steering_deg)
 
     dark_term = sensor.dark_dn + sensor.dark_temp_slope * (
         temperature_k - sensor.t_ref_k)
@@ -605,6 +663,8 @@ def render_sphere(sensor: SensorModel, level: float, frames: int,
 def render_monochromator(sensor: SensorModel, wl_nm: float) -> np.ndarray:
     """Per-(band, sample) response to a MONOCHROMATOR_LINE_NM-wide
     monochromatic line."""
+    from scipy.special import erf  # only RSR scans need it
+
     if not (WL_START <= wl_nm <= WL_STOP):
         raise HypercalError(f"wavelength {wl_nm} nm outside "
                             f"[{WL_START}, {WL_STOP}]")

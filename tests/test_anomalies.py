@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypercal import anomalies as ano
+from hypercal import kernels
 from hypercal import simulate as sim
 from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
@@ -255,6 +256,26 @@ class TestBunchDetectionMatchesColumnLoop:
         found = ano.detect_bunch_pixels(cube)
         assert found and found == _reference_detect_bunch(cube)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sample_blocks_same_clusters(self, workers, monkeypatch):
+        # a budget of three columns per task splits the medians into
+        # blocks of three samples and a remainder
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 3 * 8 * 48 * 6 * workers)
+        cube = _planted_cube(40, seed=1)
+        assert ano.detect_bunch_pixels(cube) == _reference_detect_bunch(cube)
+
+    def test_detection_copies_sample_blocks_only(self, monkeypatch):
+        # no float64 copy of a dn12 cube, no partition copy of a radiance
+        # one: 2 MB task buffers are an eighth of the 15.7 MB cube
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 2 << 20)
+        cube = _float64_cube()
+        assert traced_peak(lambda: ano.detect_bunch_pixels(cube)) \
+            < 0.5 * cube.data.nbytes
+        dn = cube.with_data(cube.data * 10.0, pixel_kind="dn12")
+        assert traced_peak(lambda: ano.detect_bunch_pixels(dn)) \
+            < 0.5 * cube.data.nbytes
+
     def test_narrow_swath_has_no_baseline_and_no_warning(self):
         # at 8 samples no column has a neighbor 8 to 24 columns away
         cube = _planted_cube(8, seed=0)
@@ -365,10 +386,48 @@ class TestInterference:
         peak = traced_peak(lambda: ano.detect_interference(cube))
         assert peak < 0.5 * cube.data.nbytes
 
-    def test_removal_holds_only_spectrum_and_output(self):
+    def test_removal_holds_only_spectrum_and_output(self, monkeypatch):
+        # the spectrum of one sample block per task, not of the whole cube:
+        # 2 MB task buffers are an eighth of the 15.7 MB cube
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 2 << 20)
         cube = _float64_cube()
         peak = traced_peak(lambda: ano.remove_interference(cube, [0.23]))
-        assert peak < 2.5 * cube.data.nbytes
+        assert peak < 1.5 * cube.data.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["dn12", "radiance"])
+    def test_sample_blocks_same_bits_as_whole_cube(self, workers, kind,
+                                                   monkeypatch):
+        # blocks of five samples and a remainder, notched at two
+        # frequencies, then the banding profile of the SWIR window bands
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES",
+                            5 * 8 * 200 * 40 * workers)
+        rng = np.random.default_rng(3)
+        data = rng.normal(900.0, 40.0, (200, 23, 40))
+        meta = sim.make_sensor("swir", samples=23, bands=200).band_meta()[
+            100:140]
+        cube = SpectralCube(np.rint(data).astype(np.uint16) if kind == "dn12"
+                            else data, kind, meta)
+        freqs = [0.05, 0.23]
+        fgrid = np.fft.rfftfreq(200)
+        gain = ano._notch_gain(fgrid, 0.05, ano.NOTCH_HALF_WIDTH,
+                               ano.NOTCH_ORDER)
+        gain *= ano._notch_gain(fgrid, 0.23, ano.NOTCH_HALF_WIDTH,
+                                ano.NOTCH_ORDER)
+        spec = np.fft.rfft(cube.data, axis=0)
+        spec *= gain[:, None, None]
+        whole = np.fft.irfft(spec, n=200, axis=0)
+        lo, hi = ano.BANDING_WINDOW_NM
+        window = np.flatnonzero((cube.centers_nm >= lo)
+                                & (cube.centers_nm <= hi))
+        assert window.size
+        profile = whole[:, :, window[0]:window[-1] + 1].mean(axis=(1, 2))
+        whole -= (profile - profile.mean())[:, None, None]
+        expected = cube.with_data(whole).data
+        got = ano.remove_interference(cube, freqs).data
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
     def test_dc_notch_rejected(self):
         cube = self._cube(lines=256)

@@ -230,3 +230,35 @@ def test_geocal_does_not_load_scipy_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-2:] == [str(EXIT_OK), "False"]
     assert (tmp_path / "boresight.txt").exists()
+
+
+def test_default_chains_do_not_load_scipy_special_or_ndimage(tmp_path):
+    """A fresh interpreter imports the CLI and runs the correct and bundle
+    chains (stray light, bunch and interference repair, ortho and bundle)
+    without scipy.special or scipy.ndimage."""
+    import os
+    import subprocess
+    import sys
+
+    import hypercal
+
+    stages = [dict(name=name, **params)
+              for name, params in default_config(preset="dual").stages]
+    stages[0].update(lines=128, samples=128)
+    cfg = _write_config(tmp_path, stages, preset="dual")
+    src = str(Path(hypercal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys; import hypercal.cli as cli; "
+        "loaded = lambda: sorted({'scipy.special', 'scipy.ndimage'} "
+        "& set(sys.modules)); print(loaded()); "
+        f"print(cli.main(['correct', '--config', {cfg!r}]), loaded()); "
+        f"print(cli.main(['bundle', '--config', {cfg!r}]), loaded())")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    printed = [line for line in done.stdout.splitlines()
+               if not line.startswith("wrote")]
+    assert printed == ["[]", f"{EXIT_OK} []", f"{EXIT_OK} []"]
+    assert (tmp_path / "out" / "bundle.img").exists()

@@ -8,7 +8,7 @@ from hypercal import radiometry as rad
 from hypercal import simulate as sim
 from hypercal.errors import CubeFormatError, EstimationError
 
-from conftest import quiet_sensor
+from conftest import quiet_sensor, traced_peak
 
 SPHERE_LEVELS = (0.5, 2.0, 60.0, 90.0)
 
@@ -86,6 +86,27 @@ class TestFlatFieldFit:
         out, _, clamped = rad.apply_flatfield(cube, table, dark)
         assert clamped > 0
         assert out.data.min() >= 0.0
+
+    def test_apply_in_place_same_bits_and_one_cube(self):
+        # the out-of-place form it replaced, on a cube with a masked
+        # channel (NaN gain) and clamped negative radiances
+        sensor = _sphere_sensor(masked_channels=(3,))
+        pairs = [(lv, sim.render_sphere(sensor, lv, 20, seed=i, noise=False))
+                 for i, lv in enumerate(SPHERE_LEVELS)]
+        table = rad.fit_flatfield(pairs)
+        dark = rad.DarkModel.constant(sensor.dark_dn)
+        cube = sim.render_sphere(sensor, 0.0, 256, seed=2)
+        g = table.gain.T[None]
+        ref = g * (cube.data.astype(np.float64) - dark.at(dark.t_ref_k).T[None])
+        ref_valid = np.broadcast_to(np.isfinite(g), ref.shape)
+        ref = np.where(ref_valid, ref, 0.0)
+        ref_clamped = int(np.count_nonzero(ref < 0))
+        out, valid, clamped = rad.apply_flatfield(cube, table, dark)
+        assert ref_clamped > 0 and clamped == ref_clamped
+        assert np.array_equal(valid, ref_valid)
+        assert np.array_equal(out.data, np.clip(ref, 0.0, None))
+        peak = traced_peak(lambda: rad.apply_flatfield(cube, table, dark))
+        assert peak < 1.5 * ref.nbytes
 
     def test_table_round_trip(self, tmp_path):
         table = _fit_table(_sphere_sensor())

@@ -270,6 +270,66 @@ class TestCalibrationRenders:
 
 
 # ---------------------------------------------------------------------------
+# the stray-light line filter against scipy.ndimage
+
+def _clamped(x, pad, axis):
+    """``x`` extended by ``pad`` edge copies on each side of ``axis``."""
+    n = x.shape[axis]
+    return np.take(x, np.clip(np.arange(-pad, n + pad), 0, n - 1), axis=axis)
+
+
+def _stray_taps(rng):
+    """Along-track kernels of each kind the filter tells apart: random,
+    stray kernels at zero (exactly symmetric) and nonzero steering, one
+    symmetric only within DBL_EPSILON, and an antisymmetric one."""
+    spec = sim.StrayLightSpec(tail_scale_px=2.2)
+    sym = spec.kernel(0.0, 0.3)
+    near = sym.copy()
+    near[0] += 3e-17  # a few ulp: still symmetric to NI_Correlate1D
+    anti = rng.normal(size=15)
+    anti -= anti[::-1]
+    return [rng.random(n) for n in (1, 3, 5, 15, 31)] + [
+        sym, near, anti, spec.kernel(1.7, 0.8), spec.kernel(-0.4, 0.1),
+        sim.StrayLightSpec(tap_count=5).kernel(0.0, 0.5)]
+
+
+class TestStrayFilterMatchesNdimage:
+    @pytest.mark.parametrize("lines", [1, 2, 7, 30, 31, 95])
+    def test_same_bits_as_convolve1d(self, lines):
+        rng = np.random.default_rng(lines)
+        x = rng.normal(50.0, 20.0, (3, lines, 6)) * 10.0 ** rng.uniform(
+            -3, 3, (3, 1, 6))
+        for taps in _stray_taps(rng):
+            got = sim._correlate(_clamped(x, taps.size // 2, 1), taps[::-1],
+                                 axis=1)
+            assert np.array_equal(
+                got, convolve1d(x, taps, axis=1, mode="nearest"))
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.3, 2.5, 7.0])
+    def test_cross_track_lobe_same_bits_as_gaussian_filter1d(self, sigma):
+        # at 7 px the 29-tap lobe is wider than the 6-sample block
+        x = np.random.default_rng(5).normal(50.0, 20.0, (3, 4, 6))
+        lobe = sim._gaussian_weights(sigma)
+        got = sim._correlate(_clamped(x, lobe.size // 2, 2), lobe, axis=2)
+        assert np.array_equal(
+            got, gaussian_filter1d(x, sigma, axis=2, mode="nearest"))
+
+    @pytest.mark.parametrize("lines", [1, 10, 64, 100, 130])
+    @pytest.mark.parametrize("sigma", [0.0, 1.3])
+    def test_line_invariant_field_filtered_once_per_segment(self, lines,
+                                                            sigma):
+        # one row stands for its lines: the same bits as the row repeated
+        row = np.random.default_rng(lines).normal(50.0, 20.0, (3, 1, 24))
+        spec = sim.StrayLightSpec(tail_scale_px=2.2,
+                                  cross_track_sigma_px=sigma)
+        steering = sim.linear_steering(lines)
+        once = sim._apply_stray(row.copy(), spec, steering)
+        full = sim._apply_stray(np.repeat(row, lines, axis=1), spec,
+                                steering)
+        assert np.array_equal(once, full)
+
+
+# ---------------------------------------------------------------------------
 # per-band reference renders: the band-last loops the band-major renderer
 # replaced, kept to pin every output byte
 
@@ -404,6 +464,8 @@ _RENDER_CASES = [
     ("library-bars", 33, 24, 6, False, (), None, False, True, 0.0),
     ("uniform", 0, 24, 4, True, (), 0.0, True, False, 0.4),
     ("checkerboard", 0, 24, 4, True, (), None, False, False, 0.0),
+    # line-invariant with stray light and fewer lines than the 31 taps
+    ("bar-target", 10, 24, 4, False, (), 0.0, False, False, 0.0),
 ]
 
 
@@ -496,8 +558,6 @@ class TestRenderMatchesPerBandReference:
         # the task buffers a sliver of the 8 MB cube, so a full-cube
         # temporary shows against its size; the cube, the stray block
         # copies and their filtered tiles fit under 1.75 cubes
-        # (scipy.ndimage is imported above, so its first import is not
-        # counted)
         monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", (256 << 10) * workers)
         sensor = sim.make_sensor(
