@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import DN_MAX, SpectralCube, read_json
+from .cube import DN_MAX, SpectralCube, read_model
 from .errors import EstimationError
 from .kernels import band_map
-from .simulate import BunchCluster, SEGMENT_LINES, STRAY_BLOCKS
+from .simulate import BunchCluster, SEGMENT_LINES, stray_blocks
 
 BUNCH_MAD_K = 6.0
 BUNCH_BASELINE_HALF = 8        # columns each side for the local baseline
@@ -257,11 +257,7 @@ class StrayPSFModel:
         h = k.shape[0] // 2
         return float((np.arange(-h, h + 1) * k).sum())
 
-    @classmethod
-    def from_json(cls, path) -> "StrayPSFModel":
-        raw = read_json(path)
-        return cls(np.asarray(raw["steering_deg"]),
-                   np.asarray(raw["sample_pos"]), np.asarray(raw["taps"]))
+    from_json = classmethod(read_model)
 
 
 def kernel_extent(taps: np.ndarray) -> int:
@@ -273,13 +269,13 @@ def kernel_extent(taps: np.ndarray) -> int:
 
 
 def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
-                       band: int = 0, tap_count: int = 31) -> StrayPSFModel:
+                       tap_count: int = 31) -> StrayPSFModel:
     """Measure stray kernels from point-source responses.
 
     ``point_cubes`` is a list of ``(cube, (line, sample))`` pairs covering
     at least 3 along-track positions x 3 sample blocks.  Each point's
-    along-track column is background-subtracted and normalized into a
-    kernel; kernels are arranged on the (steering, sample) grid for
+    along-track column in band 0 is background-subtracted and normalized
+    into a kernel; kernels are arranged on the (steering, sample) grid for
     bilinear interpolation.
     """
     if tap_count < 1 or tap_count % 2 == 0:
@@ -291,7 +287,7 @@ def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
         lines, samples = cube.lines, cube.samples
         if not (h <= l0 < lines - h):
             raise EstimationError("point source too close to the strip edge")
-        col = cube.data[:, s0, band].astype(np.float64)
+        col = cube.data[:, s0, 0].astype(np.float64)
         window = col[l0 - h:l0 + h + 1].copy()
         bg_idx = np.r_[0:max(l0 - 2 * h, 1), min(l0 + 2 * h, lines - 1):lines]
         background = np.median(col[bg_idx])
@@ -340,7 +336,7 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
         raise EstimationError("steering profile length must equal cube lines")
     out = np.zeros_like(data)
     weight = np.zeros(lines)
-    block_edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
+    blocks = stray_blocks(samples)
     n = SEGMENT_LINES
     win = np.hanning(n + 2)[1:-1]
     h = model.tap_count // 2
@@ -352,8 +348,7 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
         theta = float(steering_deg[s0:seg1].mean())
         wseg = win[: seg1 - s0]
         corrected = np.empty_like(seg)
-        for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
-            frac = (0.5 * (c0 + c1)) / samples
+        for c0, c1, frac in blocks:
             taps = model.kernel(theta, frac)
             kpad = np.zeros(n)
             kpad[:model.tap_count] = taps

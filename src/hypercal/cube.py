@@ -7,7 +7,9 @@ are supported: band-sequential (``bsq``) and band-interleaved-by-line
 cubes are 64-bit float in W m-2 sr-1 um-1.
 
 Every ``key = value`` file goes through :func:`write_header`, and every JSON
-model file and the artifact manifest through :func:`write_json`.
+model file and the artifact manifest through :func:`write_json`; the model
+classes read theirs back through :func:`read_model`.  ``INSTRUMENTS`` holds
+each camera's band-center range, default band count and band width.
 """
 
 from __future__ import annotations
@@ -22,8 +24,18 @@ from .errors import CubeFormatError
 
 DN_MAX = 4095  # 12-bit radiometric resolution
 
-_VNIR_RANGE = (400.0, 900.0)
-_SWIR_RANGE = (850.0, 2500.0)
+
+@dataclass(frozen=True)
+class Instrument:
+    """One camera's facts, shared by the simulator and the cube checks."""
+
+    range_nm: tuple     # (lowest, highest) band center
+    bands: int          # default band count
+    fwhm_nm: float      # default band FWHM
+
+
+INSTRUMENTS = {"vnir": Instrument((400.0, 900.0), 60, 9.24),
+               "swir": Instrument((850.0, 2500.0), 256, 5.87)}
 
 _DTYPES = {"dn12": np.dtype("<u2"), "radiance": np.dtype("<f8")}
 
@@ -41,13 +53,13 @@ class BandMeta:
     quality: str = "good"
 
     def __post_init__(self):
-        if self.instrument not in ("vnir", "swir"):
+        if self.instrument not in INSTRUMENTS:
             raise CubeFormatError(f"unknown instrument {self.instrument!r}")
         if self.quality not in ("good", "bad"):
             raise CubeFormatError(f"unknown quality {self.quality!r}")
         if not self.fwhm_nm > 0:
             raise CubeFormatError("fwhm_nm must be positive")
-        lo, hi = _VNIR_RANGE if self.instrument == "vnir" else _SWIR_RANGE
+        lo, hi = INSTRUMENTS[self.instrument].range_nm
         if not (lo <= self.center_nm <= hi):
             raise CubeFormatError(
                 f"{self.instrument} center {self.center_nm} nm outside [{lo}, {hi}]"
@@ -294,6 +306,13 @@ def write_json(value, path, sort_keys: bool = False) -> None:
 def read_json(path):
     """Read a :func:`write_json` file; arrays come back as lists."""
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_model(cls, path):
+    """Read a model dataclass ``cls`` back from its :func:`write_json` file;
+    list fields come back as arrays."""
+    return cls(**{k: np.asarray(v) if isinstance(v, list) else v
+                  for k, v in read_json(path).items()})
 
 
 def region_stats(cube: SpectralCube, roi: RegionOfInterest) -> dict:

@@ -105,12 +105,6 @@ class GeoModel:
     def lines(self) -> int:
         return self.track_along_m.shape[0]
 
-    def look_angle(self, sample) -> np.ndarray:
-        """Across-track look angle (rad), zero at the center sample."""
-        center = (self.samples - 1) / 2.0
-        return (np.asarray(sample, dtype=np.float64) - center) * \
-            self.gsd_m / self.altitude_m
-
     def with_bias(self, bias: BoresightBias) -> "GeoModel":
         return dataclasses.replace(self, bias=bias)
 
@@ -138,21 +132,29 @@ def make_geo(lines: int, samples: int, roll=0.0, pitch=0.0, yaw=0.0,
         roll=series(roll), pitch=series(pitch), yaw=series(yaw))
 
 
-def _attitude(geo: GeoModel, line):
-    """Roll, pitch and yaw (rad) at fractional ``line``: the interpolated
-    attitude series plus the mounting angles, without the boresight bias."""
+def _point_terms(geo: GeoModel, line, sample, height):
+    """What the ground intersection needs of points that does not depend on
+    the boresight bias: attitude plus mounting (roll, pitch, yaw) at the
+    fractional line, sine and cosine of the across-track look angle (zero at
+    the center sample), ``altitude - height``, and the track (east, north)
+    at the line."""
     idx = np.arange(geo.lines, dtype=np.float64)
-    return tuple(np.interp(line, idx, series) + mount for series, mount in
-                 zip((geo.roll, geo.pitch, geo.yaw), geo.mounting))
+    look = (sample - (geo.samples - 1) / 2.0) * geo.gsd_m / geo.altitude_m
+    return (*(np.interp(line, idx, series) + mount for series, mount in
+              zip((geo.roll, geo.pitch, geo.yaw), geo.mounting)),
+            np.sin(look), np.cos(look), geo.altitude_m - height,
+            np.interp(line, idx, geo.track_across_m),
+            np.interp(line, idx, geo.track_along_m))
 
 
-def _ray(sin_look, cos_look, roll, pitch, yaw):
-    """Unit-free line-of-sight components (east, north, down) of the ray at
-    a look angle, given its sine and cosine, under an attitude."""
+def _ground(terms, bias):
+    """Ground (east, north) meters where the lines of sight of
+    :func:`_point_terms` meet their horizontal planes under a boresight
+    bias ``(droll, dpitch, dyaw)``."""
+    roll, pitch, yaw = (angle + d for angle, d in zip(terms[:3], bias))
     # instrument-frame ray: across-track fan, z pointing down
-    vx = sin_look
+    vx, vz, depth, track_e, track_n = terms[3:]
     vy = np.zeros_like(vx)
-    vz = cos_look
     # roll about the along-track axis moves the footprint across track
     cr, sr = np.cos(roll), np.sin(roll)
     vx, vz = vx * cr + vz * sr, -vx * sr + vz * cr
@@ -164,7 +166,8 @@ def _ray(sin_look, cos_look, roll, pitch, yaw):
     vx, vy = vx * cy - vy * sy, vx * sy + vy * cy
     if np.any(vz <= 1e-9):
         raise EstimationError("line of sight does not intersect the ground")
-    return vx, vy, vz
+    dist = depth / vz
+    return track_e + dist * vx, track_n + dist * vy
 
 
 def geolocate(geo: GeoModel, line, sample, height=0.0):
@@ -173,18 +176,9 @@ def geolocate(geo: GeoModel, line, sample, height=0.0):
     Intersects the line of sight with the horizontal plane at ``height``
     on the local tangent frame.  Accepts scalars or arrays.
     """
-    line = np.asarray(line, dtype=np.float64)
-    sample = np.asarray(sample, dtype=np.float64)
-    height = np.asarray(height, dtype=np.float64)
-    roll, pitch, yaw = _attitude(geo, line)
-    look = geo.look_angle(sample)
-    b = geo.bias
-    vx, vy, vz = _ray(np.sin(look), np.cos(look), roll + b.droll,
-                      pitch + b.dpitch, yaw + b.dyaw)
-    dist = (geo.altitude_m - height) / vz
-    idx = np.arange(geo.lines, dtype=np.float64)
-    east = np.interp(line, idx, geo.track_across_m) + dist * vx
-    north = np.interp(line, idx, geo.track_along_m) + dist * vy
+    terms = _point_terms(geo, *(np.asarray(v, dtype=np.float64)
+                                for v in (line, sample, height)))
+    east, north = _ground(terms, dataclasses.astuple(geo.bias))
     if east.ndim == 0:
         return float(east), float(north)
     return east, north
@@ -192,24 +186,14 @@ def geolocate(geo: GeoModel, line, sample, height=0.0):
 
 def residuals(geo: GeoModel, gcps) -> np.ndarray:
     """Per-GCP (across, along) residuals in meters: predicted - surveyed."""
-    if not gcps:
-        raise EstimationError("no ground control points supplied")
-    lines = np.array([g.line for g in gcps])
-    samples = np.array([g.sample for g in gcps])
-    heights = np.array([g.height for g in gcps])
-    east, north = geolocate(geo, lines, samples, heights)
-    res = np.empty((len(gcps), 2))
-    res[:, 0] = east - np.array([g.east for g in gcps])
-    res[:, 1] = north - np.array([g.north for g in gcps])
-    return res
+    terms, _ = _gcp_terms([(geo, gcps)])
+    return _gcp_residuals(terms, dataclasses.astuple(geo.bias)).T.copy()
 
 
 def _gcp_terms(strips):
-    """Everything the boresight cost needs that does not depend on the bias,
-    for every GCP of every strip in strip order: a ``(10, n)`` array of
-    attitude plus mounting (roll, pitch, yaw), sine and cosine of the look
-    angle, ``altitude - height``, track (east, north) and surveyed (east,
-    north), and each strip's slice of its columns."""
+    """The :func:`_point_terms` of every GCP of every strip in strip order,
+    then their surveyed (east, north), as a ``(10, n)`` array, and each
+    strip's slice of its columns."""
     if not strips:
         raise EstimationError("no strips supplied")
     parts, slices, stop = [], [], 0
@@ -219,27 +203,23 @@ def _gcp_terms(strips):
         line, sample, height, east, north = np.array(
             [(g.line, g.sample, g.height, g.east, g.north) for g in gcps],
             dtype=np.float64).T
-        idx = np.arange(geo.lines, dtype=np.float64)
-        look = geo.look_angle(sample)
-        parts.append(np.array([
-            *_attitude(geo, line), np.sin(look), np.cos(look),
-            geo.altitude_m - height,
-            np.interp(line, idx, geo.track_across_m),
-            np.interp(line, idx, geo.track_along_m), east, north]))
+        parts.append(np.array([*_point_terms(geo, line, sample, height),
+                               east, north]))
         slices.append(slice(stop, stop + len(gcps)))
         stop += len(gcps)
     return np.concatenate(parts, axis=1), slices
 
 
-def _terms_cost(terms, slices, droll, dpitch, dyaw) -> float:
-    """The boresight cost of one bias in one pass over every GCP; adds in
-    the order ``geolocate`` and ``residuals`` do."""
-    roll, pitch, yaw, sin_look, cos_look, depth, track_e, track_n, \
-        east, north = terms
-    vx, vy, vz = _ray(sin_look, cos_look, roll + droll, pitch + dpitch,
-                      yaw + dyaw)
-    dist = depth / vz
-    res = np.array([track_e + dist * vx - east, track_n + dist * vy - north])
+def _gcp_residuals(terms, bias) -> np.ndarray:
+    """``(2, n)`` predicted - surveyed (east, north) of :func:`_gcp_terms`
+    under a bias ``(droll, dpitch, dyaw)``."""
+    east, north = _ground(terms[:8], bias)
+    return np.array([east - terms[8], north - terms[9]])
+
+
+def _terms_cost(terms, slices, bias) -> float:
+    """The boresight cost of one bias in one pass over every GCP."""
+    res = _gcp_residuals(terms, bias)
     total = 0.0
     for s in slices:
         (me, mn), (se, sn) = res[:, s].mean(axis=1), res[:, s].std(axis=1)
@@ -254,8 +234,7 @@ def cost(bias: BoresightBias, strips) -> float:
     ``strips`` is a sequence of ``(GeoModel, [GroundControlPoint])`` pairs;
     each strip's own ``bias`` is replaced by ``bias``.
     """
-    return _terms_cost(*_gcp_terms(strips), bias.droll, bias.dpitch,
-                       bias.dyaw)
+    return _terms_cost(*_gcp_terms(strips), dataclasses.astuple(bias))
 
 
 def _nelder_mead(fn, simplex):
@@ -334,7 +313,7 @@ def optimize_boresight(strips) -> BoresightBias:
     def objective(x):
         if abs(x[2]) > YAW_BOUND_RAD:
             return 1e12 * (1.0 + abs(x[2]))
-        val = _terms_cost(terms, slices, *x)
+        val = _terms_cost(terms, slices, x)
         if not np.isfinite(val):
             raise EstimationError("non-finite boresight cost (bad GCPs)")
         return val

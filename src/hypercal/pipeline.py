@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anomalies, geometry, radiometry, spectral
 from . import simulate as sim
-from .cube import SpectralCube, write_cube, write_json
+from .cube import INSTRUMENTS, SpectralCube, write_cube, write_json
 from .errors import ConfigError, EstimationError, HypercalError
 
 __all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
@@ -30,6 +30,9 @@ __all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
 SCHEMA_VERSION = 1
 
 PRESETS = ("vnir", "swir", "dual")
+
+# the chain's stray light: injected by simulate, measured by stray
+_CHAIN_STRAY = sim.StrayLightSpec(tail_scale_px=2.2)
 
 
 class StageError(HypercalError):
@@ -114,9 +117,15 @@ _COUNT = _bounded(int, 1)
 _SAVE = (bool, True)
 
 
-def _components(value) -> list:
-    """Interference components, none for an empty or false value.  Errors
-    carry the rest of the key path, e.g. ``[0].color``."""
+def _scene(value) -> str:
+    if value != "library-bars" and value not in sim._SCENE_PARAMS:
+        raise ValueError(f"unknown scene {value!r}")
+    return value
+
+
+def _components(value) -> tuple:
+    """``sim.InterferenceComponent``s, none for an empty or false value.
+    Errors carry the rest of the key path, e.g. ``[0].color``."""
     comps = []
     for j, comp in enumerate(value or ()):
         if not isinstance(comp, dict):
@@ -132,8 +141,11 @@ def _components(value) -> list:
                 comp[key] = _finite(comp[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"[{j}].{key}: {exc}") from None
-        comps.append(comp)
-    return comps
+        try:
+            comps.append(sim.InterferenceComponent(**comp))
+        except HypercalError as exc:
+            raise ConfigError(f"[{j}]: {exc}") from None
+    return tuple(comps)
 
 
 def _stage_params(stage: Stage, given: dict, where: str) -> dict:
@@ -261,6 +273,12 @@ def _library_bars_scene(lines: int, samples: int, level: float):
     return dataclasses.replace(scene, spatial=scene.spatial * bars.spatial)
 
 
+def _keystone_ref(bands: int) -> int:
+    """The keystone reference band of a ``bands``-band cube: the simulator's
+    zero-keystone band, where stray light is also measured."""
+    return min(spectral.KEYSTONE_REF_BAND, bands - 1)
+
+
 def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
     instrument = "swir" if cfg.preset == "swir" else "vnir"
     lines, samples, level = p["lines"], p["samples"], p["level"]
@@ -268,17 +286,15 @@ def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
         scene = _library_bars_scene(lines, samples, level)
     else:
         scene = sim.synth_scene(p["scene"], lines, samples, level=level)
-    nbands = p["bands"] or (256 if instrument == "swir" else 60)
+    nbands = p["bands"] or INSTRUMENTS[instrument].bands
     sensor = sim.make_sensor(
         instrument, samples=samples, bands=nbands,
         smile_nm=sim.quadratic_smile(nbands, samples, p["smile_nm"]),
         center_error_nm=p["center_error_nm"],
         keystone_px=sim.linear_keystone(
-            nbands, samples, p["keystone_px"],
-            ref_band=min(spectral.KEYSTONE_REF_BAND, nbands - 1)),
+            nbands, samples, p["keystone_px"], ref_band=_keystone_ref(nbands)),
         prnu_spread=p["prnu_spread"], read_noise_dn=p["read_noise_dn"],
         seed=cfg.seed + 7)
-    comps = tuple(sim.InterferenceComponent(**c) for c in p["interference"])
     clusters = ()
     if p["bunch"]:
         # clusters that fit the cube (unchanged from 256 samples, 13 bands)
@@ -286,9 +302,9 @@ def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
         clusters = sim.make_bunch_clusters(
             bands=[b for b in (5, 12) if b < nbands], start_samples=starts,
             max_len=min(15, samples - starts[1]), seed=cfg.seed + 3)
-    stray = sim.StrayLightSpec(tail_scale_px=2.2) if p["stray"] else None
-    artifacts = sim.ArtifactConfig(interference=comps, bunch=clusters,
-                                   stray=stray, noise=p["noise"])
+    artifacts = sim.ArtifactConfig(
+        interference=p["interference"], bunch=clusters,
+        stray=_CHAIN_STRAY if p["stray"] else None, noise=p["noise"])
     steering = sim.linear_steering(lines)
     cube, manifest = sim.render_raw(
         scene, sensor, artifacts, seed=cfg.seed,
@@ -381,12 +397,10 @@ def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
     steering = state["steering"]
     lines, samples = state["cube"].lines, state["cube"].samples
-    spec = sim.StrayLightSpec(tail_scale_px=2.2)
     # measure at the keystone reference band, where the injected band-to-band
     # spatial shift is zero and the point stays in its column; only that
     # band is rendered
-    band = min(spectral.KEYSTONE_REF_BAND, sensor.centers_nm.size - 1)
-    ref_sensor = sensor.single_band(band)
+    ref_sensor = sensor.single_band(_keystone_ref(sensor.bands))
     point_cubes = []
     rows = (lines // 8, lines // 2, 7 * lines // 8)
     cols = (samples // 8, samples // 2, 7 * samples // 8)
@@ -395,15 +409,16 @@ def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
                                 points=[(l0, s0)], background=0.002,
                                 amplitude=1.0)
         cube, _ = sim.render_raw(scene, ref_sensor,
-                                 sim.ArtifactConfig(stray=spec, noise=False),
+                                 sim.ArtifactConfig(stray=_CHAIN_STRAY,
+                                                    noise=False),
                                  seed=cfg.seed + 70, steering_deg=steering)
         point_cubes.append((cube, (l0, s0)))
-    model = anomalies.estimate_stray_psf(point_cubes, steering, band=0,
+    model = anomalies.estimate_stray_psf(point_cubes, steering,
                                          tap_count=p["tap_count"])
     corrected = anomalies.correct_stray(state["cube"], model, steering)
     extent = anomalies.kernel_extent(
         model.kernel(float(model.steering_deg[-1]), 0.5))
-    state.update(cube=corrected, stray_model=model)
+    state["cube"] = corrected
     if p["save"]:
         write_json(model, out / "stray_model.json")
     return {"kernel_extent_px": extent,
@@ -414,9 +429,9 @@ def _stage_smile(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     model = spectral.estimate_smile(cube, p["window"], p["stride"])
     corrected, _ = spectral.correct_smile(cube, model)
-    check = spectral.estimate_smile(corrected)
+    check = spectral.estimate_smile(corrected, p["window"], p["stride"])
     spacing = float(np.abs(np.diff(cube.centers_nm)).mean())
-    state.update(cube=corrected, smile_model=model)
+    state["cube"] = corrected
     if p["save"]:
         write_json(model, out / "smile_model.json")
     return {"peak_to_peak_nm": model.peak_to_peak_nm,
@@ -446,8 +461,9 @@ def _stage_keystone(state, p, out: Path, cfg: PipelineConfig):
     model = spectral.estimate_keystone(cube, ref_band=ref_band,
                                        n_fields=p["n_fields"])
     corrected, _ = spectral.correct_keystone(cube, model)
-    check = spectral.estimate_keystone(corrected, ref_band=ref_band)
-    state.update(cube=corrected, keystone_model=model)
+    check = spectral.estimate_keystone(corrected, ref_band=ref_band,
+                                       n_fields=p["n_fields"])
+    state["cube"] = corrected
     if p["save"]:
         write_json(model, out / "keystone_model.json")
     return {"max_shift_px": float(np.abs(model.shifts()).max()),
@@ -528,7 +544,7 @@ def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
     e2, n2 = geometry.geolocate(gm, np.clip(line, 0, gm.lines - 1),
                                 np.clip(sample, 0, gm.samples - 1), 0.0)
     closure = np.hypot((e2 - east) / cell_m, (n2 - north) / cell_m)[conv]
-    state.update(cube=ortho, geo=gm, grid=grid, ortho_valid=valid)
+    state.update(cube=ortho, geo=gm, grid=grid)
     if p["save"]:
         write_cube(ortho, out / "ortho.img")
         geometry.write_grid(out / "ortho.grid", grid)
@@ -592,7 +608,7 @@ def _stage_report(state, p, out: Path, cfg: PipelineConfig):
 
 STAGES = {stage.name: stage for stage in (
     Stage("simulate", _stage_simulate, {
-        "scene": (str, "library-bars"), "lines": (_COUNT, 256),
+        "scene": (_scene, "library-bars"), "lines": (_COUNT, 256),
         "samples": (_COUNT, 256), "level": (_finite, 100.0),
         "bands": (_optional(_COUNT), None), "smile_nm": (_finite, 0.0),
         "center_error_nm": (_finite, 0.0), "keystone_px": (_finite, 0.0),
@@ -620,18 +636,18 @@ STAGES = {stage.name: stage for stage in (
           after=("flat-field",), needs=("cube",), provides=("cube",)),
     Stage("stray", _stage_stray, {"tap_count": (int, 31), "save": _SAVE},
           after=("flat-field",), needs=("cube", "sensor", "steering"),
-          provides=("cube", "stray_model")),
+          provides=("cube",)),
     Stage("smile", _stage_smile, {
         "window": (_COUNT, spectral.SMILE_WINDOW), "save": _SAVE,
         "stride": (_optional(_bounded(operator.index, 1)), None)},
-        needs=("cube",), provides=("cube", "smile_model")),
+        needs=("cube",), provides=("cube",)),
     Stage("absolute-shift", _stage_absolute_shift,
           {"search_nm": (_finite, 15.0)},
           after=("smile",), needs=("cube",), provides=("cube",)),
     Stage("keystone", _stage_keystone, {
         "ref_band": (int, spectral.KEYSTONE_REF_BAND),
         "n_fields": (_COUNT, 5), "save": _SAVE},
-        needs=("cube",), provides=("cube", "keystone_model")),
+        needs=("cube",), provides=("cube",)),
     Stage("geocal", _stage_geocal, {
         "strips": (int, 8), "gcps_per_strip": (int, 25),
         "noise_m": (_bounded(_finite, 0), 0.0), "roll_km": (_finite, 3.5),
@@ -640,7 +656,7 @@ STAGES = {stage.name: stage for stage in (
     Stage("ortho", _stage_ortho, {
         "cell_m": (_bounded(_finite, 0, above=True), geometry.DEFAULT_GSD_M),
         "margin_cells": (int, 4), "save": _SAVE},
-        needs=("cube",), provides=("cube", "geo", "grid", "ortho_valid")),
+        needs=("cube",), provides=("cube", "geo", "grid")),
     Stage("bundle", _stage_bundle, {
         "offset_px": (_finite, 0.8), "patch": (_optional(int), None),
         "save": _SAVE},

@@ -147,6 +147,19 @@ class VicariousResult:
 # ---------------------------------------------------------------------------
 # flat-field
 
+def _line_fit(x: np.ndarray, means: np.ndarray):
+    """Per-pixel least-squares line ``means = slope * x + intercept`` along
+    the first axis of an ``(n, ., .)`` stack, for ``n`` values ``x``.
+    Returns ``(slope, intercept, fitted)``."""
+    xm = x.mean()
+    ym = means.mean(axis=0)
+    sxx = ((x - xm) ** 2).sum()
+    sxy = ((x - xm)[:, None, None] * (means - ym)).sum(axis=0)
+    slope = sxy / sxx
+    intercept = ym - slope * xm
+    return slope, intercept, slope * x[:, None, None] + intercept
+
+
 def fit_flatfield(levels) -> FlatFieldTable:
     """Least-squares light-transfer fit DN = a*L + b per pixel.
 
@@ -166,16 +179,9 @@ def fit_flatfield(levels) -> FlatFieldTable:
         raise EstimationError("sphere cubes must share dimensions")
     # per-pixel mean over lines at each level: (n_levels, S, B)
     means = np.stack([c.data.mean(axis=0, dtype=np.float64) for c in cubes])
-    x = lv[:, None, None]
-    xm = lv.mean()
-    ym = means.mean(axis=0)
-    sxx = ((lv - xm) ** 2).sum()
-    sxy = ((x - xm) * (means - ym)).sum(axis=0)
-    a = sxy / sxx                       # DN per radiance unit, (S, B)
-    b = ym - a * xm
-    pred = a[None] * x + b[None]
+    a, b, pred = _line_fit(lv, means)   # a: DN per radiance unit, (S, B)
     ss_res = ((means - pred) ** 2).sum(axis=0)
-    ss_tot = ((means - ym) ** 2).sum(axis=0)
+    ss_tot = ((means - means.mean(axis=0)) ** 2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 0.0)
         gain = np.where(a > 0, 1.0 / a, np.nan)
@@ -188,7 +194,7 @@ def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
 
     Returns ``(radiance cube, validity mask, clamped count)``; negative
     radiances are clamped to 0 and counted, masked channels emit 0 with
-    validity False.
+    validity False.  The mask is a read-only view repeated over the lines.
     """
     if table.gain.shape != (cube.bands, cube.samples):
         raise EstimationError("flat-field table does not match cube")
@@ -204,12 +210,10 @@ def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
     np.multiply(g, rad, out=rad)
     finite = np.isfinite(g)
     np.copyto(rad, 0.0, where=~finite)
-    valid = np.broadcast_to(finite, rad.shape).copy()
+    valid = np.broadcast_to(finite, rad.shape)
     clamped = int(np.count_nonzero(rad < 0))
     np.clip(rad, 0.0, None, out=rad)
-    meta = cube.band_meta
-    return cube.with_data(rad, pixel_kind="radiance",
-                          band_meta=meta), valid, clamped
+    return cube.with_data(rad, pixel_kind="radiance"), valid, clamped
 
 
 def nonuniformity(frame: np.ndarray) -> float:
@@ -285,14 +289,7 @@ def fit_dark_swir(darks, t_ref_k: float = 293.0,
         raise EstimationError("dark temperatures are degenerate")
     means = np.stack([c.data.mean(axis=0, dtype=np.float64).T
                       for _, c in darks])                 # (n, B, S)
-    t = temps - t_ref_k
-    tm = t.mean()
-    ym = means.mean(axis=0)
-    stt = ((t - tm) ** 2).sum()
-    sty = ((t - tm)[:, None, None] * (means - ym)).sum(axis=0)
-    slope = sty / stt
-    d_ref = ym - slope * tm
-    pred = d_ref[None] + slope[None] * t[:, None, None]
+    slope, d_ref, pred = _line_fit(temps - t_ref_k, means)
     stability = float(np.abs(means - pred).max())
     if instrument == "vnir":
         slope = np.zeros_like(slope)

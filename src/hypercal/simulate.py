@@ -17,10 +17,11 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .cube import BandMeta, SpectralCube, DN_MAX
+from .cube import BandMeta, SpectralCube, DN_MAX, INSTRUMENTS
 from .errors import HypercalError
 from .kernels import band_integrals, band_map, resample_rows
-from .spectral import ABSORPTION_LINES, MONOCHROMATOR_LINE_NM
+from .spectral import (ABSORPTION_LINES_NM, KEYSTONE_REF_BAND,
+                       MONOCHROMATOR_LINE_NM)
 
 WL_START = 350.0
 WL_STOP = 2600.0
@@ -34,6 +35,14 @@ SEGMENT_LINES = 64
 STRAY_BLOCKS = 4
 
 _DBL_EPSILON = np.finfo(np.float64).eps
+
+
+def stray_blocks(samples: int) -> list:
+    """The STRAY_BLOCKS sample blocks of a swath: ``(start, stop, frac)``
+    each, ``frac`` the block's center as a fraction of the swath."""
+    edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
+    return [(c0, c1, (0.5 * (c0 + c1)) / samples)
+            for c0, c1 in zip(edges[:-1], edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +143,8 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
         span = grid[-1] - grid[0]
         cont = level * (1.0 + 0.3 * (grid - grid.mean()) / span)
         dips = np.ones_like(grid)
-        for line in ABSORPTION_LINES:
-            dips *= 1.0 - depth * np.exp(
-                -0.5 * ((grid - line.nominal_nm) / 7.0) ** 2)
+        for nominal in ABSORPTION_LINES_NM:
+            dips *= 1.0 - depth * np.exp(-0.5 * ((grid - nominal) / 7.0) ** 2)
         spectra = (cont * dips)[None, :]
     return Scene(kind=kind, wavelengths=grid, spectra=np.asarray(spectra),
                  spectrum_index=index, spatial=np.asarray(spatial, dtype=np.float64))
@@ -162,7 +170,7 @@ def linear_smile(bands: int, samples: int, span_nm: float) -> np.ndarray:
 
 
 def linear_keystone(bands: int, samples: int, max_px: float = 1.5,
-                    ref_band: int = 30) -> np.ndarray:
+                    ref_band: int = KEYSTONE_REF_BAND) -> np.ndarray:
     """Band-linear spatial shift, 0 at ``ref_band``, +-``max_px`` at the
     band extremes."""
     scale = max(bands - 1 - ref_band, ref_band)
@@ -365,11 +373,12 @@ class SensorModel:
 
 
 def default_centers(instrument: str, bands: int) -> np.ndarray:
+    lo, hi = INSTRUMENTS[instrument].range_nm
     if instrument == "vnir":
-        return np.linspace(400.0, 900.0, bands)
+        return np.linspace(lo, hi, bands)
     # SWIR centers placed so exactly 7 bands overlap the VNIR range at the
     # full 256-band configuration (drives the 309-band bundled product)
-    return np.linspace(850.0, 2500.0, bands + 1)[1:]
+    return np.linspace(lo, hi, bands + 1)[1:]
 
 
 def make_sensor(instrument: str = "vnir", samples: int = 256,
@@ -381,17 +390,18 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
                 sat_radiance=140.0, gain_error=None, masked_channels=(),
                 seed: int = 7) -> SensorModel:
     """Assemble a sensor; scalar parameters are broadcast per (band, sample).
-    Bands are 9.24 nm wide for VNIR and 5.87 nm for SWIR, with a DN gain of
-    30 per radiance unit.
+    Band count (by default) and band width come from ``cube.INSTRUMENTS``;
+    the DN gain is 30 per radiance unit.
 
     ``gain_error`` multiplies the per-band DN gain (used to inject the
     miscalibration that vicarious calibration recovers)."""
-    if instrument not in ("vnir", "swir"):
+    if instrument not in INSTRUMENTS:
         raise HypercalError(f"unknown instrument {instrument!r}")
+    facts = INSTRUMENTS[instrument]
     if bands is None:
-        bands = 60 if instrument == "vnir" else 256
+        bands = facts.bands
     centers = default_centers(instrument, bands)
-    fwhm = np.full(bands, 9.24 if instrument == "vnir" else 5.87)
+    fwhm = np.full(bands, facts.fwhm_nm)
     shape = (bands, samples)
 
     def _field(value):
@@ -507,13 +517,11 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
     lines = steering.shape[0]
     out = fields if rows == lines else np.empty((bands, lines, samples))
     h = spec.tap_count // 2
-    block_edges = np.linspace(0, samples, STRAY_BLOCKS + 1).astype(int)
     sigma = spec.cross_track_sigma_px
     lobe = _gaussian_weights(sigma) if sigma > 0 else None
 
     def filter_bands(sl):
-        for c0, c1 in zip(block_edges[:-1], block_edges[1:]):
-            frac = (0.5 * (c0 + c1)) / samples
+        for c0, c1, frac in stray_blocks(samples):
             block = fields[sl, :, c0:c1]
             if rows == lines:
                 block = block.copy()

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube, read_json
+from .cube import SpectralCube, read_model
 from .errors import EstimationError
 from .kernels import resample_rows
 from .registration import _parabolic_vertex, shift_1d_batch
 
 SMILE_WINDOW = 10          # band-index correlation window
+SMILE_MIN_WINDOWS = 4      # usable windows below which stride 2 is used
 KEYSTONE_REF_BAND = 30
 KEYSTONE_MAX_PX = 3.0
 KEYSTONE_MIN_CONFIDENCE = 0.45
@@ -32,25 +33,10 @@ RSR_NOISE_FLOOR = 1e-9     # peak response a channel must exceed
 # ---------------------------------------------------------------------------
 # absorption-line library
 
-@dataclass(frozen=True)
-class AbsorptionLine:
-    species: str            # "O2" | "H2O" | "CO2"
-    nominal_nm: float
-    strength: str = "strong"
-
-
-ABSORPTION_LINES = (
-    AbsorptionLine("O2", 760.0),
-    AbsorptionLine("O2", 1265.0, "weak"),
-    AbsorptionLine("O2", 1461.0, "weak"),
-    AbsorptionLine("H2O", 823.04, "weak"),
-    AbsorptionLine("H2O", 936.0),
-    AbsorptionLine("H2O", 1133.0),
-    AbsorptionLine("CO2", 1570.0, "weak"),
-    AbsorptionLine("CO2", 1610.0, "weak"),
-    AbsorptionLine("CO2", 2010.0),
-    AbsorptionLine("CO2", 2060.0),
-)
+# nominal wavelengths (nm): O2 at 760, 1265 and 1461; H2O at 823.04, 936
+# and 1133; CO2 at 1570, 1610, 2010 and 2060
+ABSORPTION_LINES_NM = (760.0, 1265.0, 1461.0, 823.04, 936.0, 1133.0, 1570.0,
+                       1610.0, 2010.0, 2060.0)
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +46,6 @@ ABSORPTION_LINES = (
 class RSRScan:
     """Per-(band, sample) centers and widths from a wavelength sweep."""
 
-    wavelengths_nm: np.ndarray
-    responses: np.ndarray       # (n_wl, bands, samples)
     center_nm: np.ndarray       # (bands, samples), NaN where flagged
     fwhm_nm: np.ndarray         # (bands, samples), NaN where flagged
     responding: np.ndarray      # (bands, samples) bool
@@ -126,7 +110,7 @@ def rsr_from_scan(wavelengths_nm: np.ndarray,
                 * MONOCHROMATOR_LINE_NM ** 2 / 12.0
             fwhm[b, s] = np.sqrt(max(width ** 2 - broadening, 0.0))
             ok[b, s] = True
-    return RSRScan(wl, resp, center, fwhm, ok)
+    return RSRScan(center, fwhm, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +123,7 @@ class SmileModel:
     instrument: str
     offsets_nm: np.ndarray      # (samples,), 0 at the center sample
     kind: str                   # "linear" | "quadratic"
-    coefficients: tuple         # polynomial in (s - center), high order first
+    coefficients: np.ndarray    # polynomial in (s - center), high order first
     peak_to_peak_nm: float
     residual_rms_nm: float
 
@@ -147,12 +131,7 @@ class SmileModel:
         if self.kind not in ("linear", "quadratic"):
             raise EstimationError(f"unknown smile fit kind {self.kind!r}")
 
-    @classmethod
-    def from_json(cls, path) -> "SmileModel":
-        raw = read_json(path)
-        return cls(raw["instrument"], np.asarray(raw["offsets_nm"]),
-                   raw["kind"], tuple(raw["coefficients"]),
-                   raw["peak_to_peak_nm"], raw["residual_rms_nm"])
+    from_json = classmethod(read_model)
 
 
 def _detrended_std(w: np.ndarray) -> float:
@@ -208,6 +187,8 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
     shifts are converted to nm with the local inter-band spacing, averaged
     with confidence weights, then fit linear-vs-quadratic in sample
     position.  The model is anchored to exactly 0 at the center column.
+    The default ``stride`` is 2 bands up to 64 bands and 8 above, or 2 where
+    8 leaves fewer than SMILE_MIN_WINDOWS windows with a usable feature.
     """
     spectra = cube.data.mean(axis=0, dtype=np.float64)    # (samples, bands)
     samples, bands = spectra.shape
@@ -215,8 +196,6 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
         raise EstimationError("fewer bands than the correlation window")
     if window < 8:
         raise EstimationError("correlation window shorter than 8 bands")
-    if stride is None:
-        stride = 2 if bands <= 64 else 8
     centers = cube.centers_nm
     spacing = np.gradient(centers)
     center_col = samples // 2
@@ -224,13 +203,18 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
     if np.std(ref) < 1e-9 * max(abs(np.mean(ref)), 1.0):
         raise EstimationError("featureless spectra: cannot estimate smile")
 
-    starts = list(range(0, bands - window + 1, stride))
-    ref_structure = np.array([_detrended_std(ref[w0:w0 + window])
+    def usable_windows(step):
+        """Starts of the windows with a feature, and their structure."""
+        starts = np.arange(0, bands - window + 1, step)
+        structure = np.array([_detrended_std(ref[w0:w0 + window])
                               for w0 in starts])
-    # skip windows with no usable spectral feature
-    usable = ref_structure > 0.05 * ref_structure.max()
-    use = np.flatnonzero(usable)
-    w0s = np.asarray(starts)[use]
+        use = np.flatnonzero(structure > 0.05 * structure.max())
+        return starts[use], structure[use]
+
+    w0s, ref_structure = usable_windows(
+        stride if stride is not None else 2 if bands <= 64 else 8)
+    if stride is None and w0s.size < SMILE_MIN_WINDOWS:
+        w0s, ref_structure = usable_windows(2)
     # every (sample, usable window) pair, sample-major
     b = np.lib.stride_tricks.sliding_window_view(spectra, window, axis=1)[:, w0s]
     a = np.broadcast_to(ref[w0s[:, None] + np.arange(window)], b.shape)
@@ -239,7 +223,7 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
     shape = (samples, w0s.size)
     keep = (ok & (conf > 0)).reshape(shape)
     vals = -sh.reshape(shape) * spacing[w0s + window // 2]
-    wgts = conf.reshape(shape) * ref_structure[use]
+    wgts = conf.reshape(shape) * ref_structure
     raw = np.full(samples, np.nan)
     for s in range(samples):
         if keep[s].any():
@@ -260,7 +244,7 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
         kind, coef, rms = "linear", lin, rms_lin
     offsets = np.polyval(coef, u) - np.polyval(coef, 0.0)
     instrument = cube.band_meta[0].instrument if cube.band_meta else "vnir"
-    return SmileModel(instrument, offsets, kind, tuple(float(c) for c in coef),
+    return SmileModel(instrument, offsets, kind, coef,
                       float(offsets.max() - offsets.min()), rms)
 
 
@@ -300,9 +284,9 @@ def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
     if np.any(spectrum <= 0):
         raise EstimationError("non-positive radiance in dip search")
     per_line = {}
-    for line in ABSORPTION_LINES:
-        lo = line.nominal_nm - search_nm
-        hi = line.nominal_nm + search_nm
+    for nominal in ABSORPTION_LINES_NM:
+        lo = nominal - search_nm
+        hi = nominal + search_nm
         idx = np.flatnonzero((centers >= lo - 1e-9) & (centers <= hi + 1e-9))
         if idx.size < 3 or idx[0] < 3 or idx[-1] > centers.size - 4:
             continue
@@ -326,7 +310,7 @@ def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
             continue
         obs = wl[i] + _parabolic_vertex(*np.log(ratio[i - 1:i + 2])) \
             * (wl[i + 1] - wl[i])
-        per_line[line.nominal_nm] = obs - line.nominal_nm
+        per_line[nominal] = obs - nominal
     if len(per_line) < 2:
         raise EstimationError(
             f"only {len(per_line)} detectable absorption dips (need >= 2)")
@@ -362,12 +346,7 @@ class KeystoneModel:
             out[i] = np.interp(s, self.field_samples, at_fields[i])
         return np.clip(out, -self.max_px, self.max_px)
 
-    @classmethod
-    def from_json(cls, path) -> "KeystoneModel":
-        raw = read_json(path)
-        return cls(raw["ref_band"], np.asarray(raw["field_samples"]),
-                   np.asarray(raw["coefficients"]), raw["samples"],
-                   raw["bands"], raw["max_px"])
+    from_json = classmethod(read_model)
 
 
 def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hypercal import spectral
 from hypercal.cube import read_cube
 from hypercal.errors import ConfigError
 from hypercal.pipeline import (SCHEMA_VERSION, STAGES, PipelineConfig,
@@ -220,6 +221,48 @@ class TestRun:
         previews = list(out.glob("*.pgm"))
         assert previews and previews[0].read_bytes().startswith(b"P5\n")
 
+    def test_residual_checks_use_the_stage_parameters(self, tmp_path,
+                                                      monkeypatch):
+        calls = {}
+
+        def spy(name):
+            real = getattr(spectral, name)
+
+            def record(cube, *args, **kwargs):
+                calls.setdefault(name, []).append((args, kwargs))
+                return real(cube, *args, **kwargs)
+            monkeypatch.setattr(spectral, name, record)
+
+        spy("estimate_smile")
+        spy("estimate_keystone")
+        stages = [{"name": "simulate", "lines": 64, "samples": 128,
+                   "smile_nm": 2.0, "keystone_px": 1.0, "save": False},
+                  {"name": "smile", "window": 12, "stride": 3, "save": False},
+                  {"name": "keystone", "n_fields": 3, "save": False}]
+        _run(stages, tmp_path)
+        assert calls["estimate_smile"] == [((12, 3), {})] * 2
+        assert calls["estimate_keystone"] \
+            == [((), {"ref_band": 30, "n_fields": 3})] * 2
+
+    @pytest.mark.parametrize("bands", [78, 90])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_smile_recovers_or_refuses_at_few_default_windows(
+            self, bands, seed, tmp_path):
+        # the default chain to smile; above 64 bands the default stride
+        # leaves only 3 usable windows at these band counts
+        keep = ("simulate", "caldark", "flat-field", "smile")
+        stages = [dict(params, name=name, save=False)
+                  for name, params in default_config().stages
+                  if name in keep]
+        stages[0]["bands"] = bands
+        try:
+            report, _ = _run(stages, tmp_path, seed=seed)
+        except StageError as exc:
+            assert exc.stage == "smile"
+            return
+        metrics = {(s, m): v for s, m, v in report.metrics}
+        assert abs(metrics[("smile", "peak_to_peak_nm")] - 4.17) < 0.5
+
     def test_stage_error_carries_stage_name(self, tmp_path):
         bad = dict(SIM_SMALL, level=-3.0)
         cfg = validate_config(_doc([bad], out=str(tmp_path / "o")))
@@ -272,6 +315,12 @@ class TestParameterValues:
         ("keystone", "n_fields", 0, "stages[1].n_fields"),
         ("ortho", "cell_m", 0, "stages[1].cell_m"),
         ("ortho", "cell_m", -30.0, "stages[1].cell_m"),
+        ("simulate", "scene", "nosuch", "stages[0].scene"),
+        ("simulate", "interference", [{"frequency": 0.7, "amplitude_dn": 8}],
+         "stages[0].interference[0]"),
+        ("simulate", "interference",
+         [{"frequency": 0.1, "amplitude_dn": 8, "kind": "zigzag"}],
+         "stages[0].interference[0]"),
     ])
     def test_bad_value_rejected_with_key_path(self, stage, key, value, path):
         stages = [{"name": "simulate"}]

@@ -104,6 +104,7 @@ class TestFlatFieldFit:
         out, valid, clamped = rad.apply_flatfield(cube, table, dark)
         assert ref_clamped > 0 and clamped == ref_clamped
         assert np.array_equal(valid, ref_valid)
+        assert not valid.flags.writeable
         assert np.array_equal(out.data, np.clip(ref, 0.0, None))
         peak = traced_peak(lambda: rad.apply_flatfield(cube, table, dark))
         assert peak < 1.5 * ref.nbytes

@@ -29,12 +29,11 @@ class TestScenes:
         assert r760 < r740
 
     def test_library_scene_covers_all_ten_lines(self):
-        from hypercal.spectral import ABSORPTION_LINES
+        from hypercal.spectral import ABSORPTION_LINES_NM
         scene = sim.synth_scene("spectral-library", 4, 4, level=100.0,
                                 dip_depth=0.5)
-        assert len(ABSORPTION_LINES) == 10
-        for line in ABSORPTION_LINES:
-            wl = line.nominal_nm
+        assert len(ABSORPTION_LINES_NM) == 10
+        for wl in ABSORPTION_LINES_NM:
             on = scene.radiance(0, 0, np.array([wl]))[0]
             off = scene.radiance(0, 0, np.array([wl + 25.0]))[0]
             assert on < off

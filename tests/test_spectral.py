@@ -190,6 +190,7 @@ class TestSmile:
         back = spectral.SmileModel.from_json(tmp_path / "m.json")
         assert np.allclose(back.offsets_nm, model.offsets_nm)
         assert back.kind == model.kind
+        assert np.array_equal(back.coefficients, model.coefficients)
 
     def _reference_fixture(self):
         sensor = quiet_sensor("vnir", samples=64, bands=60,
