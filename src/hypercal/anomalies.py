@@ -81,19 +81,20 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
     is predicted from the reference band.  Columns with no clean reference
     band are marked invalid instead of fabricated.
 
-    Returns ``(corrected cube, validity mask)``.
+    Returns ``(corrected cube, validity mask)``; the mask is a read-only
+    view of one ``(samples, bands)`` column mask repeated over the lines.
     """
-    data = cube.data.astype(np.float64)
-    lines, samples, bands = data.shape
-    valid = np.ones(data.shape, dtype=bool)
+    columns = np.ones(cube.data.shape[1:], dtype=bool)
+    valid = np.broadcast_to(columns, cube.data.shape)
     if not clusters:
         return cube, valid
-    corrupted = np.zeros((bands, samples), dtype=bool)
+    data = cube.data.astype(np.float64)
+    corrupted = np.zeros_like(columns)
     for c in clusters:
-        corrupted[c.band, c.start_sample:c.start_sample + c.length] = True
+        corrupted[c.start_sample:c.start_sample + c.length, c.band] = True
     # repairs go into ``data``: every read below is of a clean cell
     for c in clusters:
-        clean = np.flatnonzero(~corrupted[c.band])
+        clean = np.flatnonzero(~corrupted[:, c.band])
         for p in range(c.start_sample, c.start_sample + c.length):
             # nearest 5 clean columns on each side within 40 (clusters can
             # cover the whole +-5 window), left ones first, nearest first
@@ -101,7 +102,7 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
             neigh = np.r_[clean[max(k - 5, 0):k][::-1], clean[k:k + 5]]
             neigh = neigh[np.abs(neigh - p) <= 40]
             # candidates: the bands clean at p and at every neighbour
-            bb = np.flatnonzero(~corrupted[:, np.r_[p, neigh]].any(axis=1))
+            bb = np.flatnonzero(~corrupted[np.r_[p, neigh]].any(axis=0))
             x = data[:, neigh, c.band].ravel()
             r = np.full(bb.size, -np.inf)  # a flat candidate never wins
             if neigh.size and x.std() != 0:
@@ -112,7 +113,7 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
                 np.divide((x - x.mean()) @ ys, np.sqrt(ss), out=r,
                           where=ss > 0)
             if not r.max(initial=-np.inf) > -np.inf:
-                valid[:, p, c.band] = False
+                columns[p, c.band] = False
                 continue
             best = bb[np.argmax(r)]
             y = data[:, neigh, best].ravel()

@@ -6,9 +6,10 @@ are supported: band-sequential (``bsq``) and band-interleaved-by-line
 (``bil``).  12-bit DN cubes live in an unsigned 16-bit container; radiance
 cubes are 64-bit float in W m-2 sr-1 um-1.
 
-Every ``key = value`` file goes through :func:`write_header`, and every JSON
-model file and the artifact manifest through :func:`write_json`; the model
-classes read theirs back through :func:`read_model`.  ``INSTRUMENTS`` holds
+Every ``key = value`` file is written by :func:`write_header` and read back,
+field by field, by :func:`read_header`.  Every JSON model file and the
+artifact manifest go through :func:`write_json`; the model classes read
+theirs back through :func:`read_model`.  ``INSTRUMENTS`` holds
 each camera's band-center range, default band count and band width.
 """
 
@@ -168,10 +169,6 @@ class SpectralCube:
         )
 
 
-def _header_path(path: Path) -> Path:
-    return path.with_suffix(".hdr")
-
-
 def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
     """Write a cube and its sidecar header; re-reading yields an equal cube
     regardless of interleave."""
@@ -192,7 +189,7 @@ def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
     except OSError as exc:
         raise CubeFormatError(f"cannot write {path}: {exc}") from exc
 
-    write_header(_header_path(path), {
+    write_header(path.with_suffix(".hdr"), {
         "lines": cube.lines, "samples": cube.samples, "bands": cube.bands,
         "interleave": interleave, "pixel_kind": cube.pixel_kind,
         "byte_order": "little-endian",
@@ -222,51 +219,70 @@ def _band_planes(data: np.ndarray, dtype: np.dtype):
 
 def write_header(path, entries: dict) -> None:
     """Write a ``key = value`` text file, one entry per line in the given
-    order; :func:`_parse_header` reads it back."""
+    order; :func:`read_header` reads it back."""
     Path(path).write_text("".join(f"{k} = {v}\n" for k, v in entries.items()),
                           encoding="utf-8")
 
 
-def _parse_header(hdr_path: Path) -> dict:
-    if not hdr_path.exists():
-        raise CubeFormatError(f"missing header {hdr_path}")
+def read_header(path, fields: dict, error=CubeFormatError) -> dict:
+    """The ``fields`` of a :func:`write_header` file, each mapped to its
+    converter, or to ``(converter, default text)`` if it may be absent.
+    Blank and ``#`` lines are skipped and a line without ``=`` is garbled
+    (``CubeFormatError``); a field that is missing or that its converter
+    rejects raises ``error`` naming the field and the file."""
+    path = Path(path)
+    if not path.exists():
+        raise CubeFormatError(f"missing header {path}")
     entries = {}
-    for raw in hdr_path.read_text(encoding="utf-8").splitlines():
+    for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CubeFormatError(f"garbled header line: {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise CubeFormatError(f"garbled header line: {line!r}")
+            key, value = line.split("=", 1)
+            entries[key.strip()] = value.strip()
+    values = {}
+    for name, spec in fields.items():
+        convert, *default = spec if isinstance(spec, tuple) else (spec,)
+        if name not in entries and not default:
+            raise error(f"{path}: field {name!r} is missing")
+        try:
+            values[name] = convert(entries.get(name, *default))
+        except (TypeError, ValueError) as exc:
+            raise error(f"{path}: field {name!r}: {exc}") from None
+    return values
+
+
+def one_of(*choices):
+    """A :func:`read_header` converter that passes only ``choices``."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {choices}")
+        return value
+    return convert
+
+
+def _listed(convert):
+    """Converter of a comma-separated list, empty items dropped."""
+    return lambda value: [convert(v) for v in value.split(",") if v]
 
 
 def read_cube(path) -> SpectralCube:
     """Read a cube written by :func:`write_cube` (bit-exact round trip)."""
     path = Path(path)
-    hdr = _parse_header(_header_path(path))
-    try:
-        nl = int(hdr["lines"])
-        ns = int(hdr["samples"])
-        nb = int(hdr["bands"])
-        interleave = hdr["interleave"]
-        pixel_kind = hdr["pixel_kind"]
-        centers = [float(v) for v in hdr["center_nm"].split(",") if v]
-        fwhms = [float(v) for v in hdr["fwhm_nm"].split(",") if v]
-        instruments = [v for v in hdr["instrument"].split(",") if v]
-        bad = {int(v) for v in hdr.get("bad_bands", "").split(",") if v}
-    except (KeyError, ValueError) as exc:
-        raise CubeFormatError(f"garbled header {_header_path(path)}: {exc}") from exc
-    if hdr.get("byte_order", "little-endian") != "little-endian":
-        raise CubeFormatError("only little-endian cubes are supported")
-    if interleave not in ("bsq", "bil") or pixel_kind not in _DTYPES:
-        raise CubeFormatError("invalid interleave or pixel_kind in header")
-    if not (len(centers) == len(fwhms) == len(instruments) == nb):
+    hdr = read_header(path.with_suffix(".hdr"), {
+        "lines": int, "samples": int, "bands": int,
+        "interleave": one_of("bsq", "bil"), "pixel_kind": one_of(*_DTYPES),
+        "center_nm": _listed(float), "fwhm_nm": _listed(float),
+        "instrument": _listed(str), "bad_bands": (_listed(int), ""),
+        "byte_order": (one_of("little-endian"), "little-endian")})
+    nl, ns, nb = hdr["lines"], hdr["samples"], hdr["bands"]
+    interleave, pixel_kind = hdr["interleave"], hdr["pixel_kind"]
+    band_fields = (hdr["center_nm"], hdr["fwhm_nm"], hdr["instrument"])
+    if any(len(v) != nb for v in band_fields):
         raise CubeFormatError("band metadata length does not match band count")
 
-    dtype = _DTYPES[pixel_kind]
-    raw = np.frombuffer(path.read_bytes(), dtype=dtype)
+    raw = np.frombuffer(path.read_bytes(), dtype=_DTYPES[pixel_kind])
     if raw.size != nl * ns * nb:
         raise CubeFormatError(
             f"data size {raw.size} does not match header {nl}x{ns}x{nb}")
@@ -275,9 +291,8 @@ def read_cube(path) -> SpectralCube:
     else:
         data = np.transpose(raw.reshape(nl, nb, ns), (0, 2, 1))
     meta = tuple(
-        BandMeta(c, f, inst, "bad" if i in bad else "good")
-        for i, (c, f, inst) in enumerate(zip(centers, fwhms, instruments))
-    )
+        BandMeta(c, f, inst, "bad" if i in hdr["bad_bands"] else "good")
+        for i, (c, f, inst) in enumerate(zip(*band_fields)))
     return SpectralCube(data=np.ascontiguousarray(data), pixel_kind=pixel_kind,
                         band_meta=meta, interleave=interleave)
 

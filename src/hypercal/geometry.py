@@ -14,12 +14,11 @@ import csv
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .cube import SpectralCube, _parse_header, write_header
+from .cube import SpectralCube, read_header, write_header
 from .kernels import cubic_apply, cubic_plan
 from .registration import shift_2d
 
@@ -386,19 +385,24 @@ def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
     ``(ortho cube, validity mask)``; cells whose inverse mapping failed to
     converge inside the strip footprint are masked.
     """
+    return _orthorectify(cube, geo, height, grid)[:2]
+
+
+def _orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
+    """:func:`orthorectify` and the inverse mapping it resampled at."""
     if cube.data.shape[0] != geo.lines or cube.data.shape[1] != geo.samples:
         raise ConfigError("cube extent does not match the geometry model")
     north, east = grid.centers()
     h = np.asarray(height, dtype=np.float64)
     if h.ndim == 2 and h.shape != (grid.rows, grid.cols):
         raise ConfigError("height raster must match the map grid")
-    line, sample, valid = _invert_mapping(geo, east, north, h)
+    line, sample, valid = mapping = _invert_mapping(geo, east, north, h)
     if not valid.any():
         raise EstimationError("map grid does not overlap the strip footprint")
     plan = cubic_plan(cube.data.shape[:2], line, sample)
     out = cubic_apply(plan, cube.data)
     out[~valid] = 0.0
-    return cube.with_data(out), valid & plan.valid
+    return cube.with_data(out), valid & plan.valid, mapping
 
 
 def _poly2d_design(y, x, degree: int) -> np.ndarray:
@@ -533,18 +537,11 @@ def write_gcps(path: str, gcps) -> None:
 
 def read_gcps(path: str):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != GCP_HEADER:
-            raise ConfigError(f"bad GCP header in {os.path.basename(path)}")
-        gcps = []
-        for row in reader:
-            if not row:
-                continue
-            gcps.append(GroundControlPoint(
-                float(row[0]), float(row[1]), float(row[2]), float(row[3]),
-                float(row[4]), row[5]))
-    return gcps
+        header, *rows = list(csv.reader(fh)) or [None]
+    if header is None or [h.strip() for h in header] != GCP_HEADER:
+        raise ConfigError(f"bad GCP header in {os.path.basename(path)}")
+    return [GroundControlPoint(*map(float, row[:5]), row[5])
+            for row in rows if row]
 
 
 def write_grid(path: str, grid: MapGrid) -> None:
@@ -552,16 +549,11 @@ def write_grid(path: str, grid: MapGrid) -> None:
 
 
 def read_grid(path: str) -> MapGrid:
-    fields = _parse_header(Path(path))
-    values = []
-    for name, kind in (("origin_east", float), ("origin_north", float),
-                       ("cell_m", float), ("rows", int), ("cols", int)):
-        try:
-            values.append(kind(fields[name]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"grid sidecar field '{name}' missing or not "
-                              "a number") from exc
-    return MapGrid(*values)
+    """Read a :func:`write_grid` file; a field that is missing or not a
+    number is a ``ConfigError`` naming it."""
+    return MapGrid(**read_header(path, {
+        "origin_east": float, "origin_north": float, "cell_m": float,
+        "rows": int, "cols": int}, ConfigError))
 
 
 def write_bias_report(path: str, bias: BoresightBias, final_cost: float) -> None:

@@ -226,22 +226,16 @@ def load_config(path: str) -> PipelineConfig:
 
 
 def default_config(preset: str = "vnir") -> PipelineConfig:
-    """Full-chain configuration at desk scale, seed 0, written to ``out``."""
-    stages = [
-        {"name": "simulate", "scene": "library-bars", "lines": 256,
-         "samples": 256, "smile_nm": 4.17, "keystone_px": 1.5,
-         "prnu_spread": 0.02,
-         "interference": [{"frequency": 0.125, "amplitude_dn": 8.0}],
-         "bunch": True, "stray": True, "save": True},
-        {"name": "caldark"},
-        {"name": "flat-field", "levels": [0.5, 2.0, 30.0, 60.0, 90.0]},
-        *({"name": name} for name in (
-            "bunch", "interference", "stray", "smile", "absolute-shift",
-            "keystone", "geocal", "ortho")),
-        {"name": "report", "preview_bands": [30]},
-    ]
-    if preset == "dual":
-        stages.insert(-1, {"name": "bundle"})
+    """Full-chain configuration at desk scale, seed 0, written to ``out``:
+    every stage in table order, ``bundle`` only for ``dual``."""
+    changed = {  # the settings that differ from the stage defaults
+        "simulate": {
+            "smile_nm": 4.17, "keystone_px": 1.5, "prnu_spread": 0.02,
+            "interference": [{"frequency": 0.125, "amplitude_dn": 8.0}],
+            "bunch": True, "stray": True},
+        "report": {"preview_bands": [30]}}
+    stages = [{"name": name, **changed.get(name, {})}
+              for name in STAGES if name != "bundle" or preset == "dual"]
     return validate_config({"preset": preset, "stages": stages})
 
 
@@ -378,7 +372,7 @@ def _stage_bunch(state, p, out: Path, cfg: PipelineConfig):
     state["cube"] = corrected
     return {"clusters_detected": len(clusters),
             "clusters_injected": len(state["clusters_true"]),
-            "columns_uncorrected": int((~valid).any(axis=(0, 2)).sum())}
+            "columns_uncorrected": int((~valid[0]).any(axis=1).sum())}
 
 
 def _stage_interference(state, p, out: Path, cfg: PipelineConfig):
@@ -537,20 +531,18 @@ def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
     if "boresight" in state:
         gm = gm.with_bias(state["boresight"])
     grid = _auto_grid(gm, p["margin_cells"], cell_m)
-    ortho, valid = geometry.orthorectify(cube, gm, 0.0, grid)
-    north, east = grid.centers()
-    line, sample, conv = geometry._invert_mapping(
-        gm, east, north, np.zeros_like(east))
-    e2, n2 = geometry.geolocate(gm, np.clip(line, 0, gm.lines - 1),
-                                np.clip(sample, 0, gm.samples - 1), 0.0)
-    closure = np.hypot((e2 - east) / cell_m, (n2 - north) / cell_m)[conv]
+    # the closure check reuses the inverse mapping the resampling ran on
+    ortho, valid, (line, sample, conv) = geometry._orthorectify(
+        cube, gm, 0.0, grid)
+    north, east = (a[conv] for a in grid.centers())
+    e2, n2 = geometry.geolocate(gm, line[conv], sample[conv], 0.0)
+    closure = np.hypot((e2 - east) / cell_m, (n2 - north) / cell_m)
     state.update(cube=ortho, geo=gm, grid=grid)
     if p["save"]:
         write_cube(ortho, out / "ortho.img")
         geometry.write_grid(out / "ortho.grid", grid)
     return {"valid_fraction": float(valid.mean()),
-            "closure_max_px": float(closure.max()) if closure.size
-            else float("nan")}
+            "closure_max_px": float(closure.max())}
 
 
 def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import SpectralCube, DN_MAX, _parse_header, write_header
+from .cube import SpectralCube, DN_MAX, one_of, read_header, write_header
 from .errors import CubeFormatError, EstimationError
 
 R2_FLAG_THRESHOLD = 0.99
@@ -30,22 +30,26 @@ def _write_arrays(path, header: dict, arrays: dict) -> None:
         "shape": ",".join(str(d) for d in shape)})
 
 
-def _read_arrays(path):
+def _read_arrays(path, kind: str, names: tuple, fields: dict):
+    """The header ``fields`` and the arrays ``names`` of a ``kind`` sidecar;
+    another kind, or an ``arrays`` field without every name, is refused."""
+    def listing(value):
+        listed = value.split(",")
+        missing = [n for n in names if n not in listed]
+        if missing:
+            raise ValueError(f"lacks {', '.join(missing)}")
+        return listed
+
     path = Path(path)
-    hdr = _parse_header(path.with_suffix(".hdr"))
-    try:
-        names = hdr["arrays"].split(",")
-        shape = tuple(int(d) for d in hdr["shape"].split(","))
-    except (KeyError, ValueError) as exc:
-        raise CubeFormatError(
-            f"garbled header {path.with_suffix('.hdr')}: {exc}") from exc
-    count = int(np.prod(shape))
+    hdr = read_header(path.with_suffix(".hdr"), {
+        "kind": (one_of(kind), kind), "arrays": listing,
+        "shape": lambda v: tuple(int(d) for d in v.split(",")), **fields})
+    count = int(np.prod(hdr["shape"]))
     flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if flat.size != count * len(names):
+    if flat.size != count * len(hdr["arrays"]):
         raise CubeFormatError(f"sidecar {path} size mismatch")
-    arrays = {n: flat[i * count:(i + 1) * count].reshape(shape).copy()
-              for i, n in enumerate(names)}
-    return hdr, arrays
+    return hdr, [flat[i * count:(i + 1) * count].reshape(hdr["shape"]).copy()
+                 for i in map(hdr["arrays"].index, names)]
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +85,10 @@ class FlatFieldTable:
 
     @classmethod
     def load(cls, path) -> "FlatFieldTable":
-        hdr, arrays = _read_arrays(path)
-        return cls(arrays["gain"], arrays["offset"], arrays["r_squared"],
-                   hdr.get("provenance", "lab"), hdr.get("epoch", "t0"))
+        hdr, arrays = _read_arrays(
+            path, "flatfield", ("gain", "offset", "r_squared"),
+            {"provenance": (str, "lab"), "epoch": (str, "t0")})
+        return cls(*arrays, hdr["provenance"], hdr["epoch"])
 
 
 @dataclass(frozen=True)
@@ -115,17 +120,12 @@ class DarkModel:
 
     @classmethod
     def load(cls, path) -> "DarkModel":
-        hdr, arrays = _read_arrays(path)
-        numbers = {}
-        for key, default in (("t_ref_k", None), ("stability_dn", 0.0)):
-            try:
-                numbers[key] = float(hdr.get(key, default))
-            except (TypeError, ValueError):
-                raise CubeFormatError(f"garbled header of {path}: "
-                                      f"no number in {key!r}") from None
-        return cls(arrays["dark_dn"], arrays["slope_dn_per_k"],
-                   numbers["t_ref_k"], hdr.get("instrument", "vnir"),
-                   numbers["stability_dn"])
+        hdr, arrays = _read_arrays(
+            path, "dark", ("dark_dn", "slope_dn_per_k"),
+            {"t_ref_k": float, "instrument": (str, "vnir"),
+             "stability_dn": (float, "0")})
+        return cls(*arrays, hdr["t_ref_k"], hdr["instrument"],
+                   hdr["stability_dn"])
 
     @classmethod
     def constant(cls, dark: np.ndarray) -> "DarkModel":

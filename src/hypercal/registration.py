@@ -249,7 +249,7 @@ def _estimate_2d(fa: np.ndarray, fb: np.ndarray):
     yy = (np.arange(ny)[:, None] - iy + ny // 2) % ny - ny // 2
     xx = (np.arange(nx)[None, :] - ix + nx // 2) % nx - nx // 2
     mask[(np.abs(yy) <= 2) & (np.abs(xx) <= 2)] = False
-    runner = float(corr[mask].max()) if np.any(mask) else 0.0
+    runner = float(corr[mask].max())
     confidence = float(np.clip(1.0 - max(runner, 0.0) / peak, 0.0, 1.0)) \
         if peak > 0 else 0.0
     return float(-ry), float(-rx), confidence

@@ -306,8 +306,6 @@ def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
             continue
         if not (centers[w0 + i] >= lo and centers[w0 + i] <= hi):
             continue
-        if i == 0 or i == ratio.size - 1:
-            continue
         obs = wl[i] + _parabolic_vertex(*np.log(ratio[i - 1:i + 2])) \
             * (wl[i + 1] - wl[i])
         per_line[nominal] = obs - nominal

@@ -10,7 +10,7 @@ from hypercal import (BandMeta, CubeFormatError, RegionOfInterest,
                       SpectralCube, read_cube, region_stats, write_cube)
 from hypercal import anomalies, geometry, radiometry, spectral
 from hypercal import cube as cube_module
-from hypercal.cube import write_json
+from hypercal.cube import read_header, write_header, write_json
 
 from conftest import uniform_band_meta
 
@@ -203,6 +203,46 @@ class TestRoundTrip:
         back = read_cube(tmp / "c.img")
         assert np.array_equal(back.data, cube.data)
         assert back.band_meta == cube.band_meta
+
+
+class TestReadHeader:
+    FIELDS = {"lines": int, "t_ref_k": float, "epoch": (str, "t0")}
+
+    def _write(self, tmp_path, text):
+        (tmp_path / "h.hdr").write_text(text)
+        return tmp_path / "h.hdr"
+
+    def test_fields_converted_and_defaulted(self, tmp_path):
+        path = self._write(tmp_path, "# comment\n\nlines = 4\n"
+                                     "t_ref_k = 293.5\nother = x\n")
+        assert read_header(path, self.FIELDS) == {
+            "lines": 4, "t_ref_k": 293.5, "epoch": "t0"}
+
+    def test_write_header_round_trip(self, tmp_path):
+        write_header(tmp_path / "h.hdr", {"lines": 4, "t_ref_k": 293.5,
+                                          "epoch": "t1"})
+        assert read_header(tmp_path / "h.hdr", self.FIELDS) == {
+            "lines": 4, "t_ref_k": 293.5, "epoch": "t1"}
+
+    def test_missing_field_named(self, tmp_path):
+        path = self._write(tmp_path, "lines = 4\n")
+        with pytest.raises(CubeFormatError, match=r"h\.hdr: field 't_ref_k'"):
+            read_header(path, self.FIELDS)
+
+    def test_non_converting_field_named(self, tmp_path):
+        path = self._write(tmp_path, "lines = four\nt_ref_k = 293\n")
+        with pytest.raises(CubeFormatError, match=r"h\.hdr: field 'lines'"):
+            read_header(path, self.FIELDS)
+
+    def test_garbled_line_named(self, tmp_path):
+        path = self._write(tmp_path, "lines = 4\nt_ref_k 293\n")
+        with pytest.raises(CubeFormatError, match="garbled.*'t_ref_k 293'"):
+            read_header(path, self.FIELDS)
+
+    def test_field_error_class_chosen_by_caller(self, tmp_path):
+        path = self._write(tmp_path, "lines = 4\n")
+        with pytest.raises(ValueError, match="'t_ref_k'"):
+            read_header(path, self.FIELDS, ValueError)
 
 
 class TestRegionStats:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hypercal import spectral
+from hypercal import geometry, spectral
 from hypercal.cube import read_cube
 from hypercal.errors import ConfigError
 from hypercal.pipeline import (SCHEMA_VERSION, STAGES, PipelineConfig,
@@ -269,6 +269,21 @@ class TestRun:
         with pytest.raises(StageError) as err:
             run(cfg)
         assert err.value.stage == "simulate"
+
+
+def test_ortho_stage_inverts_the_grid_mapping_once(tmp_path, monkeypatch):
+    calls = []
+    invert = geometry._invert_mapping
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_invert_mapping", counted)
+    report, _ = _run([SIM_SMALL, {"name": "ortho", "save": False}], tmp_path)
+    assert len(calls) == 1
+    metrics = {m: v for s, m, v in report.metrics if s == "ortho"}
+    assert metrics["closure_max_px"] < 0.05
 
 
 class TestStageTable:

@@ -231,6 +231,40 @@ class TestDarkModels:
             rad.DarkModel.load(tmp_path / "d.bin")
 
 
+class TestSidecarKinds:
+    def _table(self):
+        gain = np.full((2, 3), 0.5)
+        return rad.FlatFieldTable(gain, np.zeros((2, 3)), np.ones((2, 3)))
+
+    def test_flatfield_load_of_dark_sidecar_names_kind(self, tmp_path):
+        rad.DarkModel.constant(np.full((2, 3), 64.0)).save(tmp_path / "d.bin")
+        with pytest.raises(CubeFormatError, match="'kind'"):
+            rad.FlatFieldTable.load(tmp_path / "d.bin")
+
+    def test_dark_load_of_flatfield_sidecar_names_kind(self, tmp_path):
+        self._table().save(tmp_path / "f.bin")
+        with pytest.raises(CubeFormatError, match="'kind'"):
+            rad.DarkModel.load(tmp_path / "f.bin")
+
+    def test_arrays_field_without_gain_named(self, tmp_path):
+        self._table().save(tmp_path / "f.bin")
+        hdr = tmp_path / "f.hdr"
+        hdr.write_text(hdr.read_text().replace("arrays = gain,",
+                                               "arrays = gains,"))
+        with pytest.raises(CubeFormatError, match="'arrays'.*gain"):
+            rad.FlatFieldTable.load(tmp_path / "f.bin")
+
+    def test_flatfield_round_trip_keeps_provenance(self, tmp_path):
+        table = self._table()
+        table = rad.FlatFieldTable(table.gain, table.offset, table.r_squared,
+                                   "in-orbit-update", "t3")
+        table.save(tmp_path / "f.bin")
+        back = rad.FlatFieldTable.load(tmp_path / "f.bin")
+        assert (back.provenance, back.epoch) == ("in-orbit-update", "t3")
+        assert np.array_equal(back.gain, table.gain)
+        assert np.array_equal(back.r_squared, table.r_squared)
+
+
 class TestSNR:
     def test_read_noise_limited_snr_matches_oracle(self):
         noise = 5.0
