@@ -7,7 +7,9 @@ are supported: band-sequential (``bsq``) and band-interleaved-by-line
 cubes are 64-bit float in W m-2 sr-1 um-1.
 
 Every ``key = value`` file is written by :func:`write_header` and read back,
-field by field, by :func:`read_header`.  Every JSON model file and the
+field by field, by :func:`read_header`; every raw payload (cube data and
+the calibration-table sidecars) by :func:`write_payload` and
+:func:`read_payload`.  Every JSON model file and the
 artifact manifest go through :func:`write_json`; the model classes read
 theirs back through :func:`read_model`.  ``INSTRUMENTS`` holds
 each camera's band-center range, default band count and band width.
@@ -16,7 +18,7 @@ each camera's band-center range, default band count and band width.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -177,18 +179,12 @@ def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
     if interleave not in ("bsq", "bil"):
         raise CubeFormatError(f"unknown interleave {interleave!r}")
     dtype = _DTYPES[cube.pixel_kind]
+    # one band or one (bands, samples) line per write call
     if interleave == "bsq":
-        slabs = _band_planes(cube.data, dtype)
+        write_payload(path, _band_planes(cube.data, dtype), dtype)
     else:
-        slabs = (cube.data[i].T for i in range(cube.lines))
-    try:
-        # one band or one (bands, samples) line per write call
-        with open(path, "wb") as fh:
-            for slab in slabs:
-                fh.write(np.ascontiguousarray(slab, dtype=dtype))
-    except OSError as exc:
-        raise CubeFormatError(f"cannot write {path}: {exc}") from exc
-
+        write_payload(path, (cube.data[i].T for i in range(cube.lines)),
+                      dtype)
     write_header(path.with_suffix(".hdr"), {
         "lines": cube.lines, "samples": cube.samples, "bands": cube.bands,
         "interleave": interleave, "pixel_kind": cube.pixel_kind,
@@ -217,6 +213,32 @@ def _band_planes(data: np.ndarray, dtype: np.dtype):
         yield from block
 
 
+def write_payload(path, blocks, dtype) -> None:
+    """Write the arrays ``blocks`` yields to ``path`` back to back as raw
+    ``dtype``, one write call each; :func:`read_payload` reads them back."""
+    try:
+        with open(path, "wb") as fh:
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype=dtype))
+    except OSError as exc:
+        raise CubeFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def read_payload(path, dtype, count: int) -> np.ndarray:
+    """The ``count`` raw ``dtype`` values of a :func:`write_payload` file, a
+    read-only flat array; a missing file or another size is a
+    ``CubeFormatError`` naming the file."""
+    try:
+        raw = np.frombuffer(Path(path).read_bytes(), dtype=dtype)
+    except OSError as exc:
+        raise CubeFormatError(f"cannot read payload {path}: "
+                              f"{exc.strerror}") from None
+    if raw.size != count:
+        raise CubeFormatError(f"payload {path} holds {raw.size} values, "
+                              f"its header gives {count}")
+    return raw
+
+
 def write_header(path, entries: dict) -> None:
     """Write a ``key = value`` text file, one entry per line in the given
     order; :func:`read_header` reads it back."""
@@ -233,8 +255,12 @@ def read_header(path, fields: dict, error=CubeFormatError) -> dict:
     path = Path(path)
     if not path.exists():
         raise CubeFormatError(f"missing header {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CubeFormatError(f"{path} is not UTF-8 text: {exc}") from None
     entries = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             if "=" not in line:
@@ -282,10 +308,7 @@ def read_cube(path) -> SpectralCube:
     if any(len(v) != nb for v in band_fields):
         raise CubeFormatError("band metadata length does not match band count")
 
-    raw = np.frombuffer(path.read_bytes(), dtype=_DTYPES[pixel_kind])
-    if raw.size != nl * ns * nb:
-        raise CubeFormatError(
-            f"data size {raw.size} does not match header {nl}x{ns}x{nb}")
+    raw = read_payload(path, _DTYPES[pixel_kind], nl * ns * nb)
     if interleave == "bsq":
         data = np.transpose(raw.reshape(nb, nl, ns), (1, 2, 0))
     else:
@@ -325,9 +348,26 @@ def read_json(path):
 
 def read_model(cls, path):
     """Read a model dataclass ``cls`` back from its :func:`write_json` file;
-    list fields come back as arrays."""
-    return cls(**{k: np.asarray(v) if isinstance(v, list) else v
-                  for k, v in read_json(path).items()})
+    list fields come back as arrays.  A file that is unreadable, not a JSON
+    object, short of a required field, with an unknown one or with a value
+    ``cls`` rejects is a ``CubeFormatError`` naming the file (and fields)."""
+    try:
+        doc = read_json(path)
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or UTF-8
+        raise CubeFormatError(f"cannot read model {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CubeFormatError(f"model {path} is not a JSON object")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    extra = sorted(set(doc) - {f.name for f in fields(cls)})
+    if missing or extra:
+        raise CubeFormatError(f"model {path}: missing fields {missing}, "
+                              f"unknown fields {extra}")
+    try:
+        return cls(**{k: np.asarray(v) if isinstance(v, list) else v
+                      for k, v in doc.items()})
+    except (TypeError, ValueError) as exc:
+        raise CubeFormatError(f"model {path}: {exc}") from None
 
 
 def region_stats(cube: SpectralCube, roi: RegionOfInterest) -> dict:

@@ -24,7 +24,7 @@ from .registration import shift_2d
 
 __all__ = [
     "BoresightBias", "GroundControlPoint", "GeoModel",
-    "MapGrid", "make_geo", "geolocate", "residuals", "cost",
+    "MapGrid", "footprint_grid", "make_geo", "geolocate", "residuals", "cost",
     "optimize_boresight", "orthorectify", "bundle",
     "read_gcps", "write_gcps", "read_grid", "write_grid", "write_bias_report",
 ]
@@ -353,6 +353,26 @@ class MapGrid:
         return np.meshgrid(north, east, indexing="ij")
 
 
+def footprint_grid(geo: GeoModel, margin_cells: int, cell_m: float) -> MapGrid:
+    """The map grid of ``cell_m`` cells spanning the strip's ground
+    footprint between its first and last pixel, ``margin_cells`` inside it
+    on every side (outside for a negative margin)."""
+    e0, n0 = geolocate(geo, 0, 0, 0.0)
+    e1, n1 = geolocate(geo, geo.lines - 1, geo.samples - 1, 0.0)
+    origin_east = min(e0, e1) + margin_cells * cell_m
+    origin_north = max(n0, n1) - margin_cells * cell_m
+    span_n, span_e = abs(n1 - n0) / cell_m, abs(e1 - e0) / cell_m
+    if not (max(span_n - 2 * margin_cells + 1, 1) * max(
+            span_e - 2 * margin_cells + 1, 1)
+            <= 64 * geo.lines * geo.samples):
+        raise EstimationError("map grid oversamples the swath more than 8x "
+                              "per axis; raise cell_m or margin_cells")
+    rows = int(span_n) - 2 * margin_cells + 1
+    cols = int(span_e) - 2 * margin_cells + 1
+    return MapGrid(origin_east, origin_north, cell_m, max(rows, 1),
+                   max(cols, 1))
+
+
 def _invert_mapping(geo: GeoModel, east, north, height):
     """Iteratively solve geolocate(line, sample) == (east, north)."""
     east = np.asarray(east, dtype=np.float64)
@@ -536,12 +556,30 @@ def write_gcps(path: str, gcps) -> None:
 
 
 def read_gcps(path: str):
+    """Read a :func:`write_gcps` file.  A bad header, a short row or a
+    field that is not a number is a ``ConfigError`` naming the row (the
+    header is row 1) and the column."""
+    name = os.path.basename(path)
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [None]
     if header is None or [h.strip() for h in header] != GCP_HEADER:
-        raise ConfigError(f"bad GCP header in {os.path.basename(path)}")
-    return [GroundControlPoint(*map(float, row[:5]), row[5])
-            for row in rows if row]
+        raise ConfigError(f"bad GCP header in {name}")
+    gcps = []
+    for i, row in enumerate(rows, 2):
+        if not row:
+            continue
+        if len(row) < len(GCP_HEADER):
+            raise ConfigError(f"{name} row {i}: column "
+                              f"{GCP_HEADER[len(row)]!r} is missing")
+        values = []
+        for column, text in zip(GCP_HEADER, row[:5]):
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ConfigError(f"{name} row {i}: column {column!r}: "
+                                  f"{text!r} is not a number") from None
+        gcps.append(GroundControlPoint(*values, row[5]))
+    return gcps
 
 
 def write_grid(path: str, grid: MapGrid) -> None:

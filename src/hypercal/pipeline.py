@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anomalies, geometry, radiometry, spectral
 from . import simulate as sim
-from .cube import INSTRUMENTS, SpectralCube, write_cube, write_json
+from .cube import INSTRUMENTS, write_cube, write_json
 from .errors import ConfigError, EstimationError, HypercalError
 
 __all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
@@ -118,7 +118,7 @@ _SAVE = (bool, True)
 
 
 def _scene(value) -> str:
-    if value != "library-bars" and value not in sim._SCENE_PARAMS:
+    if value not in sim._SCENE_PARAMS:
         raise ValueError(f"unknown scene {value!r}")
     return value
 
@@ -257,16 +257,6 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 # stage implementations: each mutates the shared run state, returns metrics
 
 
-def _library_bars_scene(lines: int, samples: int, level: float):
-    """Spectral-library spectra with an across-track bar pattern: enough
-    spectral structure for smile/absolute-shift work and enough spatial
-    structure for keystone estimation."""
-    scene = sim.synth_scene("spectral-library", lines, samples, level=level)
-    bars = sim.synth_scene("bar-target", lines, samples, period=8,
-                           contrast=0.4)
-    return dataclasses.replace(scene, spatial=scene.spatial * bars.spatial)
-
-
 def _keystone_ref(bands: int) -> int:
     """The keystone reference band of a ``bands``-band cube: the simulator's
     zero-keystone band, where stray light is also measured."""
@@ -275,11 +265,8 @@ def _keystone_ref(bands: int) -> int:
 
 def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
     instrument = "swir" if cfg.preset == "swir" else "vnir"
-    lines, samples, level = p["lines"], p["samples"], p["level"]
-    if p["scene"] == "library-bars":
-        scene = _library_bars_scene(lines, samples, level)
-    else:
-        scene = sim.synth_scene(p["scene"], lines, samples, level=level)
+    lines, samples = p["lines"], p["samples"]
+    scene = sim.synth_scene(p["scene"], lines, samples, level=p["level"])
     nbands = p["bands"] or INSTRUMENTS[instrument].bands
     sensor = sim.make_sensor(
         instrument, samples=samples, bands=nbands,
@@ -390,23 +377,12 @@ def _stage_interference(state, p, out: Path, cfg: PipelineConfig):
 def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
     steering = state["steering"]
-    lines, samples = state["cube"].lines, state["cube"].samples
     # measure at the keystone reference band, where the injected band-to-band
     # spatial shift is zero and the point stays in its column; only that
     # band is rendered
-    ref_sensor = sensor.single_band(_keystone_ref(sensor.bands))
-    point_cubes = []
-    rows = (lines // 8, lines // 2, 7 * lines // 8)
-    cols = (samples // 8, samples // 2, 7 * samples // 8)
-    for (l0, s0) in [(l, s) for l in rows for s in cols]:
-        scene = sim.synth_scene("point-source", lines, samples,
-                                points=[(l0, s0)], background=0.002,
-                                amplitude=1.0)
-        cube, _ = sim.render_raw(scene, ref_sensor,
-                                 sim.ArtifactConfig(stray=_CHAIN_STRAY,
-                                                    noise=False),
-                                 seed=cfg.seed + 70, steering_deg=steering)
-        point_cubes.append((cube, (l0, s0)))
+    point_cubes = sim.point_source_grid(
+        sensor.single_band(_keystone_ref(sensor.bands)), _CHAIN_STRAY,
+        steering, seed=cfg.seed + 70)
     model = anomalies.estimate_stray_psf(point_cubes, steering,
                                          tap_count=p["tap_count"])
     corrected = anomalies.correct_stray(state["cube"], model, steering)
@@ -466,13 +442,11 @@ def _stage_keystone(state, p, out: Path, cfg: PipelineConfig):
 
 def _stage_geocal(state, p, out: Path, cfg: PipelineConfig):
     lines, samples = state["cube"].lines, state["cube"].samples
-    n_gcps, noise_m = max(p["gcps_per_strip"], 0), p["noise_m"]
-    seed = cfg.seed
     true_bias = geometry.BoresightBias(
         droll=np.arctan(p["roll_km"] * 1000.0 / geometry.DEFAULT_ALTITUDE_M),
         dpitch=np.arctan(p["pitch_km"] * 1000.0
                          / geometry.DEFAULT_ALTITUDE_M))
-    rng = np.random.default_rng(seed + 101)
+    rng = np.random.default_rng(cfg.seed + 101)
     strips = []
     for i in range(p["strips"]):
         gm = geometry.make_geo(
@@ -481,16 +455,9 @@ def _stage_geocal(state, p, out: Path, cfg: PipelineConfig):
             pitch=np.deg2rad(rng.uniform(-5, 5)),
             track_start_north=rng.uniform(0, 1e5),
             track_across=rng.uniform(-1e4, 1e4))
-        r = np.random.default_rng(seed + 200 + i)
-        ls = r.uniform(2, lines - 3, n_gcps)
-        ss = r.uniform(0, samples - 1, n_gcps)
-        hs = r.uniform(0, 500, n_gcps)
-        east, north = geometry.geolocate(gm.with_bias(true_bias), ls, ss, hs)
-        east = east + r.normal(0, noise_m, n_gcps)
-        north = north + r.normal(0, noise_m, n_gcps)
-        gcps = [geometry.GroundControlPoint(l, s, e, n, h, f"strip{i}")
-                for l, s, e, n, h in zip(ls, ss, east, north, hs)]
-        strips.append((gm, gcps))
+        strips.append((gm, sim.survey_gcps(
+            gm.with_bias(true_bias), max(p["gcps_per_strip"], 0),
+            p["noise_m"], cfg.seed + 200 + i, f"strip{i}")))
     bias = geometry.optimize_boresight(strips)
     final_cost = geometry.cost(bias, strips)
     res = np.vstack([geometry.residuals(gm.with_bias(bias), gc)
@@ -506,31 +473,13 @@ def _stage_geocal(state, p, out: Path, cfg: PipelineConfig):
             "std_along_m": float(res[:, 1].std()), "final_cost_m": final_cost}
 
 
-def _auto_grid(geo_model, margin_cells: int, cell_m: float) -> geometry.MapGrid:
-    e0, n0 = geometry.geolocate(geo_model, 0, 0, 0.0)
-    e1, n1 = geometry.geolocate(geo_model, geo_model.lines - 1,
-                                geo_model.samples - 1, 0.0)
-    origin_east = min(e0, e1) + margin_cells * cell_m
-    origin_north = max(n0, n1) - margin_cells * cell_m
-    span_n, span_e = abs(n1 - n0) / cell_m, abs(e1 - e0) / cell_m
-    if not (max(span_n - 2 * margin_cells + 1, 1) * max(
-            span_e - 2 * margin_cells + 1, 1)
-            <= 64 * geo_model.lines * geo_model.samples):
-        raise EstimationError("map grid oversamples the swath more than 8x "
-                              "per axis; raise cell_m or margin_cells")
-    rows = int(span_n) - 2 * margin_cells + 1
-    cols = int(span_e) - 2 * margin_cells + 1
-    return geometry.MapGrid(origin_east, origin_north, cell_m,
-                            max(rows, 1), max(cols, 1))
-
-
 def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     cell_m = p["cell_m"]
     gm = geometry.make_geo(cube.lines, cube.samples)
     if "boresight" in state:
         gm = gm.with_bias(state["boresight"])
-    grid = _auto_grid(gm, p["margin_cells"], cell_m)
+    grid = geometry.footprint_grid(gm, p["margin_cells"], cell_m)
     # the closure check reuses the inverse mapping the resampling ran on
     ortho, valid, (line, sample, conv) = geometry._orthorectify(
         cube, gm, 0.0, grid)
@@ -563,11 +512,8 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
     gm_swir = dataclasses.replace(gm, mounting=(gm.mounting[0] + angle,
                                                 gm.mounting[1] + angle,
                                                 gm.mounting[2]))
-    swir_rad = swir_raw.data.astype(np.float64)
-    swir_rad -= swir_sensor.dark_dn.T[None]
-    swir_rad /= swir_sensor.gain_dn_per_radiance.T[None]
-    swir_cube = SpectralCube(swir_rad, "radiance", swir_raw.band_meta, "bsq")
-    del swir_raw, swir_rad
+    swir_cube = sim.ideal_radiance(swir_raw, swir_sensor)
+    del swir_raw
     swir_ortho, _ = geometry.orthorectify(swir_cube, gm_swir, 0.0,
                                           state["grid"])
     del swir_cube

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import SpectralCube, DN_MAX, one_of, read_header, write_header
-from .errors import CubeFormatError, EstimationError
+from .cube import (SpectralCube, DN_MAX, one_of, read_header, read_payload,
+                   write_header, write_payload)
+from .errors import EstimationError
 
 R2_FLAG_THRESHOLD = 0.99
 BAD_BAND_DEVIATION_PCT = 20.0
@@ -21,9 +22,7 @@ BAD_BAND_DEVIATION_PCT = 20.0
 
 def _write_arrays(path, header: dict, arrays: dict) -> None:
     path = Path(path)
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                    for a in arrays.values())
-    path.write_bytes(blob)
+    write_payload(path, arrays.values(), "<f8")
     shape = next(iter(arrays.values())).shape
     write_header(path.with_suffix(".hdr"), {
         **header, "arrays": ",".join(arrays),
@@ -45,9 +44,7 @@ def _read_arrays(path, kind: str, names: tuple, fields: dict):
         "kind": (one_of(kind), kind), "arrays": listing,
         "shape": lambda v: tuple(int(d) for d in v.split(",")), **fields})
     count = int(np.prod(hdr["shape"]))
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if flat.size != count * len(hdr["arrays"]):
-        raise CubeFormatError(f"sidecar {path} size mismatch")
+    flat = read_payload(path, "<f8", count * len(hdr["arrays"]))
     return hdr, [flat[i * count:(i + 1) * count].reshape(hdr["shape"]).copy()
                  for i in map(hdr["arrays"].index, names)]
 
@@ -275,9 +272,9 @@ def dark_bias_vnir(cube: SpectralCube, masked_channels) -> np.ndarray:
     return np.median(block, axis=(0, 2))
 
 
-def fit_dark_swir(darks, t_ref_k: float = 293.0,
-                  instrument: str = "swir") -> DarkModel:
-    """Per-pixel linear dark-vs-temperature fit from shutter acquisitions.
+def fit_dark_swir(darks, t_ref_k: float = 293.0) -> DarkModel:
+    """Per-pixel linear dark-vs-temperature fit from SWIR shutter
+    acquisitions.
 
     ``darks`` is a list of (temperature K, dark cube); needs >= 2 distinct
     temperatures.  The stability metric is the largest deviation of any
@@ -291,9 +288,7 @@ def fit_dark_swir(darks, t_ref_k: float = 293.0,
                       for _, c in darks])                 # (n, B, S)
     slope, d_ref, pred = _line_fit(temps - t_ref_k, means)
     stability = float(np.abs(means - pred).max())
-    if instrument == "vnir":
-        slope = np.zeros_like(slope)
-    return DarkModel(np.clip(d_ref, 0.0, None), slope, t_ref_k, instrument,
+    return DarkModel(np.clip(d_ref, 0.0, None), slope, t_ref_k, "swir",
                      stability)
 
 

@@ -1,4 +1,5 @@
-"""Forward model: renders raw 12-bit pushbroom cubes from synthetic scenes.
+"""Forward model: renders raw 12-bit pushbroom cubes from synthetic scenes,
+and builds every acquisition that the chain and its tests share.
 
 A scene is a separable radiance field ``radiance(l, s, wl) =
 spatial[l, s] * spectra[spectrum_index[l, s], wl]`` on a 1 nm grid from
@@ -19,6 +20,7 @@ import numpy as np
 
 from .cube import BandMeta, SpectralCube, DN_MAX, INSTRUMENTS
 from .errors import HypercalError
+from .geometry import GroundControlPoint, geolocate
 from .kernels import band_integrals, band_map, resample_rows
 from .spectral import (ABSORPTION_LINES_NM, KEYSTONE_REF_BAND,
                        MONOCHROMATOR_LINE_NM)
@@ -86,6 +88,7 @@ _SCENE_PARAMS = {
     "point-source": ("points", "background", "amplitude"),
     "checkerboard": ("block", "contrast"),
     "spectral-library": ("dip_depth",),
+    "library-bars": (),
 }
 
 
@@ -96,9 +99,11 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
     Kinds and the keyword parameters each reads:
     ``uniform``; ``bar-target`` (period, contrast); ``point-source``
     (points, background, amplitude: the value of each point pixel);
-    ``checkerboard`` (block, contrast); ``spectral-library`` (dip_depth).
-    Spectral-library scenes embed Gaussian absorption dips at the built-in
-    O2/H2O/CO2 lines.  A parameter the kind does not read is an error.
+    ``checkerboard`` (block, contrast); ``spectral-library`` (dip_depth);
+    ``library-bars``, those spectra under a period-8, contrast-0.4 bar
+    target.  Spectral-library scenes embed Gaussian absorption dips at the
+    built-in O2/H2O/CO2 lines.  A parameter the kind does not read is an
+    error.
     """
     if level < 0:
         raise HypercalError("scene level must be non-negative")
@@ -108,6 +113,11 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
     if unknown:
         raise HypercalError(
             f"scene kind {kind!r} has no parameter {unknown[0]!r}")
+    if kind == "library-bars":
+        scene = synth_scene("spectral-library", lines, samples, level)
+        bars = synth_scene("bar-target", lines, samples, period=8,
+                           contrast=0.4)
+        return replace(scene, kind=kind, spatial=scene.spatial * bars.spatial)
     grid = spectral_grid()
     flat = np.full((1, grid.shape[0]), float(level))
     index = np.zeros((lines, samples), dtype=np.intp)
@@ -666,6 +676,50 @@ def render_sphere(sensor: SensorModel, level: float, frames: int,
                         level=level)
     cube, _ = render_raw(scene, sensor, ArtifactConfig(noise=noise), seed=seed)
     return cube
+
+
+def point_source_grid(sensor: SensorModel, spec: StrayLightSpec,
+                      steering: np.ndarray, seed: int) -> list:
+    """Stray-light acquisitions for ``anomalies.estimate_stray_psf``: a
+    noiseless ``(cube, (line, sample))`` render of a unit point on a 0.002
+    background at each of 1/8, 1/2 and 7/8 of the lines and samples."""
+    lines, samples = len(steering), sensor.samples
+    points = [(l0, s0) for l0 in (lines // 8, lines // 2, 7 * lines // 8)
+              for s0 in (samples // 8, samples // 2, 7 * samples // 8)]
+    acquisitions = []
+    for point in points:
+        scene = synth_scene("point-source", lines, samples, points=[point],
+                            background=0.002, amplitude=1.0)
+        cube, _ = render_raw(scene, sensor,
+                             ArtifactConfig(stray=spec, noise=False),
+                             seed=seed, steering_deg=steering)
+        acquisitions.append((cube, point))
+    return acquisitions
+
+
+def survey_gcps(geo, n: int, noise_m: float, seed: int,
+                strip_id: str) -> list:
+    """``n`` ground control points surveyed against ``geo`` (its bias
+    included): uniform line, sample and 0-500 m height draws located on the
+    ground, plus ``noise_m`` m of Gaussian survey error east and north."""
+    rng = np.random.default_rng(seed)
+    lines = rng.uniform(2, geo.lines - 3, n)
+    samples = rng.uniform(0, geo.samples - 1, n)
+    heights = rng.uniform(0, 500, n)
+    east, north = geolocate(geo, lines, samples, heights)
+    east = east + rng.normal(0, noise_m, n)
+    north = north + rng.normal(0, noise_m, n)
+    return [GroundControlPoint(*point, strip_id)
+            for point in zip(lines, samples, east, north, heights)]
+
+
+def ideal_radiance(cube: SpectralCube, sensor: SensorModel) -> SpectralCube:
+    """(DN - dark) / (gain * PRNU) from the sensor's truth: one float64
+    copy, worked in place."""
+    rad = cube.data.astype(np.float64)
+    rad -= sensor.dark_dn.T[None]
+    rad /= (sensor.gain_dn_per_radiance * sensor.prnu).T[None]
+    return cube.with_data(rad, pixel_kind="radiance")
 
 
 def render_monochromator(sensor: SensorModel, wl_nm: float) -> np.ndarray:

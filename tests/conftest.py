@@ -5,24 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypercal import geometry, simulate as sim
-from hypercal.cube import BandMeta, SpectralCube
+from hypercal import anomalies as ano, geometry, simulate as sim
+from hypercal.cube import INSTRUMENTS, BandMeta, SpectralCube
 
 
-def uniform_band_meta(bands: int, instrument: str = "vnir",
-                      lo: float | None = None, hi: float | None = None,
-                      fwhm: float | None = None) -> tuple:
+def uniform_band_meta(bands: int, instrument: str = "vnir") -> tuple:
     """Evenly spaced band metadata over the instrument's spectral range."""
-    if instrument == "vnir":
-        lo = 400.0 if lo is None else lo
-        hi = 900.0 if hi is None else hi
-        fwhm = 9.24 if fwhm is None else fwhm
-    else:
-        lo = 850.0 if lo is None else lo
-        hi = 2500.0 if hi is None else hi
-        fwhm = 5.87 if fwhm is None else fwhm
-    centers = np.linspace(lo, hi, bands)
-    return tuple(BandMeta(float(c), float(fwhm), instrument) for c in centers)
+    facts = INSTRUMENTS[instrument]
+    return tuple(BandMeta(float(c), facts.fwhm_nm, instrument)
+                 for c in np.linspace(*facts.range_nm, bands))
 
 
 def quiet_sensor(instrument="vnir", samples=256, bands=None, **kw):
@@ -43,26 +34,22 @@ def smooth_texture(lines=256, samples=256, seed=11, scale=50.0,
                            sigma) * scale + level
 
 
+def render_radiance(scene, sensor, seed=0, artifacts=None, steering=None):
+    """A render (noiseless unless ``artifacts`` says otherwise) with the
+    ideal radiometric correction from sensor truth."""
+    cube, _ = sim.render_raw(scene, sensor,
+                             artifacts or sim.ArtifactConfig(noise=False),
+                             seed=seed, steering_deg=steering)
+    return sim.ideal_radiance(cube, sensor)
+
+
 def single_band_cube(image, center_nm=650.0, instrument="vnir",
                      pixel_kind="radiance"):
-    meta = (BandMeta(center_nm, 9.24 if instrument == "vnir" else 5.87,
+    meta = (BandMeta(center_nm, INSTRUMENTS[instrument].fwhm_nm,
                      instrument),)
     return SpectralCube(np.asarray(image, dtype=np.float64)[:, :, None],
                         pixel_kind=pixel_kind, band_meta=meta,
                         interleave="bsq")
-
-
-def synth_gcps(gm, n=25, noise=0.0, seed=0, strip_id="strip"):
-    """GCPs consistent with a geometry model, optionally noise-perturbed."""
-    r = np.random.default_rng(seed)
-    lines = r.uniform(2, gm.lines - 3, n)
-    samples = r.uniform(0, gm.samples - 1, n)
-    heights = r.uniform(0, 500, n)
-    east, north = geometry.geolocate(gm, lines, samples, heights)
-    east = east + r.normal(0, noise, n)
-    north = north + r.normal(0, noise, n)
-    return [geometry.GroundControlPoint(l, s, e, nn, h, strip_id)
-            for l, s, e, nn, h in zip(lines, samples, east, north, heights)]
 
 
 def boresight_strips(true_bias, n_strips=8, n_gcps=25, noise=0.0,
@@ -78,26 +65,70 @@ def boresight_strips(true_bias, n_strips=8, n_gcps=25, noise=0.0,
             yaw=np.deg2rad(rng.uniform(-0.02, 0.02)),
             track_start_north=rng.uniform(0, 1e5),
             track_across=rng.uniform(-1e4, 1e4))
-        gcps = synth_gcps(gm.with_bias(true_bias), n_gcps, noise=noise,
-                          seed=seed + 100 + i, strip_id=f"strip{i}")
-        strips.append((gm, gcps))
+        strips.append((gm, sim.survey_gcps(gm.with_bias(true_bias), n_gcps,
+                                           noise, seed + 100 + i,
+                                           f"strip{i}")))
     return strips
 
 
-def stray_point_grid(sensor, spec, steering, band, seed=70, amplitude=1.0,
-                     lines=256, samples=256):
-    """Point-source acquisitions on a 3x3 (along-track, sample) grid, with
-    along-track positions at segment centers."""
-    cubes = []
-    for (l0, s0) in [(l, s) for l in (32, 128, 224) for s in (32, 128, 224)]:
-        scene = sim.synth_scene("point-source", lines, samples,
-                                points=[(l0, s0)], background=0.002,
-                                amplitude=amplitude)
-        cube, _ = sim.render_raw(scene, sensor,
-                                 sim.ArtifactConfig(stray=spec, noise=False),
-                                 seed=seed, steering_deg=steering)
-        cubes.append((cube, (l0, s0)))
-    return cubes
+def amplitude_at(cube, frequency):
+    """Amplitude of the swath-mean line signal at the FFT bin nearest
+    ``frequency`` (cycles/line)."""
+    sig = cube.data.astype(np.float64).mean(axis=(1, 2))
+    sig = sig - sig.mean()
+    amp = np.abs(np.fft.rfft(sig)) * 2.0 / sig.size
+    return amp[np.abs(np.fft.rfftfreq(sig.size) - frequency).argmin()]
+
+
+def stray_point_render(sensor, spec, steering):
+    """A noiseless unit point at (128, 128) of a 256x256 swath on a 0.002
+    background, under stray light ``spec``."""
+    scene = sim.synth_scene("point-source", 256, 256, points=[(128, 128)],
+                            background=0.002, amplitude=1.0)
+    cube, _ = sim.render_raw(scene, sensor,
+                             sim.ArtifactConfig(stray=spec, noise=False),
+                             seed=1, steering_deg=steering)
+    return cube
+
+
+def point_extent(cube):
+    """Along-track smear extent (px) of the point at (128, 128)."""
+    col = cube.data[:, 128, 0].astype(float)
+    col -= np.median(col)
+    return ano.kernel_extent(col[128 - 15:128 + 16])
+
+
+def two_material_scene():
+    """256 lines of 64 samples alternating, two lines each, between the
+    spectral-library spectrum at level 30 and a flat 120: absorption dips
+    beside bright neighbours for stray light to fill in."""
+    lib = sim.synth_scene("spectral-library", 256, 64, level=30.0)
+    return sim.Scene(
+        kind="two-material", wavelengths=lib.wavelengths,
+        spectra=np.vstack([lib.spectra,
+                           np.full((1, lib.wavelengths.size), 120.0)]),
+        spectrum_index=np.broadcast_to(
+            ((np.arange(256)[:, None] // 2) % 2), (256, 64)).copy(),
+        spatial=np.ones((256, 64)))
+
+
+def dip_contrast(cube, scene):
+    """Depth of the 762 nm dip against 700 nm on the library lines of
+    :func:`two_material_scene`, above the 64 DN dark."""
+    sig = cube.data.astype(float) - 64.0
+    rows = np.flatnonzero(scene.spectrum_index[:, 0] == 0)
+    b_dip = np.abs(cube.centers_nm - 762.0).argmin()
+    b_cont = np.abs(cube.centers_nm - 700.0).argmin()
+    return 1.0 - sig[rows, :, b_dip].mean() / sig[rows, :, b_cont].mean()
+
+
+def coordinate_cube(lines, samples):
+    """Two-band cube whose values are the image coordinates plus 10."""
+    data = np.empty((lines, samples, 2))
+    data[:, :, 0] = np.arange(lines)[:, None]
+    data[:, :, 1] = np.arange(samples)[None, :]
+    meta = (BandMeta(500.0, 9.24, "vnir"), BandMeta(600.0, 9.24, "vnir"))
+    return SpectralCube(data + 10.0, "radiance", meta)
 
 
 def traced_peak(fn) -> int:

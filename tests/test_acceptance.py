@@ -17,17 +17,10 @@ from hypercal.errors import EstimationError
 from hypercal.pipeline import validate_config, run
 from hypercal.registration import shift_1d
 
-from conftest import (boresight_strips, quiet_sensor, smooth_texture,
-                      stray_point_grid, uniform_band_meta)
-
-
-def _radiance(scene, sensor, seed=0, artifacts=None, steering=None):
-    cube, _ = sim.render_raw(scene, sensor,
-                             artifacts or sim.ArtifactConfig(noise=False),
-                             seed=seed, steering_deg=steering)
-    out = (cube.data.astype(np.float64) - sensor.dark_dn.T[None]) \
-        / (sensor.gain_dn_per_radiance * sensor.prnu).T[None]
-    return cube.with_data(out, pixel_kind="radiance")
+from conftest import (amplitude_at, boresight_strips, coordinate_cube,
+                      dip_contrast, point_extent, quiet_sensor,
+                      render_radiance, smooth_texture, stray_point_render,
+                      two_material_scene, uniform_band_meta)
 
 
 class TestCriterion01FlatFieldClosure:
@@ -77,7 +70,7 @@ class TestCriterion03Smile:
         sensor = quiet_sensor(instrument, samples=256, bands=bands,
                               smile_nm=smile)
         scene = sim.synth_scene("spectral-library", 64, 256, level=100.0)
-        cube = _radiance(scene, sensor)
+        cube = render_radiance(scene, sensor)
         return cube, spectral.estimate_smile(cube)
 
     def test_vnir_quadratic_within_half_nanometer(self):
@@ -109,7 +102,7 @@ class TestCriterion04AbsoluteShift:
         sensor = quiet_sensor(instrument, samples=64, bands=bands,
                               center_error_nm=shift)
         scene = sim.synth_scene("spectral-library", 16, 64, level=100.0)
-        cube = _radiance(scene, sensor)
+        cube = render_radiance(scene, sensor)
         delta, _ = spectral.absolute_shift(cube.data.mean(axis=(0, 1)),
                                            cube.centers_nm)
         assert abs(delta - shift) < tol
@@ -121,7 +114,7 @@ class TestCriterion05Keystone:
                               keystone_px=sim.linear_keystone(60, 256, 1.5))
         scene = sim.synth_scene("bar-target", 256, 256, period=8,
                                 contrast=0.2)
-        cube = _radiance(scene, sensor)
+        cube = render_radiance(scene, sensor)
         model = spectral.estimate_keystone(cube)
         assert np.abs(model.shifts() - sensor.keystone_px).max() < 0.1
         corrected, _ = spectral.correct_keystone(cube, model)
@@ -135,10 +128,10 @@ class TestCriterion05Keystone:
         scene = sim.synth_scene("bar-target", 256, 256, period=8,
                                 contrast=0.2)
         stray = sim.StrayLightSpec(cross_track_sigma_px=5.0)
-        cube = _radiance(scene, sensor, seed=5,
-                         artifacts=sim.ArtifactConfig(stray=stray,
-                                                      noise=True),
-                         steering=sim.linear_steering(256))
+        cube = render_radiance(scene, sensor, seed=5,
+                               artifacts=sim.ArtifactConfig(stray=stray,
+                                                            noise=True),
+                               steering=sim.linear_steering(256))
         with pytest.raises(EstimationError):
             spectral.estimate_keystone(cube)
 
@@ -162,19 +155,12 @@ class TestCriterion07BunchPixels:
     CHANNELS = tuple(range(5, 55, 5))     # 10 channels
     LOCATIONS = (40, 120, 200)            # 3 swath locations
 
-    def _acquire(self, clusters=(), seed=0):
+    def _flat(self, clusters=(), seed=0):
         sensor = quiet_sensor("vnir", samples=256, bands=60,
                               prnu_spread=0.02, read_noise_dn=2.0)
         scene = sim.synth_scene("uniform", 256, 256, level=60.0)
-        cube, _ = sim.render_raw(scene, sensor,
-                                 sim.ArtifactConfig(bunch=tuple(clusters)),
-                                 seed=seed)
-        return (cube.data.astype(np.float64) - sensor.dark_dn.T[None]) \
-            / (sensor.gain_dn_per_radiance * sensor.prnu).T[None], cube
-
-    def _flat(self, clusters=(), seed=0):
-        data, cube = self._acquire(clusters, seed)
-        return cube.with_data(data, pixel_kind="radiance")
+        return render_radiance(scene, sensor, seed,
+                               sim.ArtifactConfig(bunch=tuple(clusters)))
 
     def test_all_clusters_found_and_corrected_within_three_percent(self):
         clusters = sim.make_bunch_clusters(self.CHANNELS, self.LOCATIONS)
@@ -200,13 +186,6 @@ class TestCriterion07BunchPixels:
 
 
 class TestCriterion08Interference:
-    @staticmethod
-    def _amplitude_at(cube, frequency):
-        sig = cube.data.astype(np.float64).mean(axis=(1, 2))
-        sig = sig - sig.mean()
-        amp = np.abs(np.fft.rfft(sig)) * 2.0 / sig.size
-        return amp[np.abs(np.fft.rfftfreq(sig.size) - frequency).argmin()]
-
     def test_periodic_ten_fold_banding_five_fold_clean_untouched(self):
         vnir = quiet_sensor("vnir", samples=256, bands=60,
                             read_noise_dn=2.0)
@@ -217,8 +196,7 @@ class TestCriterion08Interference:
                                   seed=0)
         fixed = ano.remove_interference(dirty,
                                         ano.detect_interference(dirty))
-        assert self._amplitude_at(dirty, 0.23) \
-            > 10.0 * self._amplitude_at(fixed, 0.23)
+        assert amplitude_at(dirty, 0.23) > 10.0 * amplitude_at(fixed, 0.23)
 
         swir = quiet_sensor("swir", samples=64, bands=256, read_noise_dn=2.0)
         band_scene = sim.synth_scene("uniform", 256, 64, level=60.0)
@@ -245,27 +223,15 @@ class TestCriterion09StrayLight:
     def test_extent_direction_and_dip_contrast(self):
         sensor = quiet_sensor("vnir", samples=256, bands=1)
         steering = sim.linear_steering(256)
-        points = stray_point_grid(sensor, self.SPEC, steering, band=0)
+        points = sim.point_source_grid(sensor, self.SPEC, steering, 70)
         model = ano.estimate_stray_psf(points, steering)
         theta = float(steering[32])
         const = np.full(256, theta)
 
         # smear extent on a fresh point source: 15 px before, <= 2.5 after
-        scene = sim.synth_scene("point-source", 256, 256,
-                                points=[(128, 128)], background=0.002,
-                                amplitude=1.0)
-        cube, _ = sim.render_raw(
-            scene, sensor, sim.ArtifactConfig(stray=self.SPEC, noise=False),
-            seed=1, steering_deg=const)
-
-        def extent(c):
-            col = c.data[:, 128, 0].astype(float)
-            col -= np.median(col)
-            return ano.kernel_extent(col[128 - 15:128 + 16])
-
-        assert extent(cube) >= 15
-        fixed = ano.correct_stray(cube, model, const)
-        assert extent(fixed) <= 2.5
+        cube = stray_point_render(sensor, self.SPEC, const)
+        assert point_extent(cube) >= 15
+        assert point_extent(ano.correct_stray(cube, model, const)) <= 2.5
 
         # steering-dependent tail direction flip
         assert model.centroid(float(steering[32]), 0.5) > 0.1
@@ -273,22 +239,10 @@ class TestCriterion09StrayLight:
 
         # vegetation-like absorption dip contrast restored within 5%
         spectral_sensor = quiet_sensor("vnir", samples=64, bands=60)
-        lib = sim.synth_scene("spectral-library", 256, 64, level=30.0)
-        scene2 = sim.Scene(
-            kind="two-material", wavelengths=lib.wavelengths,
-            spectra=np.vstack([lib.spectra,
-                               np.full((1, lib.wavelengths.size), 120.0)]),
-            spectrum_index=np.broadcast_to(
-                ((np.arange(256)[:, None] // 2) % 2), (256, 64)).copy(),
-            spatial=np.ones((256, 64)))
+        scene2 = two_material_scene()
 
         def contrast(c):
-            sig = c.data.astype(float) - 64.0
-            rows = np.flatnonzero(scene2.spectrum_index[:, 0] == 0)
-            b_dip = np.abs(c.centers_nm - 762.0).argmin()
-            b_cont = np.abs(c.centers_nm - 700.0).argmin()
-            return 1.0 - (sig[rows, :, b_dip].mean()
-                          / sig[rows, :, b_cont].mean())
+            return dip_contrast(c, scene2)
 
         pristine, _ = sim.render_raw(scene2, spectral_sensor,
                                      sim.ArtifactConfig(noise=False),
@@ -329,18 +283,8 @@ class TestCriterion11Orthorectification:
     def test_forward_inverse_closure_below_a_third_pixel(self):
         gm = geo.make_geo(256, 256, roll=np.deg2rad(0.1),
                           pitch=np.deg2rad(-0.05))
-        from hypercal.cube import BandMeta
-        data = np.empty((256, 256, 2))
-        data[:, :, 0] = np.arange(256)[:, None]
-        data[:, :, 1] = np.arange(256)[None, :]
-        cube = SpectralCube(data + 10.0, "radiance",
-                            (BandMeta(500.0, 9.24, "vnir"),
-                             BandMeta(600.0, 9.24, "vnir")))
-        e0, n0 = geo.geolocate(gm, 0, 0, 0.0)
-        e1, n1 = geo.geolocate(gm, 255, 255, 0.0)
-        grid = geo.MapGrid(min(e0, e1) + 120.0, max(n0, n1) - 120.0, 30.0,
-                           int(abs(n1 - n0) / 30.0) - 7,
-                           int(abs(e1 - e0) / 30.0) - 7)
+        cube = coordinate_cube(256, 256)
+        grid = geo.footprint_grid(gm, 4, 30.0)
         ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
         north, east = grid.centers()
         e2, n2 = geo.geolocate(gm,
@@ -453,7 +397,7 @@ class TestCriterion13Properties:
         assert drift(ano.remove_interference(
             cube, ano.detect_interference(cube))) < 0.005
         model_sensor = quiet_sensor("vnir", samples=256, bands=1)
-        points = stray_point_grid(model_sensor, spec, steering, band=0)
+        points = sim.point_source_grid(model_sensor, spec, steering, 70)
         model = ano.estimate_stray_psf(points, steering)
         assert drift(ano.correct_stray(cube, model, steering)) < 0.005
 

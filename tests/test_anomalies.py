@@ -12,15 +12,9 @@ from hypercal import simulate as sim
 from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 
-from conftest import (quiet_sensor, stray_point_grid, traced_peak,
-                      uniform_band_meta)
-
-
-def _flatfield(cube, sensor):
-    """Ideal radiometric correction from sensor truth."""
-    rad = (cube.data.astype(np.float64) - sensor.dark_dn.T[None]) \
-        / (sensor.gain_dn_per_radiance * sensor.prnu).T[None]
-    return cube.with_data(rad, pixel_kind="radiance")
+from conftest import (amplitude_at, dip_contrast, point_extent, quiet_sensor,
+                      render_radiance, stray_point_render, traced_peak,
+                      two_material_scene, uniform_band_meta)
 
 
 def _float64_cube():
@@ -40,10 +34,9 @@ class TestBunchPixels:
         sensor = quiet_sensor("vnir", samples=256, bands=16,
                               prnu_spread=0.02, read_noise_dn=2.0)
         scene = sim.synth_scene("uniform", lines, 256, level=level)
-        cube, _ = sim.render_raw(scene, sensor,
-                                 sim.ArtifactConfig(bunch=tuple(clusters)),
-                                 seed=seed)
-        return _flatfield(cube, sensor), sensor
+        cube = render_radiance(scene, sensor, seed,
+                               sim.ArtifactConfig(bunch=tuple(clusters)))
+        return cube, sensor
 
     def test_all_injected_runs_detected(self):
         clusters = sim.make_bunch_clusters((2, 7, 12), (40, 120, 200))
@@ -250,9 +243,8 @@ class TestBunchDetectionMatchesColumnLoop:
                               prnu_spread=0.02, read_noise_dn=2.0)
         scene = sim.synth_scene("uniform", 64, 256, level=60.0)
         clusters = sim.make_bunch_clusters((2, 7, 12), (40, 120, 200))
-        cube, _ = sim.render_raw(scene, sensor,
-                                 sim.ArtifactConfig(bunch=clusters), seed=3)
-        cube = _flatfield(cube, sensor)
+        cube = render_radiance(scene, sensor, 3,
+                               sim.ArtifactConfig(bunch=clusters))
         found = ano.detect_bunch_pixels(cube)
         assert found and found == _reference_detect_bunch(cube)
 
@@ -294,19 +286,21 @@ class TestInterference:
             sim.ArtifactConfig(interference=tuple(components)), seed=seed)
         return cube
 
-    @staticmethod
-    def _amplitude_at(cube, frequency):
-        sig = cube.data.astype(np.float64).mean(axis=(1, 2))
-        sig = sig - sig.mean()
-        amp = np.abs(np.fft.rfft(sig)) * 2.0 / sig.size
-        freqs = np.fft.rfftfreq(sig.size)
-        return amp[np.abs(freqs - frequency).argmin()]
-
     def test_frequency_recovered_within_tolerance(self):
         cube = self._cube([sim.InterferenceComponent(0.23, 8.0)])
         found = ano.detect_interference(cube)
         assert len(found) == 1
         assert abs(found[0][0] - 0.23) < 0.005
+
+    @pytest.mark.parametrize("offset, nearest", [(0.3, 59), (0.7, 60)])
+    def test_adjacent_bins_merged_to_the_stronger(self, offset, nearest):
+        # a frequency between bins 59 and 60 of 256 lines leaks into both;
+        # the one component reported sits at the nearer, stronger bin,
+        # whichever of the two comes first
+        cube = self._cube([sim.InterferenceComponent((59 + offset) / 256,
+                                                     8.0)], lines=256)
+        found = ano.detect_interference(cube)
+        assert [f for f, _ in found] == [nearest / 256]
 
     def test_two_components_detected(self):
         cube = self._cube([sim.InterferenceComponent(0.1, 8.0),
@@ -327,8 +321,8 @@ class TestInterference:
         cube = self._cube([comp])
         found = ano.detect_interference(cube)
         fixed = ano.remove_interference(cube, found)
-        before = self._amplitude_at(cube, 0.23)
-        after = self._amplitude_at(fixed, 0.23)
+        before = amplitude_at(cube, 0.23)
+        after = amplitude_at(fixed, 0.23)
         assert before > 10.0 * after
 
     def test_banding_attenuated_five_fold_on_swir(self):
@@ -342,8 +336,8 @@ class TestInterference:
         # below the periodic search floor: handled by the banding profile
         assert ano.detect_interference(cube) == []
         fixed = ano.remove_interference(cube, [])
-        before = self._amplitude_at(cube, comp.frequency)
-        after = self._amplitude_at(fixed, comp.frequency)
+        before = amplitude_at(cube, comp.frequency)
+        after = amplitude_at(fixed, comp.frequency)
         assert before > 5.0 * after
 
     def test_swir_bar_profile_survives(self):
@@ -461,7 +455,7 @@ class TestStrayLight:
     def _model(self, sensor=None):
         sensor = sensor or self._sensor()
         steering = sim.linear_steering(256)
-        points = stray_point_grid(sensor, self.SPEC, steering, band=0)
+        points = sim.point_source_grid(sensor, self.SPEC, steering, 70)
         return ano.estimate_stray_psf(points, steering), steering
 
     def test_identity_model_is_pass_through(self):
@@ -491,21 +485,9 @@ class TestStrayLight:
         model, steering = self._model(sensor)
         theta = float(steering[32])
         const = np.full(256, theta)
-        scene = sim.synth_scene("point-source", 256, 256,
-                                points=[(128, 128)], background=0.002,
-                                amplitude=1.0)
-        cube, _ = sim.render_raw(
-            scene, sensor, sim.ArtifactConfig(stray=self.SPEC, noise=False),
-            seed=1, steering_deg=const)
-
-        def extent(c):
-            col = c.data[:, 128, 0].astype(float)
-            col = col - np.median(col)
-            return ano.kernel_extent(col[128 - 15:128 + 16])
-
-        assert extent(cube) >= 15
-        fixed = ano.correct_stray(cube, model, const)
-        assert extent(fixed) <= 2.5
+        cube = stray_point_render(sensor, self.SPEC, const)
+        assert point_extent(cube) >= 15
+        assert point_extent(ano.correct_stray(cube, model, const)) <= 2.5
 
     def test_tail_direction_flips_with_steering_sign(self):
         model, steering = self._model()
@@ -524,22 +506,10 @@ class TestStrayLight:
         theta = float(steering[32])
         const = np.full(256, theta)
 
-        lib = sim.synth_scene("spectral-library", 256, 64, level=30.0)
-        bright = np.full((1, lib.wavelengths.size), 120.0)
-        scene = sim.Scene(
-            kind="two-material", wavelengths=lib.wavelengths,
-            spectra=np.vstack([lib.spectra, bright]),
-            spectrum_index=np.broadcast_to(
-                ((np.arange(256)[:, None] // 2) % 2), (256, 64)).copy(),
-            spatial=np.ones((256, 64)))
+        scene = two_material_scene()
 
         def contrast(cube):
-            sig = cube.data.astype(float) - 64.0
-            dip_rows = np.flatnonzero(scene.spectrum_index[:, 0] == 0)
-            b_dip = np.abs(cube.centers_nm - 762.0).argmin()
-            b_cont = np.abs(cube.centers_nm - 700.0).argmin()
-            r = sig[dip_rows, :, b_dip].mean() / sig[dip_rows, :, b_cont].mean()
-            return 1.0 - r
+            return dip_contrast(cube, scene)
 
         art = sim.ArtifactConfig(noise=False)
         pristine, _ = sim.render_raw(scene, sensor, art, steering_deg=const)
@@ -566,15 +536,18 @@ class TestStrayLight:
     def test_saturated_point_source_rejected(self):
         sensor = self._sensor(bands=1)
         steering = sim.linear_steering(256)
-        points = stray_point_grid(sensor, self.SPEC, steering, band=0,
-                                  amplitude=200.0)
+        scene = sim.synth_scene("point-source", 256, 256, points=[(32, 32)],
+                                background=0.002, amplitude=200.0)
+        cube, _ = sim.render_raw(
+            scene, sensor, sim.ArtifactConfig(stray=self.SPEC, noise=False),
+            seed=70, steering_deg=steering)
         with pytest.raises(EstimationError, match="saturated"):
-            ano.estimate_stray_psf(points, steering)
+            ano.estimate_stray_psf([(cube, (32, 32))], steering)
 
     def test_sparse_point_grid_rejected(self):
         sensor = self._sensor(bands=1)
         steering = sim.linear_steering(256)
-        points = stray_point_grid(sensor, self.SPEC, steering, band=0)
+        points = sim.point_source_grid(sensor, self.SPEC, steering, 70)
         with pytest.raises(EstimationError):
             ano.estimate_stray_psf(points[:6], steering)
 

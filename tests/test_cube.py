@@ -1,6 +1,7 @@
 """Cube data model and raw/header file I/O."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -174,6 +175,12 @@ class TestRoundTrip:
         with pytest.raises(CubeFormatError):
             read_cube(tmp_path / "c.img")
 
+    def test_missing_payload_reported(self, tmp_path):
+        write_cube(_cube(), tmp_path / "c.img")
+        (tmp_path / "c.img").unlink()
+        with pytest.raises(CubeFormatError, match=r"payload .*c\.img"):
+            read_cube(tmp_path / "c.img")
+
     def test_truncated_payload_reported(self, tmp_path):
         cube = _cube()
         path = tmp_path / "c.img"
@@ -243,6 +250,29 @@ class TestReadHeader:
         path = self._write(tmp_path, "lines = 4\n")
         with pytest.raises(ValueError, match="'t_ref_k'"):
             read_header(path, self.FIELDS, ValueError)
+
+    def test_non_utf8_file_refused(self, tmp_path):
+        (tmp_path / "h.hdr").write_bytes(b"lines = 4\nepoch = \xff\n")
+        with pytest.raises(CubeFormatError, match=r"h\.hdr.*UTF-8"):
+            read_header(tmp_path / "h.hdr", self.FIELDS)
+
+
+class TestReadModel:
+    @pytest.mark.parametrize("text, named", [
+        (None, ""), (b"{", ""), (b"[1, 2]", ""), (b"\xff", ""),
+        (b'{"kind": "linear", "bogus": 1}', r".*\['instrument'.*\['bogus'\]")])
+    def test_unreadable_model_named(self, tmp_path, text, named):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_bytes(text)
+        with pytest.raises(CubeFormatError, match=r"m\.json" + named):
+            spectral.SmileModel.from_json(path)
+
+    def test_rejected_value_named(self, tmp_path):
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"steering_deg": [2.0], "sample_pos": [0.5], "taps": "x"}))
+        with pytest.raises(CubeFormatError, match=r"p\.json"):
+            anomalies.StrayPSFModel.from_json(tmp_path / "p.json")
 
 
 class TestRegionStats:

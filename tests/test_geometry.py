@@ -15,7 +15,7 @@ from hypercal.cube import SpectralCube
 from hypercal.errors import ConfigError, CubeFormatError, EstimationError
 from hypercal.registration import shift_2d
 
-from conftest import (boresight_strips, smooth_texture, synth_gcps,
+from conftest import (boresight_strips, coordinate_cube, smooth_texture,
                       uniform_band_meta)
 
 
@@ -69,12 +69,12 @@ class TestGeolocate:
 class TestResidualsAndCost:
     def test_noiseless_gcps_close_to_zero(self):
         gm = geo.make_geo(128, 128, roll=np.deg2rad(0.2))
-        res = geo.residuals(gm, synth_gcps(gm, 25))
+        res = geo.residuals(gm, sim.survey_gcps(gm, 25, 0.0, 0, "strip"))
         assert np.abs(res).max() < 1e-6
 
     def test_noise_spreads_but_does_not_bias(self):
         gm = geo.make_geo(256, 256)
-        res = geo.residuals(gm, synth_gcps(gm, 400, noise=30.0, seed=3))
+        res = geo.residuals(gm, sim.survey_gcps(gm, 400, 30.0, 3, "strip"))
         assert np.abs(res.mean(axis=0)).max() < 5.0
         assert np.allclose(res.std(axis=0), 30.0, rtol=0.15)
 
@@ -113,8 +113,8 @@ class TestResidualsAndCost:
                 track_across=rng.uniform(-1e4, 1e4))
             gm = dataclasses.replace(
                 gm, mounting=tuple(np.deg2rad(rng.uniform(-0.05, 0.05, 3))))
-            strips.append((gm, synth_gcps(gm, n, noise=12.0, seed=40 + i,
-                                          strip_id=f"strip{i}")))
+            strips.append((gm, sim.survey_gcps(gm, n, 12.0, 40 + i,
+                                               f"strip{i}")))
         for _ in range(50):
             bias = geo.BoresightBias(*rng.normal(0.0, np.deg2rad(0.05), 3))
             total = 0.0
@@ -150,11 +150,18 @@ def _kinked(x):
     return float(np.sum(x * x) + np.sum(np.abs(np.sin(25.0 * x))))
 
 
+def _ripple(x):
+    # radial ripples: a reflection across a crest lands lower than the
+    # worst vertex while the contraction before it sits on the crest
+    return float(np.cos(3.0 * np.sqrt(x @ x)) + 0.1 * (x @ x))
+
+
 _SIMPLEX_2D = np.array([[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]])
 _SIMPLEX_3D = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 2.0, 1.0],
                         [1.0, 1.0, 2.0]])
 _NM_CASES = [(_rosenbrock, _SIMPLEX_2D), (_ill_conditioned, _SIMPLEX_3D),
-             (_wavy, _SIMPLEX_3D), (_kinked, _SIMPLEX_2D)]
+             (_wavy, _SIMPLEX_3D), (_kinked, _SIMPLEX_2D),
+             (_ripple, _SIMPLEX_3D)]
 
 
 def _scipy_nelder_mead(fn, simplex, maxiter=None):
@@ -180,7 +187,10 @@ def _scipy_moves(fn, simplex):
         worst = sim[-1]
         calls = cur.nfev - prev.nfev
         if calls == n + 2:
-            moves.add("shrink")
+            # a shrink follows the outside contraction when the reflected
+            # point beat the worst vertex, else the inside one
+            outside = fn(2 * xbar - worst) < prev.final_simplex[1][-1]
+            moves.add(("outside" if outside else "inside") + " shrink")
         elif calls == 1:
             moves.add("reflect")
         else:
@@ -239,7 +249,8 @@ class TestNelderMead:
 
     def test_cases_make_every_move(self):
         moves = set().union(*(_scipy_moves(fn, s) for fn, s in _NM_CASES))
-        assert moves == {"reflect", "expand", "outside", "inside", "shrink"}
+        assert moves == {"reflect", "expand", "outside", "inside",
+                         "outside shrink", "inside shrink"}
 
     def test_stops_on_the_iteration_cap_as_scipy_does(self, monkeypatch):
         monkeypatch.setattr(geo, "NM_MAX_ITER", 7)
@@ -315,31 +326,13 @@ class TestBoresight:
         assert abs(fit.dyaw) <= geo.YAW_BOUND_RAD + 1e-12
 
 
-def _footprint_grid(gm, cell_m=30.0, margin=4):
-    e0, n0 = geo.geolocate(gm, 0, 0, 0.0)
-    e1, n1 = geo.geolocate(gm, gm.lines - 1, gm.samples - 1, 0.0)
-    rows = int(abs(n1 - n0) / cell_m) - 2 * margin + 1
-    cols = int(abs(e1 - e0) / cell_m) - 2 * margin + 1
-    return geo.MapGrid(min(e0, e1) + margin * cell_m,
-                       max(n0, n1) - margin * cell_m, cell_m, rows, cols)
-
-
-def _coordinate_cube(lines, samples):
-    """Two-band cube whose values are the image coordinates themselves."""
-    from hypercal.cube import BandMeta
-    data = np.empty((lines, samples, 2))
-    data[:, :, 0] = np.arange(lines)[:, None]
-    data[:, :, 1] = np.arange(samples)[None, :]
-    meta = (BandMeta(500.0, 9.24, "vnir"), BandMeta(600.0, 9.24, "vnir"))
-    return SpectralCube(data + 10.0, "radiance", meta)
-
 
 class TestOrthorectify:
     def test_round_trip_closure_below_a_third_pixel(self):
         gm = geo.make_geo(128, 128, roll=np.deg2rad(0.1),
                           pitch=np.deg2rad(-0.05))
-        cube = _coordinate_cube(128, 128)
-        grid = _footprint_grid(gm)
+        cube = coordinate_cube(128, 128)
+        grid = geo.footprint_grid(gm, 4, 30.0)
         ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
         assert valid.mean() > 0.9
         north, east = grid.centers()
@@ -353,8 +346,8 @@ class TestOrthorectify:
     def test_terrain_parallax_compensated(self):
         roll = np.deg2rad(0.3)
         gm = geo.make_geo(128, 128, roll=roll)
-        cube = _coordinate_cube(128, 128)
-        grid = _footprint_grid(gm)
+        cube = coordinate_cube(128, 128)
+        grid = geo.footprint_grid(gm, 4, 30.0)
         h = np.full((grid.rows, grid.cols), 400.0)
         flat, v0 = geo.orthorectify(cube, gm, 0.0, grid)
         terr, v1 = geo.orthorectify(cube, gm, h, grid)
@@ -371,7 +364,7 @@ class TestOrthorectify:
                             (BandMeta(650.0, 9.24, "vnir"),))
         gm = geo.make_geo(160, 160)
         moved = geo.make_geo(160, 160, track_across=0.5 * gm.gsd_m)
-        grid = _footprint_grid(gm, margin=6)
+        grid = geo.footprint_grid(gm, 6, 30.0)
         a, va = geo.orthorectify(cube, gm, 0.0, grid)
         b, vb = geo.orthorectify(cube, moved, 0.0, grid)
         inner = (slice(8, -8), slice(8, -8))
@@ -381,7 +374,7 @@ class TestOrthorectify:
 
     def test_disjoint_grid_rejected(self):
         gm = geo.make_geo(64, 64)
-        cube = _coordinate_cube(64, 64)
+        cube = coordinate_cube(64, 64)
         far = geo.MapGrid(1e7, -1e7, 30.0, 16, 16)
         with pytest.raises(EstimationError):
             geo.orthorectify(cube, gm, 0.0, far)
@@ -389,7 +382,7 @@ class TestOrthorectify:
     def test_extent_mismatch_rejected(self):
         gm = geo.make_geo(64, 64)
         with pytest.raises(ConfigError):
-            geo.orthorectify(_coordinate_cube(32, 64), gm, 0.0,
+            geo.orthorectify(coordinate_cube(32, 64), gm, 0.0,
                              geo.MapGrid(0.0, 0.0, 30.0, 8, 8))
 
 
@@ -430,6 +423,19 @@ class TestBundle:
         vnir, swir = _dual_cubes()
         merged, _ = geo.bundle(vnir, swir)
         assert np.array_equal(merged.data[:, :, :60], vnir.data)
+
+    def test_low_confidence_patch_dropped(self):
+        # one patch pair of independent noise whose correlation has no
+        # clear peak; the fifteen identical patches around it register
+        rng = np.random.default_rng(35)
+        noise_ref, noise_mov = rng.normal(size=(2, 16, 16))
+        assert shift_2d(noise_ref, noise_mov)[2] < geo.OFFSET_MIN_CONFIDENCE
+        ref = smooth_texture(64, 64)
+        mov = ref.copy()
+        ref[:16, :16], mov[:16, :16] = noise_ref, noise_mov
+        ys, xs, dys, dxs = geo._measure_offsets(ref, mov, 16)
+        assert ys.size == 15 and (8.0, 8.0) not in zip(ys, xs)
+        assert np.abs(dys).max() < 1e-6 and np.abs(dxs).max() < 1e-6
 
     def test_already_registered_input_keeps_residual_small(self):
         vnir, swir = _dual_cubes(shift=(0.0, 0.0))
@@ -528,7 +534,7 @@ class TestSamplingPlanReferences:
         gm = geo.make_geo(48, 40, roll=np.deg2rad(0.1),
                           pitch=np.deg2rad(-0.05))
         # a grid wider than the strip, so some cells are masked
-        grid = _footprint_grid(gm, margin=-2)
+        grid = geo.footprint_grid(gm, -2, 30.0)
         ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
         expect, expect_valid = _reference_orthorectify(cube, gm, 0.0, grid)
         assert not expect_valid.all()
@@ -578,7 +584,7 @@ class TestSamplingPlanReferences:
 class TestInterchange:
     def test_gcp_round_trip(self, tmp_path):
         gm = geo.make_geo(64, 64)
-        gcps = synth_gcps(gm, 10, noise=5.0, seed=1, strip_id="s1")
+        gcps = sim.survey_gcps(gm, 10, 5.0, 1, "s1")
         geo.write_gcps(tmp_path / "g.csv", gcps)
         back = geo.read_gcps(tmp_path / "g.csv")
         assert len(back) == 10
@@ -588,6 +594,15 @@ class TestInterchange:
     def test_bad_gcp_header_rejected(self, tmp_path):
         (tmp_path / "g.csv").write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
+            geo.read_gcps(tmp_path / "g.csv")
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,3,4\n", r"g\.csv row 3: column 'height' is missing"),
+        ("1,2,x,4,5,s\n", r"g\.csv row 3: column 'east': 'x'")])
+    def test_bad_gcp_row_named(self, tmp_path, row, message):
+        (tmp_path / "g.csv").write_text(
+            "line,sample,east,north,height,strip_id\n1,2,3,4,5,s\n" + row)
+        with pytest.raises(ConfigError, match=message):
             geo.read_gcps(tmp_path / "g.csv")
 
     def test_grid_round_trip(self, tmp_path):

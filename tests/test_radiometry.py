@@ -177,14 +177,6 @@ class TestDarkModels:
         # evaluation at a held-out temperature
         assert np.abs(model.at(303.0) - (90.0 + slope * 10.0)).max() < 0.5
 
-    def test_vnir_instrument_forces_zero_slope(self):
-        sensor = quiet_sensor("vnir", samples=16, bands=4, dark_dn=64.0,
-                              read_noise_dn=1.0)
-        darks = [(t, sim.render_dark(sensor, 100, t, seed=int(t)))
-                 for t in (283.0, 303.0)]
-        model = rad.fit_dark_swir(darks, instrument="vnir")
-        assert np.all(model.slope_dn_per_k == 0.0)
-
     def test_degenerate_temperatures_rejected(self):
         sensor = quiet_sensor("swir", samples=8, bands=4)
         d = sim.render_dark(sensor, 10, 293.0)
@@ -253,6 +245,22 @@ class TestSidecarKinds:
                                                "arrays = gains,"))
         with pytest.raises(CubeFormatError, match="'arrays'.*gain"):
             rad.FlatFieldTable.load(tmp_path / "f.bin")
+
+    @pytest.mark.parametrize("dark", [False, True])
+    def test_missing_payload_named(self, tmp_path, dark):
+        product = rad.DarkModel.constant(np.full((2, 3), 64.0)) if dark \
+            else self._table()
+        product.save(tmp_path / "t.bin")
+        (tmp_path / "t.bin").unlink()
+        with pytest.raises(CubeFormatError, match=r"payload .*t\.bin"):
+            type(product).load(tmp_path / "t.bin")
+
+    def test_payload_holds_the_arrays_back_to_back(self, tmp_path):
+        table = self._table()
+        table.save(tmp_path / "f.bin")
+        expected = np.stack([table.gain, table.offset, table.r_squared])
+        assert (tmp_path / "f.bin").read_bytes() \
+            == expected.astype("<f8").tobytes()
 
     def test_flatfield_round_trip_keeps_provenance(self, tmp_path):
         table = self._table()

@@ -1,7 +1,7 @@
 """Forward sensor model: scenes, artifact injection, and renders."""
 
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -432,20 +432,12 @@ def _reference_render_dark(sensor, lines, temperature_k, seed):
     return np.clip(np.rint(dn), 0, sim.DN_MAX).astype(np.uint16)
 
 
-def _library_bars(lines, samples):
-    scene = sim.synth_scene("spectral-library", lines, samples, level=80.0)
-    bars = sim.synth_scene("bar-target", lines, samples, period=8,
-                           contrast=0.4)
-    return replace(scene, spatial=scene.spatial * bars.spatial)
-
-
 def _scene(kind, lines, samples):
-    if kind == "library-bars":
-        return _library_bars(lines, samples)
     extra = {"point-source": {"points": [(lines // 2, samples // 2), (0, 3)],
                               "background": 0.05},
-             "checkerboard": {"block": 5}}.get(kind, {})
-    return sim.synth_scene(kind, lines, samples, level=70.0, **extra)
+             "checkerboard": {"block": 5},
+             "library-bars": {"level": 80.0}}.get(kind, {})
+    return sim.synth_scene(kind, lines, samples, **{"level": 70.0, **extra})
 
 
 # (scene, lines, samples, bands, keystone, masked, stray sigma or None,

@@ -11,17 +11,7 @@ from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 from hypercal.registration import shift_1d, shift_signal
 
-from conftest import quiet_sensor, traced_peak
-
-
-def render_radiance(scene, sensor, seed=0, artifacts=None, steering=None):
-    """Dark-subtracted, gain-divided render (ideal radiometric correction)."""
-    cube, _ = sim.render_raw(scene, sensor,
-                             artifacts or sim.ArtifactConfig(noise=False),
-                             seed=seed, steering_deg=steering)
-    rad = (cube.data.astype(np.float64) - sensor.dark_dn.T[None]) \
-        / sensor.gain_dn_per_radiance.T[None]
-    return cube.with_data(rad, pixel_kind="radiance")
+from conftest import quiet_sensor, render_radiance, traced_peak
 
 
 # ---------------------------------------------------------------------------
