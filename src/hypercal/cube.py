@@ -171,23 +171,20 @@ class SpectralCube:
         )
 
 
-def write_cube(cube: SpectralCube, path, interleave: str | None = None) -> None:
-    """Write a cube and its sidecar header; re-reading yields an equal cube
-    regardless of interleave."""
+def write_cube(cube: SpectralCube, path) -> None:
+    """Write a cube in its own interleave, with its sidecar header;
+    re-reading yields an equal cube."""
     path = Path(path)
-    interleave = interleave or cube.interleave
-    if interleave not in ("bsq", "bil"):
-        raise CubeFormatError(f"unknown interleave {interleave!r}")
     dtype = _DTYPES[cube.pixel_kind]
     # one band or one (bands, samples) line per write call
-    if interleave == "bsq":
+    if cube.interleave == "bsq":
         write_payload(path, _band_planes(cube.data, dtype), dtype)
     else:
         write_payload(path, (cube.data[i].T for i in range(cube.lines)),
                       dtype)
     write_header(path.with_suffix(".hdr"), {
         "lines": cube.lines, "samples": cube.samples, "bands": cube.bands,
-        "interleave": interleave, "pixel_kind": cube.pixel_kind,
+        "interleave": cube.interleave, "pixel_kind": cube.pixel_kind,
         "byte_order": "little-endian",
         "center_nm": ",".join(repr(m.center_nm) for m in cube.band_meta),
         "fwhm_nm": ",".join(repr(m.fwhm_nm) for m in cube.band_meta),
@@ -316,7 +313,8 @@ def read_cube(path) -> SpectralCube:
     meta = tuple(
         BandMeta(c, f, inst, "bad" if i in hdr["bad_bands"] else "good")
         for i, (c, f, inst) in enumerate(zip(*band_fields)))
-    return SpectralCube(data=np.ascontiguousarray(data), pixel_kind=pixel_kind,
+    # one copy: the payload is a read-only view of the file's bytes
+    return SpectralCube(data=data.copy(), pixel_kind=pixel_kind,
                         band_meta=meta, interleave=interleave)
 
 

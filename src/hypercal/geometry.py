@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyvander2d
 
 from .errors import ConfigError, EstimationError
 from .cube import SpectralCube, read_header, write_header
@@ -402,14 +403,11 @@ def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
     """Resample a strip onto a map grid using terrain heights.
 
     ``height`` is a constant or a raster matching the grid.  Returns
-    ``(ortho cube, validity mask)``; cells whose inverse mapping failed to
-    converge inside the strip footprint are masked.
+    ``(ortho cube, validity mask, (line, sample, converged))``: cells whose
+    inverse mapping failed to converge inside the strip footprint are
+    masked, and the last item is the inverse mapping the cube was sampled
+    at.
     """
-    return _orthorectify(cube, geo, height, grid)[:2]
-
-
-def _orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
-    """:func:`orthorectify` and the inverse mapping it resampled at."""
     if cube.data.shape[0] != geo.lines or cube.data.shape[1] != geo.samples:
         raise ConfigError("cube extent does not match the geometry model")
     north, east = grid.centers()
@@ -423,14 +421,6 @@ def _orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
     out = cubic_apply(plan, cube.data)
     out[~valid] = 0.0
     return cube.with_data(out), valid & plan.valid, mapping
-
-
-def _poly2d_design(y, x, degree: int) -> np.ndarray:
-    cols = []
-    for dy in range(degree + 1):
-        for dx in range(degree + 1):
-            cols.append((y ** dy) * (x ** dx))
-    return np.stack(cols, axis=-1)
 
 
 def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int):
@@ -507,13 +497,15 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int | None = None):
             "shared bands are featureless: no registration signal")
     ys, xs, dys, dxs = (np.concatenate(s) for s in zip(*found))
 
-    design = _poly2d_design(ys / rows, xs / cols, BUNDLE_DEGREE)
+    degrees = [BUNDLE_DEGREE, BUNDLE_DEGREE]
+    design = polyvander2d(ys / rows, xs / cols, degrees)
     cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
     cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
 
     gy, gx = np.meshgrid(np.arange(rows) / rows, np.arange(cols) / cols,
                          indexing="ij")
-    full = _poly2d_design(gy, gx, BUNDLE_DEGREE)
+    # terms made the fastest axis, so each map is one contiguous matmul
+    full = np.ascontiguousarray(polyvander2d(gy, gx, degrees))
     # shift_2d reports mov ~ ref shifted by d, so sampling mov at
     # coordinate + d pulls it back onto the reference
     map_y = np.arange(rows)[:, None] + full @ cy

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anomalies, geometry, radiometry, spectral
 from . import simulate as sim
-from .cube import INSTRUMENTS, write_cube, write_json
+from .cube import INSTRUMENTS, one_of, write_cube, write_json
 from .errors import ConfigError, EstimationError, HypercalError
 
 __all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
@@ -115,12 +115,6 @@ def _each(convert):
 
 _COUNT = _bounded(int, 1)
 _SAVE = (bool, True)
-
-
-def _scene(value) -> str:
-    if value not in sim._SCENE_PARAMS:
-        raise ValueError(f"unknown scene {value!r}")
-    return value
 
 
 def _components(value) -> tuple:
@@ -481,7 +475,7 @@ def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
         gm = gm.with_bias(state["boresight"])
     grid = geometry.footprint_grid(gm, p["margin_cells"], cell_m)
     # the closure check reuses the inverse mapping the resampling ran on
-    ortho, valid, (line, sample, conv) = geometry._orthorectify(
+    ortho, valid, (line, sample, conv) = geometry.orthorectify(
         cube, gm, 0.0, grid)
     north, east = (a[conv] for a in grid.centers())
     e2, n2 = geometry.geolocate(gm, line[conv], sample[conv], 0.0)
@@ -514,8 +508,8 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
                                                 gm.mounting[2]))
     swir_cube = sim.ideal_radiance(swir_raw, swir_sensor)
     del swir_raw
-    swir_ortho, _ = geometry.orthorectify(swir_cube, gm_swir, 0.0,
-                                          state["grid"])
+    swir_ortho, _, _ = geometry.orthorectify(swir_cube, gm_swir, 0.0,
+                                             state["grid"])
     del swir_cube
     merged, resid = geometry.bundle(vnir, swir_ortho, patch=p["patch"])
     del swir_ortho  # not resident while bundle.img is written
@@ -546,8 +540,9 @@ def _stage_report(state, p, out: Path, cfg: PipelineConfig):
 
 STAGES = {stage.name: stage for stage in (
     Stage("simulate", _stage_simulate, {
-        "scene": (_scene, "library-bars"), "lines": (_COUNT, 256),
-        "samples": (_COUNT, 256), "level": (_finite, 100.0),
+        "scene": (one_of(*sim.SCENE_PARAMS), "library-bars"),
+        "lines": (_COUNT, 256), "samples": (_COUNT, 256),
+        "level": (_finite, 100.0),
         "bands": (_optional(_COUNT), None), "smile_nm": (_finite, 0.0),
         "center_error_nm": (_finite, 0.0), "keystone_px": (_finite, 0.0),
         "prnu_spread": (_finite, 0.0), "read_noise_dn": (_finite, 2.0),

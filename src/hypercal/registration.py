@@ -29,7 +29,7 @@ class ShiftEstimate:
     confidence: float
 
 
-def _parabolic_vertex(ym1, y0, yp1):
+def parabolic_vertex(ym1, y0, yp1):
     """Vertex offset in [-0.5, 0.5] of the parabola through three equally
     spaced samples, 0 where they are collinear; elementwise on arrays."""
     denom = ym1 - 2.0 * y0 + yp1
@@ -75,8 +75,8 @@ def _refine_peaks(xpow: np.ndarray, lag0: np.ndarray) -> np.ndarray:
     corr = ((xpow * ramp) @ _upsample_matrix(n)).real
     rows = np.arange(corr.shape[0])
     k = np.clip(np.argmax(corr, axis=1), 1, corr.shape[1] - 2)
-    frac = _parabolic_vertex(corr[rows, k - 1], corr[rows, k],
-                             corr[rows, k + 1])
+    frac = parabolic_vertex(corr[rows, k - 1], corr[rows, k],
+                            corr[rows, k + 1])
     return (lag0 - 1.0) + k * step + frac * step
 
 
@@ -239,10 +239,10 @@ def _estimate_2d(fa: np.ndarray, fb: np.ndarray):
     ky, kx = np.unravel_index(int(np.argmax(local)), local.shape)
     ky = min(max(ky, 1), local.shape[0] - 2)
     kx = min(max(kx, 1), local.shape[1] - 2)
-    ry = tys[ky] + _parabolic_vertex(local[ky - 1, kx], local[ky, kx],
-                                     local[ky + 1, kx]) * step
-    rx = txs[kx] + _parabolic_vertex(local[ky, kx - 1], local[ky, kx],
-                                     local[ky, kx + 1]) * step
+    ry = tys[ky] + parabolic_vertex(local[ky - 1, kx], local[ky, kx],
+                                    local[ky + 1, kx]) * step
+    rx = txs[kx] + parabolic_vertex(local[ky, kx - 1], local[ky, kx],
+                                    local[ky, kx + 1]) * step
 
     peak = float(corr[iy, ix])
     mask = np.ones_like(corr, dtype=bool)

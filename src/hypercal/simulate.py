@@ -82,7 +82,7 @@ class Scene:
         return self.spatial[line, sample] * np.interp(wl, self.wavelengths, spec)
 
 
-_SCENE_PARAMS = {
+SCENE_PARAMS = {
     "uniform": (),
     "bar-target": ("period", "contrast"),
     "point-source": ("points", "background", "amplitude"),
@@ -107,9 +107,9 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
     """
     if level < 0:
         raise HypercalError("scene level must be non-negative")
-    if kind not in _SCENE_PARAMS:
+    if kind not in SCENE_PARAMS:
         raise HypercalError(f"unknown scene kind {kind!r}")
-    unknown = sorted(set(kw) - set(_SCENE_PARAMS[kind]))
+    unknown = sorted(set(kw) - set(SCENE_PARAMS[kind]))
     if unknown:
         raise HypercalError(
             f"scene kind {kind!r} has no parameter {unknown[0]!r}")
@@ -395,16 +395,12 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
                 bands: int | None = None, *, smile_nm=0.0,
                 center_error_nm: float = 0.0, keystone_px=0.0,
                 prnu=None, prnu_spread: float = 0.0, dark_dn=64.0,
-                dark_temp_slope: float = 0.0, t_ref_k: float = 293.0,
-                read_noise_dn: float = 2.0, photon_noise_k: float = 0.0,
-                sat_radiance=140.0, gain_error=None, masked_channels=(),
-                seed: int = 7) -> SensorModel:
+                dark_temp_slope: float = 0.0, read_noise_dn: float = 2.0,
+                photon_noise_k: float = 0.0, sat_radiance=140.0,
+                masked_channels=(), seed: int = 7) -> SensorModel:
     """Assemble a sensor; scalar parameters are broadcast per (band, sample).
     Band count (by default) and band width come from ``cube.INSTRUMENTS``;
-    the DN gain is 30 per radiance unit.
-
-    ``gain_error`` multiplies the per-band DN gain (used to inject the
-    miscalibration that vicarious calibration recovers)."""
+    the DN gain is 30 per radiance unit."""
     if instrument not in INSTRUMENTS:
         raise HypercalError(f"unknown instrument {instrument!r}")
     facts = INSTRUMENTS[instrument]
@@ -423,10 +419,6 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
     if prnu is None:
         prnu = random_prnu(bands, samples, prnu_spread, seed) \
             if prnu_spread > 0 else np.ones(shape)
-    gain = np.full(shape, 30.0)
-    if gain_error is not None:
-        gain = gain * np.broadcast_to(
-            np.asarray(gain_error, dtype=np.float64)[:, None], shape)
     sat = np.asarray(sat_radiance, dtype=np.float64)
     if sat.ndim == 0:
         sat = np.full(bands, float(sat))
@@ -438,11 +430,10 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
         keystone_px=_field(keystone_px),
         prnu=np.asarray(prnu, dtype=np.float64),
         dark_dn=_field(dark_dn),
-        gain_dn_per_radiance=gain,
+        gain_dn_per_radiance=np.full(shape, 30.0),
         sat_radiance=sat,
         center_error_nm=float(center_error_nm),
         dark_temp_slope=float(dark_temp_slope),
-        t_ref_k=float(t_ref_k),
         read_noise_dn=float(read_noise_dn),
         photon_noise_k=float(photon_noise_k),
         masked_channels=frozenset(int(b) for b in masked_channels),

@@ -15,10 +15,12 @@ import numpy as np
 from .cube import SpectralCube, read_model
 from .errors import EstimationError
 from .kernels import resample_rows
-from .registration import _parabolic_vertex, shift_1d_batch
+from .registration import parabolic_vertex, shift_1d_batch
 
 SMILE_WINDOW = 10          # band-index correlation window
 SMILE_MIN_WINDOWS = 4      # usable windows below which stride 2 is used
+WINDOW_SHIFT_PASSES = 5    # refinement passes of the window shifts
+WINDOW_SHIFT_TOL = 1e-3    # shift update (bands) at which a window settles
 KEYSTONE_REF_BAND = 30
 KEYSTONE_MAX_PX = 3.0
 KEYSTONE_MIN_CONFIDENCE = 0.45
@@ -96,7 +98,7 @@ def rsr_from_scan(wavelengths_nm: np.ndarray,
             if r[i] <= RSR_NOISE_FLOOR:
                 continue
             if 0 < i < r.shape[0] - 1:
-                center[b, s] = wl[i] + _parabolic_vertex(*r[i - 1:i + 2]) \
+                center[b, s] = wl[i] + parabolic_vertex(*r[i - 1:i + 2]) \
                     * (wl[i + 1] - wl[i])
             else:
                 center[b, s] = wl[i]
@@ -139,8 +141,7 @@ def _detrended_std(w: np.ndarray) -> float:
     return float(np.std(w - np.polyval(np.polyfit(x, w, 1), x)))
 
 
-def _window_shifts(a: np.ndarray, b: np.ndarray, max_shift: float,
-                   iters: int = 5, tol: float = 1e-3):
+def _window_shifts(a: np.ndarray, b: np.ndarray, max_shift: float):
     """Iteratively refined :func:`shift_1d_batch` over ``(N, L)`` window
     stacks: each pass re-aligns the unsettled rows of ``b`` by their running
     estimates and accumulates residuals, canceling the short-window
@@ -151,7 +152,7 @@ def _window_shifts(a: np.ndarray, b: np.ndarray, max_shift: float,
     ok = np.ones(a.shape[0], dtype=bool)
     rows = np.arange(a.shape[0])
     current = b
-    for i in range(iters):
+    for i in range(WINDOW_SHIFT_PASSES):
         est, c, valid = shift_1d_batch(a[rows], current, max_shift=max_shift)
         ok[rows[~valid]] = False
         rows, est = rows[valid], est[valid]
@@ -160,8 +161,8 @@ def _window_shifts(a: np.ndarray, b: np.ndarray, max_shift: float,
         over = np.abs(total[rows]) > max_shift
         total[rows[over]] = np.clip(total[rows[over]], -max_shift, max_shift)
         conf[rows[over]] = 0.0
-        rows = rows[~over & (np.abs(est) >= tol)]
-        if rows.size == 0 or i == iters - 1:
+        rows = rows[~over & (np.abs(est) >= WINDOW_SHIFT_TOL)]
+        if rows.size == 0 or i == WINDOW_SHIFT_PASSES - 1:
             break
         # out(x) = b(x + total): b shifted by -total
         coords = np.arange(b.shape[1], dtype=np.float64) + total[rows, None]
@@ -306,7 +307,7 @@ def absolute_shift(spectrum: np.ndarray, centers_nm: np.ndarray,
             continue
         if not (centers[w0 + i] >= lo and centers[w0 + i] <= hi):
             continue
-        obs = wl[i] + _parabolic_vertex(*np.log(ratio[i - 1:i + 2])) \
+        obs = wl[i] + parabolic_vertex(*np.log(ratio[i - 1:i + 2])) \
             * (wl[i + 1] - wl[i])
         per_line[nominal] = obs - nominal
     if len(per_line) < 2:

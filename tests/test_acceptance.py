@@ -285,7 +285,7 @@ class TestCriterion11Orthorectification:
                           pitch=np.deg2rad(-0.05))
         cube = coordinate_cube(256, 256)
         grid = geo.footprint_grid(gm, 4, 30.0)
-        ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
+        ortho, valid, _ = geo.orthorectify(cube, gm, 0.0, grid)
         north, east = grid.centers()
         e2, n2 = geo.geolocate(gm,
                                np.clip(ortho.data[:, :, 0] - 10.0, 0, 255),

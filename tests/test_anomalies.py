@@ -452,10 +452,13 @@ class TestStrayLight:
     def _sensor(self, bands=4):
         return quiet_sensor("vnir", samples=256, bands=bands)
 
-    def _model(self, sensor=None):
-        sensor = sensor or self._sensor()
+    def _points(self, sensor=None):
         steering = sim.linear_steering(256)
-        points = sim.point_source_grid(sensor, self.SPEC, steering, 70)
+        return sim.point_source_grid(sensor or self._sensor(), self.SPEC,
+                                     steering, 70), steering
+
+    def _model(self, sensor=None):
+        points, steering = self._points(sensor)
         return ano.estimate_stray_psf(points, steering), steering
 
     def test_identity_model_is_pass_through(self):
@@ -545,11 +548,22 @@ class TestStrayLight:
             ano.estimate_stray_psf([(cube, (32, 32))], steering)
 
     def test_sparse_point_grid_rejected(self):
-        sensor = self._sensor(bands=1)
-        steering = sim.linear_steering(256)
-        points = sim.point_source_grid(sensor, self.SPEC, steering, 70)
+        points, steering = self._points(self._sensor(bands=1))
         with pytest.raises(EstimationError):
             ano.estimate_stray_psf(points[:6], steering)
+
+    def test_absent_point_rejected(self):
+        points, steering = self._points(self._sensor(bands=1))
+        # the stated sample is 16 columns off the rendered point
+        cube, (l0, s0) = points[0]
+        with pytest.raises(EstimationError, match="absent"):
+            ano.estimate_stray_psf([(cube, (l0, s0 + 16))], steering)
+
+    def test_point_grid_with_a_hole_rejected(self):
+        points, steering = self._points(self._sensor(bands=1))
+        # 3 x 3 positions with the centre one missing
+        with pytest.raises(EstimationError, match="holes"):
+            ano.estimate_stray_psf(points[:4] + points[5:], steering)
 
     def test_edge_point_rejected(self):
         sensor = self._sensor(bands=1)

@@ -111,6 +111,13 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == EXIT_STAGE
         assert "add a 'simulate' stage first" in capsys.readouterr().err
 
+    def test_preview_band_outside_the_cube_returns_three(self, tmp_path,
+                                                         capsys):
+        cfg = _write_config(tmp_path, [SIM_SMALL, {"name": "report",
+                                                   "preview_bands": [8]}])
+        assert main(["run", "--config", cfg]) == EXIT_STAGE
+        assert "preview band 8 outside the cube" in capsys.readouterr().err
+
     def test_out_is_a_file_returns_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, [SIM_SMALL])
         (tmp_path / "taken").write_text("")

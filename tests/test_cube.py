@@ -125,8 +125,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_streamed_bytes_equal_one_shot_write(self, tmp_path, pixel_kind,
                                                  interleave):
-        cube = _cube(lines=6, samples=7, bands=5, pixel_kind=pixel_kind)
-        write_cube(cube, tmp_path / "c.img", interleave=interleave)
+        cube = dataclasses.replace(
+            _cube(lines=6, samples=7, bands=5, pixel_kind=pixel_kind),
+            interleave=interleave)
+        write_cube(cube, tmp_path / "c.img")
         assert (tmp_path / "c.img").read_bytes() == \
             _one_shot_bytes(cube.data, pixel_kind, interleave)
 
@@ -139,7 +141,7 @@ class TestRoundTrip:
         monkeypatch.setattr(cube_module, "_SLAB_BYTES",
                             2 * 42 * cube.data.itemsize)
         monkeypatch.setattr(cube_module, "_TILE_PX", 10)
-        write_cube(cube, tmp_path / "c.img", interleave="bsq")
+        write_cube(cube, tmp_path / "c.img")
         assert (tmp_path / "c.img").read_bytes() == \
             _one_shot_bytes(cube.data, pixel_kind, "bsq")
 
@@ -149,16 +151,26 @@ class TestRoundTrip:
         data = cube.data.astype(np.float64) + 0.25
         object.__setattr__(cube, "data", data)
         for interleave in ("bsq", "bil"):
-            write_cube(cube, tmp_path / "c.img", interleave=interleave)
+            object.__setattr__(cube, "interleave", interleave)
+            write_cube(cube, tmp_path / "c.img")
             assert (tmp_path / "c.img").read_bytes() == \
                 _one_shot_bytes(data, "dn12", interleave)
 
     def test_interleave_conversion_preserves_values(self, tmp_path):
         cube = _cube(interleave="bsq")
-        write_cube(cube, tmp_path / "c.img", interleave="bil")
+        write_cube(dataclasses.replace(cube, interleave="bil"),
+                   tmp_path / "c.img")
         back = read_cube(tmp_path / "c.img")
         assert back.interleave == "bil"
         assert np.array_equal(back.data, cube.data)
+
+    @pytest.mark.parametrize("bands", [1, 3])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_read_data_is_writable(self, tmp_path, bands, interleave):
+        write_cube(_cube(bands=bands, interleave=interleave),
+                   tmp_path / "c.img")
+        data = read_cube(tmp_path / "c.img").data
+        assert data.flags.writeable and data.flags.c_contiguous
 
     def test_bad_band_quality_round_trips(self, tmp_path):
         cube = _cube()

@@ -333,7 +333,7 @@ class TestOrthorectify:
                           pitch=np.deg2rad(-0.05))
         cube = coordinate_cube(128, 128)
         grid = geo.footprint_grid(gm, 4, 30.0)
-        ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
+        ortho, valid, _ = geo.orthorectify(cube, gm, 0.0, grid)
         assert valid.mean() > 0.9
         north, east = grid.centers()
         lines = ortho.data[:, :, 0] - 10.0
@@ -349,8 +349,8 @@ class TestOrthorectify:
         cube = coordinate_cube(128, 128)
         grid = geo.footprint_grid(gm, 4, 30.0)
         h = np.full((grid.rows, grid.cols), 400.0)
-        flat, v0 = geo.orthorectify(cube, gm, 0.0, grid)
-        terr, v1 = geo.orthorectify(cube, gm, h, grid)
+        flat, v0, _ = geo.orthorectify(cube, gm, 0.0, grid)
+        terr, v1, _ = geo.orthorectify(cube, gm, h, grid)
         both = v0 & v1
         # sample coordinate moves by h*tan(look)/gsd between the two runs
         ds = (terr.data[:, :, 1] - flat.data[:, :, 1])[both]
@@ -365,8 +365,8 @@ class TestOrthorectify:
         gm = geo.make_geo(160, 160)
         moved = geo.make_geo(160, 160, track_across=0.5 * gm.gsd_m)
         grid = geo.footprint_grid(gm, 6, 30.0)
-        a, va = geo.orthorectify(cube, gm, 0.0, grid)
-        b, vb = geo.orthorectify(cube, moved, 0.0, grid)
+        a, va, _ = geo.orthorectify(cube, gm, 0.0, grid)
+        b, vb, _ = geo.orthorectify(cube, moved, 0.0, grid)
         inner = (slice(8, -8), slice(8, -8))
         dy, dx, _ = shift_2d(a.data[:, :, 0][inner], b.data[:, :, 0][inner])
         assert abs(dy) < 0.05
@@ -478,6 +478,12 @@ def _reference_orthorectify(cube, gm, height, grid):
     return out.astype(cube.data.dtype), ok
 
 
+def _poly_design(y, x, degree):
+    """Columns ``y**i * x**j`` for i, j <= degree, i slowest."""
+    return np.stack([y ** i * x ** j for i in range(degree + 1)
+                     for j in range(degree + 1)], axis=-1)
+
+
 def _reference_bundle(vnir, swir, patch=64, degree=2):
     v_centers, s_centers = vnir.centers_nm, swir.centers_nm
     shared = np.nonzero(s_centers <= v_centers.max())[0]
@@ -494,12 +500,12 @@ def _reference_bundle(vnir, swir, patch=64, degree=2):
             lst.append(arr)
     ys, xs, dys, dxs = (np.concatenate(s) for s in samples)
     rows, cols = vnir.data.shape[:2]
-    design = geo._poly2d_design(ys / rows, xs / cols, degree)
+    design = _poly_design(ys / rows, xs / cols, degree)
     cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
     cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
     gy, gx = np.meshgrid(np.arange(rows) / rows, np.arange(cols) / cols,
                          indexing="ij")
-    full = geo._poly2d_design(gy, gx, degree)
+    full = _poly_design(gy, gx, degree)
     map_y = np.arange(rows)[:, None] + full @ cy
     map_x = np.arange(cols)[None, :] + full @ cx
     swir_reg = np.empty(swir.data.shape)
@@ -535,7 +541,7 @@ class TestSamplingPlanReferences:
                           pitch=np.deg2rad(-0.05))
         # a grid wider than the strip, so some cells are masked
         grid = geo.footprint_grid(gm, -2, 30.0)
-        ortho, valid = geo.orthorectify(cube, gm, 0.0, grid)
+        ortho, valid, _ = geo.orthorectify(cube, gm, 0.0, grid)
         expect, expect_valid = _reference_orthorectify(cube, gm, 0.0, grid)
         assert not expect_valid.all()
         assert ortho.data.dtype == cube.data.dtype

@@ -116,6 +116,19 @@ class TestRenderRaw:
             dn = expected * sensor.gain_dn_per_radiance[b, 8] + 64.0
             assert abs(float(cube.data[4, 8, b]) - dn) <= 1.0
 
+    def test_swath_width_mismatch_rejected(self):
+        sensor = quiet_sensor(samples=32, bands=8)
+        scene = sim.synth_scene("uniform", 16, 24, level=50.0)
+        with pytest.raises(HypercalError, match="swath width"):
+            sim.render_raw(scene, sensor, sim.ArtifactConfig(noise=False))
+
+    def test_steering_length_mismatch_rejected(self):
+        sensor = quiet_sensor(samples=32, bands=8)
+        scene = sim.synth_scene("uniform", 16, 32, level=50.0)
+        with pytest.raises(HypercalError, match="steering profile length"):
+            sim.render_raw(scene, sensor, sim.ArtifactConfig(noise=False),
+                           steering_deg=np.zeros(15))
+
     def test_determinism(self):
         sensor = quiet_sensor(samples=32, bands=8, read_noise_dn=2.0,
                               prnu_spread=0.02)

@@ -205,6 +205,22 @@ class TestSmile:
         assert np.allclose(model.offsets_nm, _reference_smile_offsets(cube),
                            rtol=0, atol=1e-9)
 
+    def test_featureless_reference_rejected(self):
+        cube = self._reference_fixture()
+        cube = cube.with_data(np.full(cube.data.shape, 50.0))
+        with pytest.raises(EstimationError, match="featureless"):
+            spectral.estimate_smile(cube)
+
+    def test_too_few_usable_columns_rejected(self):
+        # only the center column keeps its spectrum
+        cube = self._reference_fixture()
+        center = cube.samples // 2
+        data = cube.data.copy()
+        data[:, :center, :] = 3.0
+        data[:, center + 1:, :] = 3.0
+        with pytest.raises(EstimationError, match="too few columns"):
+            spectral.estimate_smile(cube.with_data(data))
+
 
 class TestAbsoluteShift:
     @pytest.mark.parametrize("instrument,shift,tol",
@@ -235,6 +251,13 @@ class TestAbsoluteShift:
         centers = sensor.centers_nm
         with pytest.raises(EstimationError):
             spectral.absolute_shift(np.full(centers.size, 50.0), centers)
+
+    def test_non_positive_radiance_rejected(self):
+        centers = quiet_sensor("vnir", samples=64).centers_nm
+        spectrum = np.full(centers.size, 50.0)
+        spectrum[10] = 0.0
+        with pytest.raises(EstimationError, match="non-positive"):
+            spectral.absolute_shift(spectrum, centers)
 
 
 class TestKeystone:
@@ -286,6 +309,28 @@ class TestKeystone:
         model = spectral.estimate_keystone(cube)
         err = np.abs(model.shifts() - sensor.keystone_px)
         assert err.max() < 0.15
+
+    def _masked_cube(self, masked):
+        """A bar-target render whose ``masked`` channels see no light, so
+        their profiles are flat and correlate with nothing."""
+        sensor = quiet_sensor(
+            "vnir", samples=256, bands=60,
+            keystone_px=sim.linear_keystone(60, 256, 1.5),
+            masked_channels=masked)
+        scene = sim.synth_scene("bar-target", 64, 256, period=8,
+                                contrast=0.2)
+        return render_radiance(scene, sensor)
+
+    def test_mostly_dark_channels_refused_on_mean_confidence(self):
+        masked = [b for b in range(60) if b != spectral.KEYSTONE_REF_BAND]
+        with pytest.raises(EstimationError,
+                           match="mean correlation confidence"):
+            spectral.estimate_keystone(self._masked_cube(masked))
+
+    def test_many_dark_channels_refused_on_low_confidence_share(self):
+        # 24 of 60 channels: the mean confidence passes, the share does not
+        with pytest.raises(EstimationError, match="40% of correlation"):
+            spectral.estimate_keystone(self._masked_cube(range(24)))
 
     def test_low_contrast_input_rejected(self):
         sensor = quiet_sensor("vnir", samples=256, bands=60)
