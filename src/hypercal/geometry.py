@@ -21,12 +21,13 @@ from numpy.polynomial.polynomial import polyvander2d
 from .errors import ConfigError, EstimationError
 from .cube import SpectralCube, read_header, write_header
 from .kernels import cubic_apply, cubic_plan
-from .registration import shift_2d
+from .registration import SHIFT_2D_MIN_PATCH, shift_2d
 
 __all__ = [
     "BoresightBias", "GroundControlPoint", "GeoModel",
     "MapGrid", "footprint_grid", "make_geo", "geolocate", "residuals", "cost",
-    "optimize_boresight", "orthorectify", "bundle",
+    "optimize_boresight", "ortho_plan", "ortho_sample", "orthorectify",
+    "bundle",
     "read_gcps", "write_gcps", "read_grid", "write_grid", "write_bias_report",
 ]
 
@@ -41,6 +42,7 @@ INVERT_MAX_ITER = 20           # fixed-point steps of the inverse mapping
 INVERT_TOL_PX = 0.01           # inverse-mapping convergence, both axes
 OFFSET_MIN_CONFIDENCE = 0.02   # patch correlations below this are dropped
 BUNDLE_DEGREE = 2              # misregistration polynomial order per axis
+BUNDLE_BAND_BLOCK = 32         # SWIR bands per block read by bundle
 
 
 @dataclass(frozen=True)
@@ -399,28 +401,47 @@ def _invert_mapping(geo: GeoModel, east, north, height):
     return line, sample, converged & inside
 
 
-def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
-    """Resample a strip onto a map grid using terrain heights.
+def ortho_plan(shape, geo: GeoModel, height, grid: MapGrid):
+    """The cubic sampling plan of a ``shape`` (lines, samples) strip onto a
+    map grid, worked out once for any number of bands.
 
     ``height`` is a constant or a raster matching the grid.  Returns
-    ``(ortho cube, validity mask, (line, sample, converged))``: cells whose
-    inverse mapping failed to converge inside the strip footprint are
-    masked, and the last item is the inverse mapping the cube was sampled
-    at.
+    ``(plan, (line, sample, converged))``: the inverse mapping the plan
+    samples at, where ``converged`` marks the cells whose inverse mapping
+    converged inside the strip footprint.
     """
-    if cube.data.shape[0] != geo.lines or cube.data.shape[1] != geo.samples:
+    if tuple(shape) != (geo.lines, geo.samples):
         raise ConfigError("cube extent does not match the geometry model")
     north, east = grid.centers()
     h = np.asarray(height, dtype=np.float64)
     if h.ndim == 2 and h.shape != (grid.rows, grid.cols):
         raise ConfigError("height raster must match the map grid")
-    line, sample, valid = mapping = _invert_mapping(geo, east, north, h)
-    if not valid.any():
+    line, sample, converged = mapping = _invert_mapping(geo, east, north, h)
+    if not converged.any():
         raise EstimationError("map grid does not overlap the strip footprint")
-    plan = cubic_plan(cube.data.shape[:2], line, sample)
-    out = cubic_apply(plan, cube.data)
-    out[~valid] = 0.0
-    return cube.with_data(out), valid & plan.valid, mapping
+    return cubic_plan(shape, line, sample), mapping
+
+
+def ortho_sample(plan, converged, stack: np.ndarray) -> np.ndarray:
+    """The bands of a band-last strip ``stack`` on the map grid of an
+    :func:`ortho_plan`, zero in the cells whose mapping did not converge."""
+    out = cubic_apply(plan, stack)
+    out[~converged] = 0.0
+    return out
+
+
+def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
+    """Resample a strip onto a map grid using terrain heights.
+
+    Returns ``(ortho cube, validity mask, (line, sample, converged))``: cells
+    whose inverse mapping failed to converge inside the strip footprint are
+    masked, and the last item is the inverse mapping the cube was sampled
+    at (see :func:`ortho_plan`).
+    """
+    plan, mapping = ortho_plan(cube.data.shape[:2], geo, height, grid)
+    converged = mapping[2]
+    out = ortho_sample(plan, converged, cube.data)
+    return cube.with_data(out), converged & plan.valid, mapping
 
 
 def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int):
@@ -446,38 +467,74 @@ def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int):
     return (np.array(ys), np.array(xs), np.array(dys), np.array(dxs))
 
 
-def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int | None = None):
+def _warp_plan(rows: int, cols: int, cy, cx):
+    """The cubic sampling plan of a ``(rows, cols)`` grid displaced by the
+    polynomial surfaces ``cy`` (lines) and ``cx`` (samples) of degree
+    BUNDLE_DEGREE per axis in grid coordinates over the grid size."""
+    gy, gx = np.meshgrid(np.arange(rows) / rows, np.arange(cols) / cols,
+                         indexing="ij")
+    # terms made the fastest axis, so each map is one contiguous matmul
+    full = np.ascontiguousarray(
+        polyvander2d(gy, gx, [BUNDLE_DEGREE, BUNDLE_DEGREE]))
+    # shift_2d reports mov ~ ref shifted by d, so sampling mov at
+    # coordinate + d pulls it back onto the reference
+    map_y = np.arange(rows)[:, None] + full @ cy
+    map_x = np.arange(cols)[None, :] + full @ cx
+    return cubic_plan((rows, cols), map_y, map_x)
+
+
+def bundle(vnir: SpectralCube, swir_meta, swir_bands,
+           patch: int | None = None):
     """Co-register SWIR to VNIR on a shared map grid and merge the bands.
 
-    Misregistration is measured with sub-pixel patch correlation on the
-    spectrally overlapping bands, modeled as a polynomial surface of degree
-    BUNDLE_DEGREE per axis, and applied to the SWIR cube only.  The default
-    ``patch`` is the largest of 64, 32 and 16 px giving BUNDLE_DEGREE + 1
-    patches along each grid axis.  The merged cube keeps every VNIR band
-    plus the SWIR bands above the VNIR range, so wavelengths increase
-    strictly across the seam.  The registered SWIR cube is sampled in one
-    pass, straight into the merged cube's buffer; the residual is measured
-    on its shared bands there before the VNIR bands overwrite them.
-    Returns ``(merged cube, residual_px)``.
+    ``swir_meta`` is the SWIR band metadata and ``swir_bands(slice)``
+    returns those SWIR bands on the VNIR cube's map grid as a ``(rows,
+    cols, k)`` array.  It is asked for at most BUNDLE_BAND_BLOCK bands at a
+    time, and each block is released before the next is read, so no whole
+    SWIR cube need exist.  Misregistration is measured with sub-pixel patch
+    correlation on the spectrally overlapping bands, modeled as a
+    polynomial surface of degree BUNDLE_DEGREE per axis, and applied to the
+    SWIR bands only.  The default ``patch`` is the largest of 64, 32 and 16
+    px giving BUNDLE_DEGREE + 1 patches along each grid axis.  The merged
+    cube keeps every VNIR band plus the SWIR bands above the VNIR range, so
+    wavelengths increase strictly across the seam.  Each SWIR block is
+    sampled straight into the merged cube's buffer; the residual is
+    measured on its shared bands there before the VNIR bands overwrite
+    them.  Returns ``(merged cube, residual_px)``.
     """
-    if vnir.data.shape[:2] != swir.data.shape[:2]:
-        raise ConfigError("bundle inputs must share one map grid")
     rows, cols = vnir.data.shape[:2]
     if patch is None:
         patch = next((p for p in (64, 32) if min(rows, cols) // p
-                      > BUNDLE_DEGREE), 16)
-    if patch < 1:
-        raise EstimationError("patch must be at least 1 pixel")
-    v_centers = np.array([m.center_nm for m in vnir.band_meta])
-    s_centers = np.array([m.center_nm for m in swir.band_meta])
-    vmax = v_centers.max()
-    shared = np.nonzero(s_centers <= vmax)[0]
-    if shared.size == 0:
+                      > BUNDLE_DEGREE), SHIFT_2D_MIN_PATCH)
+    if patch < SHIFT_2D_MIN_PATCH:
+        raise EstimationError(
+            f"patch must be at least {SHIFT_2D_MIN_PATCH} pixels")
+    v_centers = vnir.centers_nm
+    s_centers = np.array([m.center_nm for m in swir_meta])
+    # SWIR centers increase, so the shared bands lead
+    n_shared = int(np.count_nonzero(s_centers <= v_centers.max()))
+    if n_shared == 0:
         raise ConfigError("no shared-band wavelength overlap present")
 
+    def read(b0, stop):
+        """SWIR bands from ``b0``, at most BUNDLE_BAND_BLOCK of them and
+        none from ``stop`` on."""
+        block = swir_bands(slice(b0, min(b0 + BUNDLE_BAND_BLOCK, stop)))
+        if block.shape[:2] != (rows, cols):
+            raise ConfigError("bundle inputs must share one map grid")
+        return block
+
+    def shared_bands():
+        """The shared SWIR bands in order, read one block at a time."""
+        for b0 in range(0, n_shared, BUNDLE_BAND_BLOCK):
+            block = read(b0, n_shared)
+            for i in range(block.shape[2]):
+                yield block[:, :, i].astype(np.float64)
+            del block  # released before the next block is read
+
     # each shared SWIR band is measured against its closest VNIR band
-    closest = [int(np.argmin(np.abs(v_centers - s_centers[sb])))
-               for sb in shared]
+    closest = [int(np.argmin(np.abs(v_centers - c)))
+               for c in s_centers[:n_shared]]
 
     def offsets(movs):
         """Patch offsets of every shared pair with a registration signal;
@@ -491,42 +548,38 @@ def bundle(vnir: SpectralCube, swir: SpectralCube, patch: int | None = None):
                 continue
         return found
 
-    found = offsets(swir.data[:, :, sb].astype(np.float64) for sb in shared)
+    found = offsets(shared_bands())
     if not found:
         raise EstimationError(
             "shared bands are featureless: no registration signal")
     ys, xs, dys, dxs = (np.concatenate(s) for s in zip(*found))
 
-    degrees = [BUNDLE_DEGREE, BUNDLE_DEGREE]
-    design = polyvander2d(ys / rows, xs / cols, degrees)
+    design = polyvander2d(ys / rows, xs / cols,
+                          [BUNDLE_DEGREE, BUNDLE_DEGREE])
     cy, *_ = np.linalg.lstsq(design, dys, rcond=None)
     cx, *_ = np.linalg.lstsq(design, dxs, rcond=None)
 
-    gy, gx = np.meshgrid(np.arange(rows) / rows, np.arange(cols) / cols,
-                         indexing="ij")
-    # terms made the fastest axis, so each map is one contiguous matmul
-    full = np.ascontiguousarray(polyvander2d(gy, gx, degrees))
-    # shift_2d reports mov ~ ref shifted by d, so sampling mov at
-    # coordinate + d pulls it back onto the reference
-    map_y = np.arange(rows)[:, None] + full @ cy
-    map_x = np.arange(cols)[None, :] + full @ cx
+    warp = _warp_plan(rows, cols, cy, cx)
 
-    # SWIR centers increase, so the shared bands lead.  SWIR band i goes to
-    # merged band vnir.bands - shared.size + i: the bands above the VNIR
-    # range land in place, the shared ones where the VNIR bands go.  With
-    # fewer VNIR bands than shared ones the buffer starts at SWIR band 0
-    # and the merged cube is its tail.
-    lead = max(vnir.bands - shared.size, 0)
-    buf = np.empty((rows, cols, lead + swir.bands))
-    cubic_apply(cubic_plan((rows, cols), map_y, map_x), swir.data,
-                out=buf[:, :, lead:])
+    # SWIR band i goes to merged band vnir.bands - n_shared + i: the bands
+    # above the VNIR range land in place, the shared ones where the VNIR
+    # bands go.  With fewer VNIR bands than shared ones the buffer starts
+    # at SWIR band 0 and the merged cube is its tail.
+    lead = max(vnir.bands - n_shared, 0)
+    buf = np.empty((rows, cols, lead + len(swir_meta)))
+    for b0 in range(0, len(swir_meta), BUNDLE_BAND_BLOCK):
+        block = read(b0, len(swir_meta))
+        cubic_apply(warp, block,
+                    out=buf[:, :, lead + b0:lead + b0 + block.shape[2]])
+        del block  # released before the next block is read
     # residual check on the shared overlap after correction
     resid = max([0.0] + [float(np.hypot(dy, dx).max()) for _, _, dy, dx
-                         in offsets(buf[:, :, lead + sb] for sb in shared)])
+                         in offsets(buf[:, :, lead + sb]
+                                    for sb in range(n_shared))])
 
-    merged = buf[:, :, lead + shared.size - vnir.bands:]
+    merged = buf[:, :, lead + n_shared - vnir.bands:]
     merged[:, :, :vnir.bands] = vnir.data
-    meta = vnir.band_meta + swir.band_meta[shared.size:]
+    meta = vnir.band_meta + tuple(swir_meta[n_shared:])
     out = SpectralCube(data=merged, pixel_kind="radiance",
                        band_meta=meta, interleave=vnir.interleave)
     return out, resid

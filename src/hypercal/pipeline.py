@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import anomalies, geometry, radiometry, spectral
+from . import anomalies, geometry, radiometry, registration, spectral
 from . import simulate as sim
 from .cube import INSTRUMENTS, one_of, write_cube, write_json
 from .errors import ConfigError, EstimationError, HypercalError
@@ -115,6 +115,14 @@ def _each(convert):
 
 _COUNT = _bounded(int, 1)
 _SAVE = (bool, True)
+
+
+def _patch(value) -> int:
+    """A bundle patch side: an integer (not a bool) of at least the
+    shortest side ``registration.shift_2d`` estimates on."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be an integer, not {value!r}")
+    return _bounded(operator.index, registration.SHIFT_2D_MIN_PATCH)(value)
 
 
 def _components(value) -> tuple:
@@ -506,13 +514,17 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
     gm_swir = dataclasses.replace(gm, mounting=(gm.mounting[0] + angle,
                                                 gm.mounting[1] + angle,
                                                 gm.mounting[2]))
-    swir_cube = sim.ideal_radiance(swir_raw, swir_sensor)
-    del swir_raw
-    swir_ortho, _, _ = geometry.orthorectify(swir_cube, gm_swir, 0.0,
-                                             state["grid"])
-    del swir_cube
-    merged, resid = geometry.bundle(vnir, swir_ortho, patch=p["patch"])
-    del swir_ortho  # not resident while bundle.img is written
+    plan, (_, _, converged) = geometry.ortho_plan(
+        swir_raw.data.shape[:2], gm_swir, 0.0, state["grid"])
+
+    def swir_bands(bands):
+        """SWIR radiance of ``bands`` on the map grid, worked out from the
+        uint16 strip per call, so no whole float64 SWIR cube is made."""
+        radiance = sim.ideal_radiance(swir_raw, swir_sensor, bands)
+        return geometry.ortho_sample(plan, converged, radiance.data)
+
+    merged, resid = geometry.bundle(vnir, swir_raw.band_meta, swir_bands,
+                                    patch=p["patch"])
     state["cube"] = merged
     if p["save"]:
         write_cube(merged, out / "bundle.img")
@@ -591,7 +603,7 @@ STAGES = {stage.name: stage for stage in (
         "margin_cells": (int, 4), "save": _SAVE},
         needs=("cube",), provides=("cube", "geo", "grid")),
     Stage("bundle", _stage_bundle, {
-        "offset_px": (_finite, 0.8), "patch": (_optional(int), None),
+        "offset_px": (_finite, 0.8), "patch": (_optional(_patch), None),
         "save": _SAVE},
         after=("ortho",), needs=("cube", "sensor", "scene", "geo", "grid"),
         provides=("cube",)),

@@ -19,6 +19,7 @@ from .errors import EstimationError
 from .kernels import resample_rows
 
 _UPSAMPLE = 64
+SHIFT_2D_MIN_PATCH = 16  # shortest patch side shift_2d estimates on
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,41 @@ def _upsample_matrix(n: int) -> np.ndarray:
     e = np.exp(2j * np.pi * np.outer(np.fft.fftfreq(n), offsets))
     e.setflags(write=False)
     return e
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_2d(ny: int, nx: int):
+    """Fixed transforms of an ``(ny, nx)`` patch: the Hann window, the
+    ``fftfreq`` column and row (broadcasting) and their full grids, and the
+    phase-slope band (|f| < 0.35 per axis, not DC); all read-only."""
+    win = np.outer(np.hanning(ny), np.hanning(nx))
+    fy = np.fft.fftfreq(ny)[:, None]
+    fx = np.fft.fftfreq(nx)[None, :]
+    fy_full = fy * np.ones((1, nx))
+    fx_full = np.ones((ny, 1)) * fx
+    band = (np.abs(fy_full) < 0.35) & (np.abs(fx_full) < 0.35) \
+        & ((fy_full != 0) | (fx_full != 0))
+    arrays = win, fy, fx, fy_full, fx_full, band
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _lag_table(n: int, index: int):
+    """The lags -1..+1 in steps of ``1/_UPSAMPLE`` around the integer lag
+    of correlation bin ``index`` of ``n``, and the local DFT tables
+    evaluating a length-``n`` spectrum at them, ``(lags, n)`` and ``(n,
+    lags)``; all read-only."""
+    lag = float(np.fft.fftfreq(n)[index] * n)
+    step = 1.0 / _UPSAMPLE
+    lags = np.arange(lag - 1.0, lag + 1.0 + step / 2, step)
+    f = np.fft.fftfreq(n)
+    arrays = (lags, np.exp(2j * np.pi * np.outer(lags, f)),
+              np.exp(2j * np.pi * np.outer(f, lags)))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _refine_peaks(xpow: np.ndarray, lag0: np.ndarray) -> np.ndarray:
@@ -225,16 +261,9 @@ def _estimate_2d(fa: np.ndarray, fb: np.ndarray):
     xpow = _whiten(fa * np.conj(fb))
     corr = np.fft.ifft2(xpow).real
     iy, ix = np.unravel_index(int(np.argmax(corr)), corr.shape)
-    lag_y = float(np.fft.fftfreq(ny)[iy] * ny)
-    lag_x = float(np.fft.fftfreq(nx)[ix] * nx)
-
-    fy = np.fft.fftfreq(ny)
-    fx = np.fft.fftfreq(nx)
+    tys, ey, _ = _lag_table(ny, int(iy))   # ey: (Ty, ny)
+    txs, _, ex = _lag_table(nx, int(ix))   # ex: (nx, Tx)
     step = 1.0 / _UPSAMPLE
-    tys = np.arange(lag_y - 1.0, lag_y + 1.0 + step / 2, step)
-    txs = np.arange(lag_x - 1.0, lag_x + 1.0 + step / 2, step)
-    ey = np.exp(2j * np.pi * np.outer(tys, fy))  # (Ty, ny)
-    ex = np.exp(2j * np.pi * np.outer(fx, txs))  # (nx, Tx)
     local = (ey @ xpow @ ex).real
     ky, kx = np.unravel_index(int(np.argmax(local)), local.shape)
     ky = min(max(ky, 1), local.shape[0] - 2)
@@ -245,11 +274,11 @@ def _estimate_2d(fa: np.ndarray, fb: np.ndarray):
                                     local[ky, kx + 1]) * step
 
     peak = float(corr[iy, ix])
-    mask = np.ones_like(corr, dtype=bool)
-    yy = (np.arange(ny)[:, None] - iy + ny // 2) % ny - ny // 2
-    xx = (np.arange(nx)[None, :] - ix + nx // 2) % nx - nx // 2
-    mask[(np.abs(yy) <= 2) & (np.abs(xx) <= 2)] = False
-    runner = float(corr[mask].max())
+    # the runner-up: the highest bin outside the peak's 5x5 neighbourhood
+    away = corr.copy()
+    away[np.ix_(np.arange(iy - 2, iy + 3) % ny,
+                np.arange(ix - 2, ix + 3) % nx)] = -np.inf
+    runner = float(away.max())
     confidence = float(np.clip(1.0 - max(runner, 0.0) / peak, 0.0, 1.0)) \
         if peak > 0 else 0.0
     return float(-ry), float(-rx), confidence
@@ -257,13 +286,10 @@ def _estimate_2d(fa: np.ndarray, fb: np.ndarray):
 
 def _phase_slope_2d(fa: np.ndarray, fb: np.ndarray):
     """Phase-slope residual shift from windowed, aligned patch spectra."""
-    ny, nx = fa.shape
+    *_, fy, fx, band = _grid_2d(*fa.shape)
     cross = fa * np.conj(fb)
     mag = np.abs(cross)
-    fy = np.fft.fftfreq(ny)[:, None] * np.ones((1, nx))
-    fx = np.ones((ny, 1)) * np.fft.fftfreq(nx)[None, :]
-    keep = (mag > _MAG_FLOOR * mag.max()) & (np.abs(fy) < 0.35) \
-        & (np.abs(fx) < 0.35) & ((fy != 0) | (fx != 0))
+    keep = (mag > _MAG_FLOOR * mag.max()) & band
     if not np.any(keep):
         return 0.0, 0.0
     phi = np.angle(cross[keep])
@@ -292,11 +318,12 @@ def shift_2d(a, b) -> tuple:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise EstimationError("patches must be 2-D with equal shapes")
-    if min(a.shape) < 16:
-        raise EstimationError("patches must be at least 16x16")
+    if min(a.shape) < SHIFT_2D_MIN_PATCH:
+        raise EstimationError(f"patches must be at least "
+                              f"{SHIFT_2D_MIN_PATCH}x{SHIFT_2D_MIN_PATCH}")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise EstimationError("constant patch has no spectral content")
-    win = np.outer(np.hanning(a.shape[0]), np.hanning(a.shape[1]))
+    win, fy, fx, *_ = _grid_2d(*a.shape)
 
     def spectrum(x):
         return np.fft.fft2((x - x.mean()) * win)
@@ -320,8 +347,6 @@ def shift_2d(a, b) -> tuple:
         ry, rx, conf = _estimate_2d(fa, fb)
     # window-induced bias scales with the residual: iterate with fractional
     # Fourier re-alignment until the residual vanishes
-    fy = np.fft.fftfreq(b_aligned.shape[0])[:, None]
-    fx = np.fft.fftfreq(b_aligned.shape[1])[None, :]
     fb0 = np.fft.fft2(b_aligned)
     for _ in range(3):
         if abs(ry) < 1e-4 and abs(rx) < 1e-4:

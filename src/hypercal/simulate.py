@@ -704,13 +704,17 @@ def survey_gcps(geo, n: int, noise_m: float, seed: int,
             for point in zip(lines, samples, east, north, heights)]
 
 
-def ideal_radiance(cube: SpectralCube, sensor: SensorModel) -> SpectralCube:
-    """(DN - dark) / (gain * PRNU) from the sensor's truth: one float64
-    copy, worked in place."""
-    rad = cube.data.astype(np.float64)
-    rad -= sensor.dark_dn.T[None]
-    rad /= (sensor.gain_dn_per_radiance * sensor.prnu).T[None]
-    return cube.with_data(rad, pixel_kind="radiance")
+def ideal_radiance(cube: SpectralCube, sensor: SensorModel,
+                   bands: slice = slice(None)) -> SpectralCube:
+    """(DN - dark) / (gain * PRNU) from the sensor's truth, for the cube's
+    ``bands`` (all by default): one float64 copy of those bands, worked in
+    place.  Each value depends on its own band only, so a band's radiance
+    is the same whichever slice it is converted in."""
+    rad = cube.data[:, :, bands].astype(np.float64)
+    rad -= sensor.dark_dn.T[None, :, bands]
+    rad /= (sensor.gain_dn_per_radiance * sensor.prnu).T[None, :, bands]
+    return cube.with_data(rad, pixel_kind="radiance",
+                          band_meta=cube.band_meta[bands])
 
 
 def render_monochromator(sensor: SensorModel, wl_nm: float) -> np.ndarray:

@@ -407,21 +407,27 @@ def _dual_cubes(shift=(0.55, -0.58), rows=256, cols=256, seed=12,
     return vnir, swir
 
 
+def _bundle(vnir, swir, **kwargs):
+    """``geo.bundle`` reading the SWIR bands from a whole cube."""
+    return geo.bundle(vnir, swir.band_meta, lambda sl: swir.data[:, :, sl],
+                      **kwargs)
+
+
 class TestBundle:
     def test_misregistration_reduced_below_quarter_pixel(self):
         vnir, swir = _dual_cubes(shift=(0.8, 0.8))
-        merged, residual = geo.bundle(vnir, swir)
+        merged, residual = _bundle(vnir, swir)
         assert residual < 0.25
 
     def test_merged_cube_has_all_bands_strictly_increasing(self):
         vnir, swir = _dual_cubes()
-        merged, _ = geo.bundle(vnir, swir)
+        merged, _ = _bundle(vnir, swir)
         assert merged.bands == 309
         assert np.all(np.diff(merged.centers_nm) > 0)
 
     def test_vnir_bands_pass_through_untouched(self):
         vnir, swir = _dual_cubes()
-        merged, _ = geo.bundle(vnir, swir)
+        merged, _ = _bundle(vnir, swir)
         assert np.array_equal(merged.data[:, :, :60], vnir.data)
 
     def test_low_confidence_patch_dropped(self):
@@ -439,7 +445,7 @@ class TestBundle:
 
     def test_already_registered_input_keeps_residual_small(self):
         vnir, swir = _dual_cubes(shift=(0.0, 0.0))
-        _, residual = geo.bundle(vnir, swir)
+        _, residual = _bundle(vnir, swir)
         assert residual < 0.1
 
     def test_featureless_overlap_refused(self):
@@ -447,13 +453,13 @@ class TestBundle:
         flat_v = vnir.with_data(np.full_like(vnir.data, 5.0))
         flat_s = swir.with_data(np.full_like(swir.data, 5.0))
         with pytest.raises(EstimationError, match="featureless"):
-            geo.bundle(flat_v, flat_s)
+            _bundle(flat_v, flat_s)
 
     def test_grid_mismatch_rejected(self):
         vnir, swir = _dual_cubes()
         small = SpectralCube(swir.data[:128], "radiance", swir.band_meta)
         with pytest.raises(ConfigError):
-            geo.bundle(vnir, small)
+            _bundle(vnir, small)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +557,18 @@ class TestSamplingPlanReferences:
     def test_bundle_equals_per_band_loop(self):
         vnir, swir = _dual_cubes(rows=128, cols=128)
         swir = _distinct_bands(swir)
-        merged, resid = geo.bundle(vnir, swir)
+        merged, resid = _bundle(vnir, swir)
         expect, expect_resid = _reference_bundle(vnir, swir, patch=32)
         assert np.array_equal(merged.data, expect)
         assert resid == expect_resid
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_bundle_in_small_blocks_equals_per_band_loop(self, block,
+                                                         monkeypatch):
+        # one-band blocks, and blocks dividing neither the 256 SWIR bands
+        # nor the 7 shared ones
+        monkeypatch.setattr(geo, "BUNDLE_BAND_BLOCK", block)
+        self.test_bundle_equals_per_band_loop()
 
     @pytest.mark.parametrize("vnir_bands", [4, 6, 7, 20])
     def test_bundle_with_few_vnir_bands_equals_per_band_loop(self,
@@ -563,7 +577,7 @@ class TestSamplingPlanReferences:
         # fewer, as many and more VNIR bands than shared ones
         vnir, swir = _dual_cubes(rows=128, cols=128, vnir_bands=vnir_bands)
         vnir, swir = _distinct_bands(vnir), _distinct_bands(swir)
-        merged, resid = geo.bundle(vnir, swir)
+        merged, resid = _bundle(vnir, swir)
         expect, expect_resid = _reference_bundle(vnir, swir, patch=32)
         assert merged.bands == vnir_bands + 249
         assert np.array_equal(merged.data, expect)
@@ -580,7 +594,7 @@ class TestSamplingPlanReferences:
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 << 20)
         tracemalloc.start()
         try:
-            merged, _ = geo.bundle(vnir, swir)
+            merged, _ = _bundle(vnir, swir)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

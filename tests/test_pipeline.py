@@ -1,13 +1,15 @@
 """Pipeline configuration validation, stage execution, and run products."""
 
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypercal import geometry, spectral
-from hypercal.cube import read_cube
+from hypercal import geometry, kernels, spectral
+from hypercal.cube import INSTRUMENTS, read_cube
 from hypercal.errors import ConfigError
 from hypercal.pipeline import (SCHEMA_VERSION, STAGES, PipelineConfig,
                                StageError, check_order, default_config,
@@ -286,6 +288,44 @@ def test_ortho_stage_inverts_the_grid_mapping_once(tmp_path, monkeypatch):
     assert metrics["closure_max_px"] < 0.05
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bundle_stage_holds_one_swir_block(tmp_path, monkeypatch, workers):
+    """The bundle stage's traced peak at 96x96 with 8-band blocks stays
+    below the merged cube, the uint16 SWIR strip, the ortho and warp
+    sampling plans and six float64 blocks of the strip (the block in work,
+    its radiance and the per-band sensor truth).  A whole float64 SWIR
+    radiance or ortho cube alone is 32 such blocks."""
+    band_block, side = 8, 96
+    monkeypatch.setattr(geometry, "BUNDLE_BAND_BLOCK", band_block)
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    seen = {}
+    stage = STAGES["bundle"]
+
+    def traced(state, *args):
+        tracemalloc.start()
+        try:
+            metrics = stage.fn(state, *args)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen["merged"] = state["cube"].data
+        return metrics
+
+    monkeypatch.setitem(STAGES, "bundle", dataclasses.replace(stage,
+                                                              fn=traced))
+    _run([{"name": "simulate", "lines": side, "samples": side,
+           "save": False}, {"name": "ortho", "save": False},
+          {"name": "bundle", "save": False}], tmp_path, preset="dual")
+    merged = seen["merged"]
+    strip = side * side * INSTRUMENTS["swir"].bands * 2
+    grid = np.zeros(merged.shape[:2])
+    plan = kernels.cubic_plan((side, side), grid, grid)
+    plan_bytes = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
+                     for t in plan.taps) + sum(w.nbytes for w in plan.wy)
+    block = side * side * band_block * 8
+    assert seen["peak"] < merged.nbytes + strip + 2 * plan_bytes + 6 * block
+
+
 class TestStageTable:
     @pytest.mark.parametrize("name", [n for n in STAGES if n != "simulate"])
     def test_stage_without_its_inputs_names_the_provider(self, name,
@@ -330,6 +370,13 @@ class TestParameterValues:
         ("keystone", "n_fields", 0, "stages[1].n_fields"),
         ("ortho", "cell_m", 0, "stages[1].cell_m"),
         ("ortho", "cell_m", -30.0, "stages[1].cell_m"),
+        # shift_2d's shortest patch side is 16 px
+        ("bundle", "patch", 0, "stages[1].patch"),
+        ("bundle", "patch", -3, "stages[1].patch"),
+        ("bundle", "patch", 8, "stages[1].patch"),
+        ("bundle", "patch", True, "stages[1].patch"),
+        ("bundle", "patch", 2.5, "stages[1].patch"),
+        ("bundle", "patch", "32", "stages[1].patch"),
         ("simulate", "scene", "nosuch", "stages[0].scene"),
         ("simulate", "interference", [{"frequency": 0.7, "amplitude_dn": 8}],
          "stages[0].interference[0]"),

@@ -280,6 +280,19 @@ class TestCalibrationRenders:
         with pytest.raises(HypercalError):
             sim.render_monochromator(sensor, 3000.0)
 
+    @pytest.mark.parametrize("bands", [slice(0, 1), slice(2, 7),
+                                       slice(5, 12)])
+    def test_ideal_radiance_of_a_band_slice(self, bands):
+        # the slice's bands, bit for bit, whichever slice converts them
+        sensor = sim.make_sensor("swir", bands=12, samples=16,
+                                 prnu_spread=0.05, seed=3)
+        scene = sim.synth_scene("library-bars", lines=8, samples=16)
+        raw, _ = sim.render_raw(scene, sensor, seed=4)
+        whole = sim.ideal_radiance(raw, sensor)
+        part = sim.ideal_radiance(raw, sensor, bands)
+        assert np.array_equal(part.data, whole.data[:, :, bands])
+        assert part.band_meta == whole.band_meta[bands]
+
 
 # ---------------------------------------------------------------------------
 # the stray-light line filter against scipy.ndimage
