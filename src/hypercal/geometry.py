@@ -34,10 +34,8 @@ __all__ = [
 DEFAULT_ALTITUDE_M = 630_000.0
 DEFAULT_GSD_M = 30.0
 YAW_BOUND_RAD = np.deg2rad(0.05)
-BORESIGHT_RESTARTS = 4         # Nelder-Mead restarts after the first run
-NM_FATOL = 1e-4                # Nelder-Mead stop: spread of simplex values
-NM_XATOL = 1e-9                # ... and of simplex vertices (rad)
-NM_MAX_ITER = 2000             # Nelder-Mead iteration cap (counted from 1)
+FIT_MAX_STEPS = 50             # Gauss-Newton steps before the fit refuses
+FIT_TOL_RAD = 1e-9             # converged step, and Jacobian difference step
 INVERT_MAX_ITER = 20           # fixed-point steps of the inverse mapping
 INVERT_TOL_PX = 0.01           # inverse-mapping convergence, both axes
 OFFSET_MIN_CONFIDENCE = 0.02   # patch correlations below this are dropped
@@ -219,9 +217,15 @@ def _gcp_residuals(terms, bias) -> np.ndarray:
     return np.array([east - terms[8], north - terms[9]])
 
 
-def _terms_cost(terms, slices, bias) -> float:
-    """The boresight cost of one bias in one pass over every GCP."""
-    res = _gcp_residuals(terms, bias)
+def cost(bias: BoresightBias, strips) -> float:
+    """Boresight fit quality: per strip, |mean| plus std of the across- and
+    along-track residuals, summed over strips (meters).
+
+    ``strips`` is a sequence of ``(GeoModel, [GroundControlPoint])`` pairs;
+    each strip's own ``bias`` is replaced by ``bias``.
+    """
+    terms, slices = _gcp_terms(strips)
+    res = _gcp_residuals(terms, dataclasses.astuple(bias))
     total = 0.0
     for s in slices:
         (me, mn), (se, sn) = res[:, s].mean(axis=1), res[:, s].std(axis=1)
@@ -229,111 +233,50 @@ def _terms_cost(terms, slices, bias) -> float:
     return float(total)
 
 
-def cost(bias: BoresightBias, strips) -> float:
-    """Boresight objective: per strip, |mean| plus std of the across- and
-    along-track residuals, summed over strips (meters).
-
-    ``strips`` is a sequence of ``(GeoModel, [GroundControlPoint])`` pairs;
-    each strip's own ``bias`` is replaced by ``bias``.
-    """
-    return _terms_cost(*_gcp_terms(strips), dataclasses.astuple(bias))
-
-
-def _nelder_mead(fn, simplex):
-    """Minimize ``fn`` from an ``(n + 1, n)`` starting simplex by the
-    downhill simplex of Nelder & Mead (Computer Journal 7, 1965).
-
-    Step for step the non-adaptive variant of SciPy's ``minimize(...,
-    method="Nelder-Mead")`` with NM_FATOL, NM_XATOL and NM_MAX_ITER: the
-    same coefficients, evaluation order, sorts and stopping test, so it
-    returns the same bits.  ``fn`` gets a copy of each point.  Returns the
-    best vertex and the lowest function value.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.array(simplex, dtype=np.float64)
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    for k in range(n + 1):
-        fsim[k] = fn(np.copy(sim[k]))
-    # SciPy sorts twice here; argsort need not be stable, so two sorts
-    # order tied values as SciPy does
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    for _ in range(NM_MAX_ITER - 1):
-        if (np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = fn(np.copy(xr))
-        shrink = False
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = fn(np.copy(xe))
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            # outside contraction
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = fn(np.copy(xc))
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            # inside contraction
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = fn(np.copy(xcc))
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = fn(np.copy(sim[j]))
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
-
-
 def optimize_boresight(strips) -> BoresightBias:
-    """Fit a common boresight bias to all strips by derivative-free search.
+    """Fit a common boresight bias to all strips by least squares.
 
-    Nelder-Mead with up to BORESIGHT_RESTARTS restarts on stall, yaw held
-    within YAW_BOUND_RAD; converged when a restart improves the cost by
-    less than 0.01 m over its iterations.
+    Damped Gauss-Newton on the across- and along-track residuals of every
+    GCP, from zero bias: each step solves the forward-difference Jacobian
+    (difference step FIT_TOL_RAD) by ``np.linalg.lstsq`` and is halved
+    until the sum of squares does not rise.  GCPs barely fix yaw, so after
+    each step yaw is clamped to within YAW_BOUND_RAD; this is a clamp, not
+    a prior: it adds no term to the sum of squares.  Converged when a step
+    moves no angle by FIT_TOL_RAD or more.  Non-finite residuals, or no
+    convergence within FIT_MAX_STEPS steps, raise ``EstimationError``.
     """
-    terms, slices = _gcp_terms(strips)
+    terms, _ = _gcp_terms(strips)
 
-    def objective(x):
-        if abs(x[2]) > YAW_BOUND_RAD:
-            return 1e12 * (1.0 + abs(x[2]))
-        val = _terms_cost(terms, slices, x)
-        if not np.isfinite(val):
-            raise EstimationError("non-finite boresight cost (bad GCPs)")
-        return val
+    def fit_residuals(x):
+        """The residuals at bias ``x`` and their sum of squares, which is
+        inf or nan where they overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = _gcp_residuals(terms, x).ravel()
+            return res, float(res @ res)
 
-    x0 = np.zeros(3)
-    best_x, best_f = x0, objective(x0)
-    step = np.deg2rad(0.1)
-    for _ in range(BORESIGHT_RESTARTS + 1):
-        simplex = np.vstack([best_x, best_x + np.diag([step, step,
-                                                       min(step, YAW_BOUND_RAD / 2)])])
-        x, f = _nelder_mead(objective, simplex)
-        improved = best_f - f
-        if f < best_f:
-            best_x, best_f = x, float(f)
-        if improved < 0.01:
-            break
-        step /= 10.0
-    return BoresightBias(*best_x)
+    x = np.zeros(3)
+    res, ss = fit_residuals(x)
+    if not np.isfinite(ss):
+        raise EstimationError("non-finite GCP residuals (bad GCPs)")
+    for _ in range(FIT_MAX_STEPS):
+        jac = np.column_stack([fit_residuals(x + d)[0] - res
+                               for d in np.eye(3) * FIT_TOL_RAD]) / FIT_TOL_RAD
+        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        while True:
+            trial = x + step
+            trial[2] = np.clip(trial[2], -YAW_BOUND_RAD, YAW_BOUND_RAD)
+            trial_res, trial_ss = fit_residuals(trial)
+            # a non-finite sum compares False, so that step is halved too
+            if trial_ss <= ss or np.abs(step).max() < FIT_TOL_RAD:
+                break
+            step /= 2.0
+        moved = np.abs(trial - x).max()
+        if trial_ss <= ss:
+            x, res, ss = trial, trial_res, trial_ss
+        if moved < FIT_TOL_RAD:
+            return BoresightBias(*x)
+    raise EstimationError("boresight fit did not converge within "
+                          f"{FIT_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
