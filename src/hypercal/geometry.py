@@ -241,9 +241,12 @@ def optimize_boresight(strips) -> BoresightBias:
     (difference step FIT_TOL_RAD) by ``np.linalg.lstsq`` and is halved
     until the sum of squares does not rise.  GCPs barely fix yaw, so after
     each step yaw is clamped to within YAW_BOUND_RAD; this is a clamp, not
-    a prior: it adds no term to the sum of squares.  Converged when a step
-    moves no angle by FIT_TOL_RAD or more.  Non-finite residuals, or no
-    convergence within FIT_MAX_STEPS steps, raise ``EstimationError``.
+    a prior: it adds no term to the sum of squares.  While yaw rests on the
+    bound and the step would push it further out, the step fits roll and
+    pitch alone, so they are the least-squares fit at that yaw.  Converged
+    when a step moves no angle by FIT_TOL_RAD or more.  Non-finite
+    residuals, or no convergence within FIT_MAX_STEPS steps, raise
+    ``EstimationError``.
     """
     terms, _ = _gcp_terms(strips)
 
@@ -262,6 +265,12 @@ def optimize_boresight(strips) -> BoresightBias:
         jac = np.column_stack([fit_residuals(x + d)[0] - res
                                for d in np.eye(3) * FIT_TOL_RAD]) / FIT_TOL_RAD
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        if abs(x[2]) == YAW_BOUND_RAD and step[2] * x[2] > 0:
+            # yaw rests on its bound and the step pushes past it: hold yaw
+            # there and fit roll and pitch alone, so the clamp does not
+            # bend them
+            step = np.append(np.linalg.lstsq(jac[:, :2], -res,
+                                             rcond=None)[0], 0.0)
         while True:
             trial = x + step
             trial[2] = np.clip(trial[2], -YAW_BOUND_RAD, YAW_BOUND_RAD)

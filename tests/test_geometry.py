@@ -133,18 +133,19 @@ class TestResidualsAndCost:
             geo.optimize_boresight(strips)
 
 
+def _all_residuals(strips, x):
+    """The public per-strip residuals of every GCP at bias ``x``."""
+    bias = geo.BoresightBias(*x)
+    return np.concatenate([geo.residuals(gm.with_bias(bias), gcps).ravel()
+                           for gm, gcps in strips])
+
+
 def _scipy_least_squares(strips):
     """The boresight by SciPy's ``least_squares`` on the public per-strip
     residuals, from zero bias, unbounded and at tight tolerances."""
     from scipy.optimize import least_squares
-
-    def fun(x):
-        bias = geo.BoresightBias(*x)
-        return np.concatenate([geo.residuals(gm.with_bias(bias), gcps).ravel()
-                               for gm, gcps in strips])
-
-    return least_squares(fun, np.zeros(3), xtol=1e-15, ftol=1e-15,
-                         gtol=1e-15).x
+    return least_squares(lambda x: _all_residuals(strips, x), np.zeros(3),
+                         xtol=1e-15, ftol=1e-15, gtol=1e-15).x
 
 
 class TestBoresight:
@@ -216,6 +217,42 @@ class TestBoresight:
         strips = boresight_strips(self.TRUE, noise=15.0, seed=4)
         with pytest.raises(EstimationError, match="did not converge"):
             geo.optimize_boresight(strips)
+
+    def test_converges_within_five_steps(self, monkeypatch):
+        # the GCP residuals are near linear in the bias, so Gauss-Newton
+        # needs few steps; the cap only ends the loop
+        strips = boresight_strips(self.TRUE, noise=15.0, seed=4)
+        fit = geo.optimize_boresight(strips)
+        monkeypatch.setattr(geo, "FIT_MAX_STEPS", 5)
+        assert geo.optimize_boresight(strips) == fit
+
+    @pytest.mark.parametrize("noise", [0.0, 30.0])
+    def test_fit_is_a_local_minimum_of_the_sum_of_squares(self, noise):
+        strips = boresight_strips(self.TRUE, noise=noise, seed=4)
+        fit = np.array(dataclasses.astuple(geo.optimize_boresight(strips)))
+        res = _all_residuals(strips, fit)
+        for d in np.eye(3) * 1e-7:
+            for moved in (fit + d, fit - d):
+                other = _all_residuals(strips, moved)
+                assert other @ other > res @ res
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clamped_yaw_rests_on_the_bound(self, sign):
+        strips = boresight_strips(dataclasses.replace(
+            self.TRUE, dyaw=sign * np.deg2rad(0.2)), noise=15.0, seed=4)
+        fit = geo.optimize_boresight(strips)
+        assert fit.dyaw == sign * geo.YAW_BOUND_RAD
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clamped_fit_is_least_squares_in_roll_and_pitch(self, sign):
+        from scipy.optimize import least_squares
+        strips = boresight_strips(dataclasses.replace(
+            self.TRUE, dyaw=sign * np.deg2rad(0.2)), noise=15.0, seed=4)
+        fit = geo.optimize_boresight(strips)
+        ref = least_squares(
+            lambda x: _all_residuals(strips, [*x, fit.dyaw]), np.zeros(2),
+            xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+        assert np.abs([fit.droll - ref[0], fit.dpitch - ref[1]]).max() < 1e-10
 
 
 
