@@ -116,24 +116,26 @@ def cubic_plan(shape, yy: np.ndarray, xx: np.ndarray) -> CubicPlan:
     (flat index, x weight) in tap order, clamped duplicates and zero
     weights kept, and ``wy`` the ``(points, 1)`` row weights.  Every row
     holds four entries, so :func:`_point_rows` takes a slice of points as
-    a view."""
+    a view.  Indices are int32 where ``ny*nx`` and ``4*points`` fit."""
     ny, nx = shape
     rows, wy, _, _, ok_y = _axis_taps(np.asarray(yy, dtype=np.float64), ny)
     cols, wx, _, _, ok_x = _axis_taps(np.asarray(xx, dtype=np.float64), nx)
     n = ok_y.size
-    cols = np.stack(cols, axis=-1).reshape(n, 4)
+    index = np.int32 if max(ny * nx, 4 * n) < 2 ** 31 else np.int64
+    cols = np.stack(cols, axis=-1).reshape(n, 4).astype(index)
     wx = np.stack(wx, axis=-1).ravel()
-    indptr = np.arange(0, 4 * n + 1, 4)
-    taps = [sparse.csr_array((wx, (r.reshape(n, 1) * nx + cols).ravel(),
-                              indptr), shape=(n, ny * nx)) for r in rows]
+    indptr = np.arange(0, 4 * n + 1, 4, dtype=index)
+    taps = [sparse.csr_array((wx, (r.reshape(n, 1).astype(index) * nx
+                                   + cols).ravel(), indptr),
+                             shape=(n, ny * nx)) for r in rows]
     return CubicPlan((ny, nx), taps, [w.reshape(n, 1) for w in wy],
                      ok_y & ok_x)
 
 
 def _point_rows(taps, sl: slice):
     """Rows ``sl`` of a :func:`cubic_plan` tap matrix as views of its
-    arrays (a scipy row slice copies them); each row keeps its four column
-    taps in order."""
+    arrays (a scipy row slice copies them), in their index dtype; each row
+    keeps its four column taps in order."""
     n = sl.stop - sl.start
     span = slice(4 * sl.start, 4 * sl.stop)
     return sparse.csr_array(

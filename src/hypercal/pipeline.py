@@ -379,12 +379,12 @@ def _stage_interference(state, p, out: Path, cfg: PipelineConfig):
 def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
     steering = state["steering"]
-    # measure at the keystone reference band, where the injected band-to-band
-    # spatial shift is zero and the point stays in its column; only that
-    # band is rendered
+    # measure at the keystone reference band, the only one rendered: its
+    # injected band-to-band shift is zero, so the point stays in its column
+    ref = _keystone_ref(sensor.bands)
     point_cubes = sim.point_source_grid(
-        sensor.single_band(_keystone_ref(sensor.bands)), _CHAIN_STRAY,
-        steering, seed=cfg.seed + 70)
+        sensor.band_slice(slice(ref, ref + 1)), _CHAIN_STRAY, steering,
+        seed=cfg.seed + 70)
     model = anomalies.estimate_stray_psf(point_cubes, steering,
                                          tap_count=p["tap_count"])
     corrected = anomalies.correct_stray(state["cube"], model, steering)
@@ -497,16 +497,11 @@ def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
 
 
 def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
-    vnir = state["cube"]
-    sensor = state["sensor"]
-    if sensor.instrument != "vnir":
+    vnir, scene = state["cube"], state["scene"]
+    if state["sensor"].instrument != "vnir":
         raise EstimationError("bundle requires a VNIR primary cube")
-    scene = state["scene"]
     swir_sensor = sim.make_sensor("swir", samples=scene.spatial.shape[1],
                                   read_noise_dn=0.0, seed=cfg.seed + 7)
-    swir_raw, _ = sim.render_raw(scene, swir_sensor,
-                                 sim.ArtifactConfig(noise=False),
-                                 seed=cfg.seed + 90)
     gm = state["geo"]
     # instrument misalignment shifts the SWIR footprint by a fraction of a
     # map cell in both axes
@@ -515,15 +510,19 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
                                                 gm.mounting[1] + angle,
                                                 gm.mounting[2]))
     plan, (_, _, converged) = geometry.ortho_plan(
-        swir_raw.data.shape[:2], gm_swir, 0.0, state["grid"])
+        scene.spatial.shape, gm_swir, 0.0, state["grid"])
 
     def swir_bands(bands):
-        """SWIR radiance of ``bands`` on the map grid, worked out from the
-        uint16 strip per call, so no whole float64 SWIR cube is made."""
-        radiance = sim.ideal_radiance(swir_raw, swir_sensor, bands)
-        return geometry.ortho_sample(plan, converged, radiance.data)
+        """SWIR radiance of ``bands`` on the map grid, rendered noise-free,
+        converted and sampled per call: no whole SWIR strip is made."""
+        block = swir_sensor.band_slice(bands)
+        raw, _ = sim.render_raw(scene, block, sim.ArtifactConfig(noise=False),
+                                seed=cfg.seed + 90)
+        radiance = sim.ideal_radiance(raw, block).data
+        del raw  # the DN block is freed before the sampling
+        return geometry.ortho_sample(plan, converged, radiance)
 
-    merged, resid = geometry.bundle(vnir, swir_raw.band_meta, swir_bands,
+    merged, resid = geometry.bundle(vnir, swir_sensor.band_meta(), swir_bands,
                                     patch=p["patch"])
     state["cube"] = merged
     if p["save"]:

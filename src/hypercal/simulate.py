@@ -361,21 +361,21 @@ class SensorModel:
         return tuple(BandMeta(float(c), float(f), self.instrument)
                      for c, f in zip(self.centers_nm, self.fwhm_nm))
 
-    def single_band(self, band: int) -> "SensorModel":
-        """One-band view: every per-band field sliced to ``band``, which
-        becomes band 0.  Each per-band step of :func:`render_raw` is
-        independent of the others, so without noise or bunch clusters (both
-        keyed by band index) the view renders exactly plane ``band`` of the
-        full sensor's cube."""
-        sl = slice(band, band + 1)
+    def band_slice(self, sl: slice) -> "SensorModel":
+        """Band-slice view: every per-band field sliced to ``sl``, whose
+        first band becomes band 0.  Each per-band step of
+        :func:`render_raw` is independent of the others, so without noise or
+        bunch clusters (both keyed by band index) the view renders exactly
+        bands ``sl`` of the full sensor's cube."""
+        kept = range(*sl.indices(self.bands))
         return replace(
             self, centers_nm=self.centers_nm[sl], fwhm_nm=self.fwhm_nm[sl],
             smile_nm=self.smile_nm[sl], keystone_px=self.keystone_px[sl],
             prnu=self.prnu[sl], dark_dn=self.dark_dn[sl],
             gain_dn_per_radiance=self.gain_dn_per_radiance[sl],
             sat_radiance=self.sat_radiance[sl],
-            masked_channels=frozenset({0} if band in self.masked_channels
-                                      else ()))
+            masked_channels=frozenset(kept.index(b) for b in
+                                      self.masked_channels if b in kept))
 
     def effective_centers(self) -> np.ndarray:
         """Actual RSR centers per (band, sample): nominal + smile - error."""
@@ -704,17 +704,15 @@ def survey_gcps(geo, n: int, noise_m: float, seed: int,
             for point in zip(lines, samples, east, north, heights)]
 
 
-def ideal_radiance(cube: SpectralCube, sensor: SensorModel,
-                   bands: slice = slice(None)) -> SpectralCube:
-    """(DN - dark) / (gain * PRNU) from the sensor's truth, for the cube's
-    ``bands`` (all by default): one float64 copy of those bands, worked in
-    place.  Each value depends on its own band only, so a band's radiance
-    is the same whichever slice it is converted in."""
-    rad = cube.data[:, :, bands].astype(np.float64)
-    rad -= sensor.dark_dn.T[None, :, bands]
-    rad /= (sensor.gain_dn_per_radiance * sensor.prnu).T[None, :, bands]
-    return cube.with_data(rad, pixel_kind="radiance",
-                          band_meta=cube.band_meta[bands])
+def ideal_radiance(cube: SpectralCube, sensor: SensorModel) -> SpectralCube:
+    """(DN - dark) / (gain * PRNU) from the sensor's truth: one float64
+    copy of the cube, worked in place.  Each value depends on its own band
+    only, so a :meth:`SensorModel.band_slice` render converts to the same
+    bands of the whole conversion."""
+    rad = cube.data.astype(np.float64)
+    rad -= sensor.dark_dn.T[None]
+    rad /= (sensor.gain_dn_per_radiance * sensor.prnu).T[None]
+    return cube.with_data(rad, pixel_kind="radiance")
 
 
 def render_monochromator(sensor: SensorModel, wl_nm: float) -> np.ndarray:

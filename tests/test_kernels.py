@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from hypercal import kernels
 
 
@@ -291,6 +293,29 @@ def _taps_bicubic(image, yy, xx):
     return out
 
 
+def _int64_csr_sample(stack, yy, xx):
+    """:func:`kernels.cubic_apply` as four CSR products with int64 indices
+    built here from the axis taps: per row tap, its sparse product with the
+    float64 ``(ny*nx, bands)`` source times the row weights, summed from
+    zero."""
+    ny, nx, nb = stack.shape
+    rows, wys, *_ = kernels._axis_taps(yy.ravel(), ny)
+    cols, wxs, *_ = kernels._axis_taps(xx.ravel(), nx)
+    n = yy.size
+    wx = np.stack(wxs, axis=-1).ravel()
+    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int64)
+    src = stack.reshape(ny * nx, nb).astype(np.float64)
+    out = np.zeros((n, nb))
+    for r, wy in zip(rows, wys):
+        index = np.stack([r * nx + c for c in cols], axis=-1).ravel()
+        taps = sparse.csr_array((wx, index, indptr), shape=(n, ny * nx))
+        assert taps.indices.dtype == taps.indptr.dtype == np.int64
+        row = taps @ src
+        row *= wy[:, None]
+        out += row
+    return out.reshape(yy.shape + (nb,))
+
+
 class TestCubicPlan:
     def _case(self, dtype, bands=7, seed=20):
         rng = np.random.default_rng(seed)
@@ -462,3 +487,48 @@ class TestCubicPlan:
         finally:
             tracemalloc.stop()
         assert peak < 20 << 20
+
+    def test_desk_plan_has_int32_indices(self):
+        rng = np.random.default_rng(27)
+        yy = _test_coords(rng, (256, 256), 256)
+        xx = _test_coords(rng, (256, 256), 256)
+        plan = kernels.cubic_plan((256, 256), yy, xx)
+        for taps in plan.taps:
+            assert taps.indices.dtype == taps.indptr.dtype == np.int32
+            rows = kernels._point_rows(taps, slice(100, 300))
+            assert rows.indices.dtype == rows.indptr.dtype == np.int32
+
+    def test_plan_past_int32_has_int64_indices(self):
+        # a 70000 x 70000 grid has more samples than int32 indexes; the
+        # plan of a few points on it holds only their taps, never the grid
+        rng = np.random.default_rng(28)
+        yy = rng.uniform(0.0, 69999.0, (3, 4))
+        xx = rng.uniform(0.0, 69999.0, (3, 4))
+        tracemalloc.start()
+        try:
+            plan = kernels.cubic_plan((70000, 70000), yy, xx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for taps in plan.taps:
+            assert taps.indices.dtype == taps.indptr.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_apply_equals_int64_csr_product(self, seed):
+        # random grids, point sets and band counts, with -0.0 and inf
+        # samples: bit for bit, sign of zero included
+        rng = np.random.default_rng(100 + seed)
+        ny, nx, nb = (int(v) for v in rng.integers(1, 40, 3))
+        stack = rng.normal(50.0, 10.0, (ny, nx, nb))
+        stack.flat[::7] = -0.0
+        stack.flat[3::50] = np.inf
+        shape = tuple(int(v) for v in rng.integers(1, 30, 2))
+        yy = _test_coords(rng, shape, ny)
+        xx = _test_coords(rng, shape, nx)
+        plan = kernels.cubic_plan((ny, nx), yy, xx)
+        with np.errstate(invalid="ignore"):  # the 0 * inf products
+            out = kernels.cubic_apply(plan, stack)
+            expect = _int64_csr_sample(stack, yy, xx)
+        assert np.array_equal(out, expect, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expect))

@@ -326,6 +326,42 @@ def test_bundle_stage_holds_one_swir_block(tmp_path, monkeypatch, workers):
     assert seen["peak"] < merged.nbytes + strip + 2 * plan_bytes + 6 * block
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
+    """The bound above without its uint16 SWIR strip: the stage renders,
+    converts and samples one 8-band block at a time, so its traced peak at
+    96x96 stays below the merged cube, the ortho and warp sampling plans
+    and six float64 blocks."""
+    band_block, side = 8, 96
+    monkeypatch.setattr(geometry, "BUNDLE_BAND_BLOCK", band_block)
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    seen = {}
+    stage = STAGES["bundle"]
+
+    def traced(state, *args):
+        tracemalloc.start()
+        try:
+            metrics = stage.fn(state, *args)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen["merged"] = state["cube"].data
+        return metrics
+
+    monkeypatch.setitem(STAGES, "bundle", dataclasses.replace(stage,
+                                                              fn=traced))
+    _run([{"name": "simulate", "lines": side, "samples": side,
+           "save": False}, {"name": "ortho", "save": False},
+          {"name": "bundle", "save": False}], tmp_path, preset="dual")
+    merged = seen["merged"]
+    grid = np.zeros(merged.shape[:2])
+    plan = kernels.cubic_plan((side, side), grid, grid)
+    plan_bytes = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
+                     for t in plan.taps) + sum(w.nbytes for w in plan.wy)
+    block = side * side * band_block * 8
+    assert seen["peak"] < merged.nbytes + 2 * plan_bytes + 6 * block
+
+
 class TestStageTable:
     @pytest.mark.parametrize("name", [n for n in STAGES if n != "simulate"])
     def test_stage_without_its_inputs_names_the_provider(self, name,

@@ -186,9 +186,11 @@ class TestRenderRaw:
         assert np.array_equal(c0.data[:, :, [2, 5]], c1.data[:, :, [2, 5]])
         assert c1.data[:, :, 3].min() > c0.data[:, :, 3].max()
 
-    @pytest.mark.parametrize("band", [5, 8, 3])
-    def test_single_band_view_renders_full_plane(self, band):
-        # band 5 is the keystone reference, 8 is shifted, 3 is masked
+    @pytest.mark.parametrize("bands", [slice(5, 6), slice(8, 9), slice(3, 4),
+                                       slice(2, 7), slice(6, 12)])
+    def test_band_slice_view_renders_full_bands(self, bands):
+        # band 5 is the keystone reference, 8 is shifted, 3 is masked (alone
+        # and inside 2..6, where it becomes band 1); 6..11 reaches the end
         sensor = quiet_sensor(
             samples=64, bands=12, prnu_spread=0.02, masked_channels=(3,),
             smile_nm=sim.quadratic_smile(12, 64, 2.0),
@@ -201,10 +203,14 @@ class TestRenderRaw:
         steering = sim.linear_steering(128)
         full, _ = sim.render_raw(scene, sensor, art, seed=70,
                                  steering_deg=steering)
-        one, _ = sim.render_raw(scene, sensor.single_band(band), art,
-                                seed=70, steering_deg=steering)
-        assert one.data.shape == (128, 64, 1)
-        assert np.array_equal(one.data[:, :, 0], full.data[:, :, band])
+        view = sensor.band_slice(bands)
+        part, _ = sim.render_raw(scene, view, art, seed=70,
+                                 steering_deg=steering)
+        assert part.data.shape == (128, 64, bands.stop - bands.start)
+        masked = {3 - bands.start} if bands.start <= 3 < bands.stop else set()
+        assert view.masked_channels == masked
+        assert np.array_equal(part.data, full.data[:, :, bands])
+        assert part.band_meta == full.band_meta[bands]
 
     def test_saturation_clips_to_quantizer(self):
         sensor = quiet_sensor(samples=16, bands=4, sat_radiance=50.0)
@@ -282,14 +288,18 @@ class TestCalibrationRenders:
 
     @pytest.mark.parametrize("bands", [slice(0, 1), slice(2, 7),
                                        slice(5, 12)])
-    def test_ideal_radiance_of_a_band_slice(self, bands):
-        # the slice's bands, bit for bit, whichever slice converts them
+    def test_ideal_radiance_of_a_band_slice_render(self, bands):
+        # the converted render of a band slice equals those bands of the
+        # whole render's conversion, bit for bit
         sensor = sim.make_sensor("swir", bands=12, samples=16,
                                  prnu_spread=0.05, seed=3)
         scene = sim.synth_scene("library-bars", lines=8, samples=16)
-        raw, _ = sim.render_raw(scene, sensor, seed=4)
+        art = sim.ArtifactConfig(noise=False)
+        raw, _ = sim.render_raw(scene, sensor, art, seed=4)
         whole = sim.ideal_radiance(raw, sensor)
-        part = sim.ideal_radiance(raw, sensor, bands)
+        view = sensor.band_slice(bands)
+        raw_part, _ = sim.render_raw(scene, view, art, seed=4)
+        part = sim.ideal_radiance(raw_part, view)
         assert np.array_equal(part.data, whole.data[:, :, bands])
         assert part.band_meta == whole.band_meta[bands]
 
