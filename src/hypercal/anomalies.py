@@ -10,6 +10,7 @@ import numpy as np
 from .cube import DN_MAX, SpectralCube, read_model
 from .errors import EstimationError
 from .kernels import band_map
+from .radiometry import radiance
 from .simulate import BunchCluster, SEGMENT_LINES, stray_blocks
 
 BUNCH_MAD_K = 6.0
@@ -26,7 +27,8 @@ KERNEL_EXTENT_REL = 0.01       # tap level counted by kernel_extent
 # ---------------------------------------------------------------------------
 # bunch pixels
 
-def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K) -> list:
+def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K,
+                        flatfield=None, dark=None) -> list:
     """Flag runs of hot columns per band.
 
     A column is hot when its along-track median exceeds the median of an
@@ -35,7 +37,8 @@ def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K) -> list:
     than ``k`` times their MAD (floored at half a DN so quantization-flat
     bands cannot divide by zero).  A column with no neighbor inside the
     swath is never hot.  Adjacent hot columns merge into clusters capped at
-    length 15.
+    length 15.  With a ``flatfield`` table and ``dark`` model, a DN cube is
+    flat-fielded per sample block (:func:`radiance`), never whole.
     """
     lines, samples, bands = cube.data.shape
     col_med = np.empty((samples, bands))
@@ -44,7 +47,8 @@ def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K) -> list:
         # each column's median is its own: blocks of samples partition a
         # float64 copy of their block only
         col_med[sl] = np.median(
-            np.asarray(cube.data[:, sl], dtype=np.float64), axis=0)
+            np.asarray(cube.data[:, sl], dtype=np.float64) if flatfield is None
+            else radiance(cube.data, flatfield, dark, samples=sl)[0], axis=0)
 
     band_map(column_medians, samples, 8 * lines * bands)
     h = BUNCH_BASELINE_HALF
@@ -72,7 +76,8 @@ def detect_bunch_pixels(cube: SpectralCube, k: float = BUNCH_MAD_K) -> list:
     return clusters
 
 
-def correct_bunch_pixels(cube: SpectralCube, clusters):
+def correct_bunch_pixels(cube: SpectralCube, clusters,
+                         out: np.ndarray | None = None):
     """Replace each corrupted column from the most correlated clean band.
 
     For every (band, column) in a cluster the reference band maximizing
@@ -83,12 +88,15 @@ def correct_bunch_pixels(cube: SpectralCube, clusters):
 
     Returns ``(corrected cube, validity mask)``; the mask is a read-only
     view of one ``(samples, bands)`` column mask repeated over the lines.
+    The repairs go into float64 ``out`` (may be ``cube.data`` itself).
     """
     columns = np.ones(cube.data.shape[1:], dtype=bool)
     valid = np.broadcast_to(columns, cube.data.shape)
-    if not clusters:
+    if not clusters and out is None:
         return cube, valid
-    data = cube.data.astype(np.float64)
+    data = np.empty(cube.data.shape) if out is None else out
+    if data is not cube.data:
+        np.copyto(data, cube.data)
     corrupted = np.zeros_like(columns)
     for c in clusters:
         corrupted[c.start_sample:c.start_sample + c.length, c.band] = True
@@ -175,13 +183,15 @@ def _notch_gain(freqs: np.ndarray, f0: float, half_width: float,
     return g
 
 
-def remove_interference(cube: SpectralCube, freqs):
+def remove_interference(cube: SpectralCube, freqs,
+                        out: np.ndarray | None = None):
     """Two-stage interference removal.
 
     (1) Per band, an along-track Butterworth notch (order 4, half-width
     0.01 cycles/line) at each detected frequency; (2) the low-frequency
     banding profile taken from the mean of the bands in the
-    BANDING_WINDOW_NM absorption window, zero-meaned and subtracted.
+    BANDING_WINDOW_NM absorption window, zero-meaned and subtracted; into
+    float64 ``out`` (made if None; may be ``cube.data`` itself).
     """
     lines = cube.lines
     fgrid = np.fft.rfftfreq(lines)
@@ -191,7 +201,7 @@ def remove_interference(cube: SpectralCube, freqs):
         if f0 <= 0:
             raise EstimationError("cannot notch at DC")
         gain *= _notch_gain(fgrid, f0, NOTCH_HALF_WIDTH, NOTCH_ORDER)
-    out = np.empty(cube.data.shape)
+    out = np.empty(cube.data.shape) if out is None else out
 
     def notch(sl):
         spec = np.fft.rfft(cube.data[:, sl], axis=0)
@@ -320,7 +330,7 @@ def estimate_stray_psf(point_cubes, steering_deg: np.ndarray,
 
 
 def correct_stray(cube: SpectralCube, model: StrayPSFModel,
-                  steering_deg: np.ndarray):
+                  steering_deg: np.ndarray, out: np.ndarray | None = None):
     """Deconvolve the along-track stray kernel per segment and sample block.
 
     Segments of SEGMENT_LINES lines advance by half a segment and are
@@ -329,45 +339,47 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
     with Wiener regularization (WIENER_EPS of the peak spectral power).
     The filter's DC gain is pinned to the kernel's exact DC inverse so an
     identity kernel passes data through unchanged and flux is conserved.
-    """
+    Into float64 ``out`` (made if None; may be ``cube.data`` itself): a
+    one-segment accumulator blends, and writes a line once no later segment
+    reads it, as (0 + its weighted segments in order) / max(weight)."""
     steering_deg = np.asarray(steering_deg, dtype=np.float64)
-    data = np.asarray(cube.data, dtype=np.float64)
-    lines, samples, bands = data.shape
+    lines, samples, bands = cube.data.shape
     if steering_deg.shape[0] != lines:
         raise EstimationError("steering profile length must equal cube lines")
-    out = np.zeros_like(data)
+    out = np.empty(cube.data.shape) if out is None else out
     weight = np.zeros(lines)
     blocks = stray_blocks(samples)
     n = SEGMENT_LINES
     win = np.hanning(n + 2)[1:-1]
-    h = model.tap_count // 2
-    for seg0 in range(0, lines, n // 2):
-        seg1 = min(seg0 + n, lines)
-        # pad the trailing segment backwards so every segment is full-length
-        s0 = max(seg1 - n, 0)
-        seg = data[s0:seg1]
+    # segments advance by n // 2; the trailing one is padded backwards so
+    # every segment is full-length
+    starts = list(range(0, lines - n, n // 2)) + [max(lines - n, 0)]
+    acc = np.zeros((min(n, lines), samples, bands))   # lines s0.. of a segment
+    for s0, s_next in zip(starts, starts[1:] + [lines]):
+        seg1 = min(s0 + n, lines)
         theta = float(steering_deg[s0:seg1].mean())
         wseg = win[: seg1 - s0]
-        corrected = np.empty_like(seg)
         for c0, c1, frac in blocks:
-            taps = model.kernel(theta, frac)
             kpad = np.zeros(n)
-            kpad[:model.tap_count] = taps
-            kpad = np.roll(kpad, -h)
-            kf = np.fft.rfft(kpad)
+            kpad[:model.tap_count] = model.kernel(theta, frac)
+            kf = np.fft.rfft(np.roll(kpad, -(model.tap_count // 2)))
             power = np.abs(kf) ** 2
             wiener = np.conj(kf) / (power + WIENER_EPS * power.max())
             # pin DC to the exact inverse (kernel sums to 1)
             dc = wiener[0].real * kf[0].real
             if abs(dc) > 1e-12:
                 wiener = wiener / dc
-            block = seg[:, c0:c1, :]
+            block = np.asarray(cube.data[s0:seg1, c0:c1], dtype=np.float64)
             spec = np.fft.rfft(block, n=n, axis=0)
-            rec = np.fft.irfft(spec * wiener[:, None, None], n=n, axis=0)
-            corrected[:, c0:c1, :] = rec[: seg.shape[0]]
-        out[s0:seg1] += corrected * wseg[:, None, None]
+            spec *= wiener[:, None, None]
+            rec = np.fft.irfft(spec, n=n, axis=0)[: seg1 - s0]
+            rec *= wseg[:, None, None]
+            acc[: seg1 - s0, c0:c1] += rec
         weight[s0:seg1] += wseg
-        if seg1 >= lines:
-            break
-    out /= np.maximum(weight, 1e-12)[:, None, None]
+        # lines before the next segment's start are final
+        done = s_next - s0
+        norm = np.maximum(weight[s0:s_next], 1e-12)[:, None, None]
+        np.divide(acc[:done], norm, out=out[s0:s_next])
+        acc[: acc.shape[0] - done] = acc[done:]
+        acc[acc.shape[0] - done:] = 0.0
     return cube.with_data(out)

@@ -92,7 +92,7 @@ class RegionOfInterest:
 class SpectralCube:
     """Dense (lines, samples, bands) raster with per-band metadata.
 
-    Immutable after construction; operations return new cubes.
+    Fields are immutable; operations return new cubes, which may share data.
     """
 
     data: np.ndarray

@@ -23,7 +23,7 @@ USING_NUMBA = False
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
-_CHUNK_BYTES = 8 << 20  # per buffer of the band_map tasks in flight
+_CHUNK_BYTES = 2 << 20  # per buffer of the band_map tasks in flight
 
 
 def band_map(fn, n: int, item_bytes: int) -> None:

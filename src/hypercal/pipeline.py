@@ -22,6 +22,7 @@ from . import anomalies, geometry, radiometry, registration, spectral
 from . import simulate as sim
 from .cube import INSTRUMENTS, one_of, write_cube, write_json
 from .errors import ConfigError, EstimationError, HypercalError
+from .kernels import band_map
 
 __all__ = ["PipelineConfig", "ReportBundle", "Stage", "StageError", "STAGES",
            "SCHEMA_VERSION", "load_config", "validate_config", "check_order",
@@ -265,6 +266,11 @@ def _keystone_ref(bands: int) -> int:
     return min(spectral.KEYSTONE_REF_BAND, bands - 1)
 
 
+def _in_place(cube) -> np.ndarray | None:
+    """``out=`` for correcting the run's cube: its data once float64."""
+    return cube.data if cube.data.dtype == np.float64 else None
+
+
 def _stage_simulate(state, p, out: Path, cfg: PipelineConfig):
     instrument = "swir" if cfg.preset == "swir" else "vnir"
     lines, samples = p["lines"], p["samples"]
@@ -305,15 +311,19 @@ def _stage_caldark(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
     lines, seed = p["lines"], cfg.seed
     if sensor.instrument == "swir":
-        darks = [(t, sim.render_dark(sensor, lines, t, seed=seed + 11 + i))
+        means = [(t, sim.render_dark(sensor, lines, t, seed=seed + 11 + i)
+                  .data.mean(axis=0, dtype=np.float64))
                  for i, t in enumerate(p["temperatures"])]
-        dark = radiometry.fit_dark_swir(darks, t_ref_k=sensor.t_ref_k)
+        dark = radiometry.fit_dark_swir(means, t_ref_k=sensor.t_ref_k)
     else:
         frame = sim.render_dark(sensor, lines, sensor.t_ref_k, seed=seed + 11)
         level = frame.data.mean(axis=0, dtype=np.float64).T
-        dark = radiometry.DarkModel(
-            level, np.zeros_like(level), sensor.t_ref_k, "vnir",
-            float(frame.data.std(axis=0, dtype=np.float64).mean()))
+        std = np.empty(frame.data.shape[1:])   # each column's is its own
+        band_map(lambda sl: frame.data[:, sl].std(axis=0, dtype=np.float64,
+                                                  out=std[sl]),
+                 frame.samples, 8 * lines * frame.bands)
+        dark = radiometry.DarkModel(level, np.zeros_like(level),
+                                    sensor.t_ref_k, "vnir", float(std.mean()))
     state["dark"] = dark
     if p["save"]:
         dark.save(out / "dark.bin")
@@ -323,16 +333,19 @@ def _stage_caldark(state, p, out: Path, cfg: PipelineConfig):
 
 def _stage_flatfield(state, p, out: Path, cfg: PipelineConfig):
     sensor = state["sensor"]
-    acquisitions = [(lv, sim.render_sphere(sensor, lv, p["frames"],
-                                           seed=cfg.seed + 23 + i))
-                    for i, lv in enumerate(p["levels"])]
-    table = radiometry.fit_flatfield(acquisitions)
+    # each acquisition is reduced to its mean as soon as it is rendered
+    means = [(lv, sim.render_sphere(sensor, lv, p["frames"],
+                                    seed=cfg.seed + 23 + i)
+              .data.mean(axis=0, dtype=np.float64))
+             for i, lv in enumerate(p["levels"])]
+    table = radiometry.fit_flatfield(means)
     cube = state["cube"]
     band = min(30, cube.bands - 1)
     sphere = sim.render_sphere(sensor, 60.0, 64, seed=cfg.seed + 41)
     nu_before = radiometry.nonuniformity(sphere.data[:, :, band])
     corrected, _, _ = radiometry.apply_flatfield(sphere, table, state["dark"])
     nu_after = radiometry.nonuniformity(corrected.data[:, :, band])
+    del sphere, corrected  # not resident during the cube's conversion
     rad, _, clamped = radiometry.apply_flatfield(cube, table, state["dark"])
     state.update(cube=rad, flatfield=table)
     if p["save"]:
@@ -353,11 +366,11 @@ def _stage_bunch(state, p, out: Path, cfg: PipelineConfig):
         flat, sensor,
         sim.ArtifactConfig(bunch=state["clusters_true"], noise=True),
         seed=cfg.seed + 57, steering_deg=state["steering"])
-    acq, _, _ = radiometry.apply_flatfield(acq, state["flatfield"],
-                                           state["dark"])
-    clusters = anomalies.detect_bunch_pixels(acq, k=p["mad_k"])
+    clusters = anomalies.detect_bunch_pixels(
+        acq, k=p["mad_k"], flatfield=state["flatfield"], dark=state["dark"])
     del acq  # not resident during the repair
-    corrected, valid = anomalies.correct_bunch_pixels(cube, clusters)
+    corrected, valid = anomalies.correct_bunch_pixels(cube, clusters,
+                                                      out=_in_place(cube))
     state["cube"] = corrected
     return {"clusters_detected": len(clusters),
             "clusters_injected": len(state["clusters_true"]),
@@ -367,8 +380,10 @@ def _stage_bunch(state, p, out: Path, cfg: PipelineConfig):
 def _stage_interference(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     detected = anomalies.detect_interference(cube, p["snr_threshold"])
-    cleaned = anomalies.remove_interference(cube, [f for f, _ in detected])
-    mean_shift = abs(cleaned.data.mean() - cube.data.mean(dtype=np.float64))
+    before = cube.data.mean(dtype=np.float64)  # the notch may overwrite it
+    cleaned = anomalies.remove_interference(cube, [f for f, _ in detected],
+                                            out=_in_place(cube))
+    mean_shift = abs(cleaned.data.mean() - before)
     state["cube"] = cleaned
     metrics = {"components_detected": len(detected), "mean_shift": mean_shift}
     for i, (freq, amp) in enumerate(detected):
@@ -387,7 +402,8 @@ def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
         seed=cfg.seed + 70)
     model = anomalies.estimate_stray_psf(point_cubes, steering,
                                          tap_count=p["tap_count"])
-    corrected = anomalies.correct_stray(state["cube"], model, steering)
+    corrected = anomalies.correct_stray(state["cube"], model, steering,
+                                        out=_in_place(state["cube"]))
     extent = anomalies.kernel_extent(
         model.kernel(float(model.steering_deg[-1]), 0.5))
     state["cube"] = corrected
@@ -400,7 +416,7 @@ def _stage_stray(state, p, out: Path, cfg: PipelineConfig):
 def _stage_smile(state, p, out: Path, cfg: PipelineConfig):
     cube = state["cube"]
     model = spectral.estimate_smile(cube, p["window"], p["stride"])
-    corrected, _ = spectral.correct_smile(cube, model)
+    corrected, _ = spectral.correct_smile(cube, model, out=_in_place(cube))
     check = spectral.estimate_smile(corrected, p["window"], p["stride"])
     spacing = float(np.abs(np.diff(cube.centers_nm)).mean())
     state["cube"] = corrected
@@ -432,7 +448,7 @@ def _stage_keystone(state, p, out: Path, cfg: PipelineConfig):
     ref_band = min(p["ref_band"], cube.bands - 1)
     model = spectral.estimate_keystone(cube, ref_band=ref_band,
                                        n_fields=p["n_fields"])
-    corrected, _ = spectral.correct_keystone(cube, model)
+    corrected, _ = spectral.correct_keystone(cube, model, out=_in_place(cube))
     check = spectral.estimate_keystone(corrected, ref_band=ref_band,
                                        n_fields=p["n_fields"])
     state["cube"] = corrected

@@ -160,22 +160,20 @@ def _line_fit(x: np.ndarray, means: np.ndarray):
 def fit_flatfield(levels) -> FlatFieldTable:
     """Least-squares light-transfer fit DN = a*L + b per pixel.
 
-    ``levels`` is a list of (radiance level, sphere cube) pairs covering at
-    least 3 distinct levels.  Gain = 1/a, offset = b; pixels with a <= 0
-    (masked channels) get NaN gain; fit R^2 is recorded and pixels below
-    0.99 are flagged.
+    ``levels`` is a list of (radiance level, sphere acquisition's
+    ``data.mean(axis=0, dtype=np.float64)``) pairs covering at least 3
+    distinct levels.  Gain = 1/a, offset = b; pixels with a <= 0 (masked
+    channels) get NaN gain; fit R^2 is recorded; below 0.99 is flagged.
     """
     if len(levels) < 3:
         raise EstimationError("flat-field fit needs >= 3 radiance levels")
     lv = np.array([float(l) for l, _ in levels])
     if np.unique(lv).size < 3:
         raise EstimationError("flat-field levels are degenerate")
-    cubes = [c for _, c in levels]
-    shape = cubes[0].data.shape
-    if any(c.data.shape != shape for c in cubes):
-        raise EstimationError("sphere cubes must share dimensions")
+    if len({np.shape(m) for _, m in levels}) != 1:
+        raise EstimationError("sphere means must share dimensions")
     # per-pixel mean over lines at each level: (n_levels, S, B)
-    means = np.stack([c.data.mean(axis=0, dtype=np.float64) for c in cubes])
+    means = np.stack([m for _, m in levels])
     a, b, pred = _line_fit(lv, means)   # a: DN per radiance unit, (S, B)
     ss_res = ((means - pred) ** 2).sum(axis=0)
     ss_tot = ((means - means.mean(axis=0)) ** 2).sum(axis=0)
@@ -185,31 +183,38 @@ def fit_flatfield(levels) -> FlatFieldTable:
     return FlatFieldTable(gain.T.copy(), b.T.copy(), r2.T.copy())
 
 
-def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
-                    dark: DarkModel, temperature_k: float | None = None):
-    """Convert DN to radiance: gain * (DN - dark(T)).
-
-    Returns ``(radiance cube, validity mask, clamped count)``; negative
-    radiances are clamped to 0 and counted, masked channels emit 0 with
-    validity False.  The mask is a read-only view repeated over the lines.
-    """
-    if table.gain.shape != (cube.bands, cube.samples):
+def radiance(dn: np.ndarray, table: FlatFieldTable, dark: DarkModel,
+             temperature_k: float | None = None, samples=slice(None)):
+    """``(gain * (DN - dark(T)), clamped count)`` of the ``samples`` of a
+    ``(lines, samples, bands)`` DN array: a new float64 array, negatives
+    clamped to 0, masked channels (NaN gain) 0.  Each pixel is its own, so
+    a block of samples is that block of the whole conversion, bit for bit."""
+    if table.gain.shape != dn.shape[:0:-1]:       # (bands, samples)
         raise EstimationError("flat-field table does not match cube")
-    if dark.dark_dn.shape != (cube.bands, cube.samples):
+    if dark.dark_dn.shape != dn.shape[:0:-1]:
         raise EstimationError("dark model does not match cube")
     if temperature_k is None:
         temperature_k = dark.t_ref_k
-    d = dark.at(temperature_k).T[None, :, :]       # (1, S, B)
-    g = table.gain.T[None, :, :]
-    # one float64 cube, worked in place
-    rad = cube.data.astype(np.float64)
+    d = dark.at(temperature_k).T[None, samples]    # (1, S, B)
+    g = table.gain.T[None, samples]
+    # one float64 block, worked in place
+    rad = dn[:, samples].astype(np.float64)
     rad -= d
     np.multiply(g, rad, out=rad)
-    finite = np.isfinite(g)
-    np.copyto(rad, 0.0, where=~finite)
-    valid = np.broadcast_to(finite, rad.shape)
+    np.copyto(rad, 0.0, where=~np.isfinite(g))
     clamped = int(np.count_nonzero(rad < 0))
     np.clip(rad, 0.0, None, out=rad)
+    return rad, clamped
+
+
+def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
+                    dark: DarkModel, temperature_k: float | None = None):
+    """Convert DN to radiance with :func:`radiance`.  Returns ``(radiance
+    cube, validity mask, clamped count)``; negative radiances are clamped
+    to 0 and counted, masked channels emit 0 with validity False.  The mask
+    is a read-only view repeated over the lines."""
+    rad, clamped = radiance(cube.data, table, dark, temperature_k)
+    valid = np.broadcast_to(np.isfinite(table.gain.T), rad.shape)
     return cube.with_data(rad, pixel_kind="radiance"), valid, clamped
 
 
@@ -276,7 +281,8 @@ def fit_dark_swir(darks, t_ref_k: float = 293.0) -> DarkModel:
     """Per-pixel linear dark-vs-temperature fit from SWIR shutter
     acquisitions.
 
-    ``darks`` is a list of (temperature K, dark cube); needs >= 2 distinct
+    ``darks`` is a list of (temperature K, dark acquisition's
+    ``data.mean(axis=0, dtype=np.float64)``) pairs; needs >= 2 distinct
     temperatures.  The stability metric is the largest deviation of any
     acquisition's per-pixel mean from the fitted line."""
     if len(darks) < 2:
@@ -284,8 +290,7 @@ def fit_dark_swir(darks, t_ref_k: float = 293.0) -> DarkModel:
     temps = np.array([float(t) for t, _ in darks])
     if np.unique(temps).size < 2:
         raise EstimationError("dark temperatures are degenerate")
-    means = np.stack([c.data.mean(axis=0, dtype=np.float64).T
-                      for _, c in darks])                 # (n, B, S)
+    means = np.stack([m.T for _, m in darks])            # (n, B, S)
     slope, d_ref, pred = _line_fit(temps - t_ref_k, means)
     stability = float(np.abs(means - pred).max())
     return DarkModel(np.clip(d_ref, 0.0, None), slope, t_ref_k, "swir",

@@ -513,7 +513,7 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
     repeated to the tile's lines: with clamped edges every line of a tile
     sums the same terms.  Each task of :func:`band_map` filters one slice
     of bands, as many as one worker's share of its budget holds at one
-    float64 band each."""
+    float64 block copy (all lines of one stray block of samples) per band."""
     bands, rows, samples = fields.shape
     lines = steering.shape[0]
     out = fields if rows == lines else np.empty((bands, lines, samples))
@@ -540,7 +540,8 @@ def _apply_stray(fields: np.ndarray, spec: StrayLightSpec,
                 out[sl, seg0:seg1, c0:c1] = sub
             block = sub = None  # freed before the next block's copy
 
-    band_map(filter_bands, bands, 8 * lines * samples)
+    band_map(filter_bands, bands,
+             8 * lines * int(np.ceil(samples / STRAY_BLOCKS)))
     return out
 
 

@@ -249,17 +249,18 @@ def estimate_smile(cube: SpectralCube, window: int = SMILE_WINDOW,
                       float(offsets.max() - offsets.min()), rms)
 
 
-def correct_smile(cube: SpectralCube, model: SmileModel):
+def correct_smile(cube: SpectralCube, model: SmileModel,
+                  out: np.ndarray | None = None):
     """Resample every column's spectrum onto the center column's wavelength
-    registration.  Returns ``(corrected cube, validity mask)`` where the
-    mask, a read-only view repeated over the lines, flags spectral-edge
-    pixels whose kernel support left the cube."""
+    registration, into float64 ``out`` (made if None; may be ``cube.data``).
+    Returns ``(corrected cube, validity mask)``, the mask a read-only view
+    repeated over the lines, False where the kernel support left the cube."""
     if model.offsets_nm.shape[0] != cube.samples:
         raise EstimationError("smile model sample count does not match cube")
     spacing = np.gradient(cube.centers_nm)
     coords = np.arange(cube.bands, dtype=np.float64) \
         - model.offsets_nm[:, None] / spacing
-    out, valid = resample_rows(cube.data, coords[None])
+    out, valid = resample_rows(cube.data, coords[None], out=out)
     return (cube.with_data(out, pixel_kind="radiance"),
             np.broadcast_to(valid, out.shape))
 
@@ -409,14 +410,16 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
                          samples, bands)
 
 
-def correct_keystone(cube: SpectralCube, model: KeystoneModel):
-    """Resample each band's rows by the negated keystone shift.  Returns
+def correct_keystone(cube: SpectralCube, model: KeystoneModel,
+                     out: np.ndarray | None = None):
+    """Resample each band's rows by the negated keystone shift, into float64
+    ``out`` (made if None; may be ``cube.data`` itself).  Returns
     ``(corrected cube, validity mask)``, the mask a read-only view repeated
     over the lines; the reference band passes through bit-identically."""
     if model.bands != cube.bands or model.samples != cube.samples:
         raise EstimationError("keystone model does not match cube dimensions")
     coords = np.arange(cube.samples, dtype=np.float64) - model.shifts()
-    out = np.empty(cube.data.shape)
+    out = np.empty(cube.data.shape) if out is None else out
     # (lines, bands, samples) views: rows run along the samples
     _, valid = resample_rows(cube.data.transpose(0, 2, 1), coords[None],
                              out=out.transpose(0, 2, 1))

@@ -131,6 +131,31 @@ def coordinate_cube(lines, samples):
     return SpectralCube(data + 10.0, "radiance", meta)
 
 
+def line_mean(cube):
+    """A calibration acquisition's per-pixel mean over its lines: what the
+    flat-field and SWIR dark fits take."""
+    return cube.data.mean(axis=0, dtype=np.float64)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, values and sign bits (-0.0 is not 0.0)."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def check_in_place(correct, cube, *args):
+    """``correct(cube, *args)`` leaves ``cube`` untouched, and with ``out``
+    set to the cube's own data writes the same bits there."""
+    before = cube.data.copy()
+    fresh = correct(cube, *args)
+    assert same_bits(cube.data, before)
+    got = correct(cube, *args, out=cube.data)
+    fresh, got = (r[0] if isinstance(r, tuple) else r for r in (fresh, got))
+    assert got.data is cube.data
+    assert same_bits(got.data, fresh.data)
+    return got
+
+
 def traced_peak(fn) -> int:
     """Peak bytes allocated while ``fn()`` runs, as tracemalloc sees them."""
     tracemalloc.start()

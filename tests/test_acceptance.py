@@ -18,7 +18,7 @@ from hypercal.pipeline import validate_config, run
 from hypercal.registration import shift_1d
 
 from conftest import (amplitude_at, boresight_strips, coordinate_cube,
-                      dip_contrast, point_extent, quiet_sensor,
+                      dip_contrast, line_mean, point_extent, quiet_sensor,
                       render_radiance, smooth_texture, stray_point_render,
                       two_material_scene, uniform_band_meta)
 
@@ -28,8 +28,9 @@ class TestCriterion01FlatFieldClosure:
         sensor = quiet_sensor("vnir", samples=256, bands=60,
                               prnu_spread=0.02)
         levels = (0.5, 2.0, 60.0, 90.0)
-        pairs = [(lv, sim.render_sphere(sensor, lv, 32, seed=i, noise=False))
-                 for i, lv in enumerate(levels)]
+        pairs = [(lv, line_mean(
+            sim.render_sphere(sensor, lv, 32, seed=i, noise=False)))
+            for i, lv in enumerate(levels)]
         table = rad.fit_flatfield(pairs)
         truth = 1.0 / (sensor.gain_dn_per_radiance * sensor.prnu)
         assert (np.abs(table.gain - truth) / truth).max() < 1e-3
@@ -44,8 +45,9 @@ class TestCriterion02InOrbitUpdate:
     def test_eight_percent_drift_corrected_to_two(self):
         sensor = quiet_sensor("vnir", samples=256, bands=60,
                               prnu_spread=0.02, read_noise_dn=2.0)
-        pairs = [(lv, sim.render_sphere(sensor, lv, 100, seed=i))
-                 for i, lv in enumerate((0.5, 2.0, 60.0, 90.0))]
+        pairs = [(lv, line_mean(
+            sim.render_sphere(sensor, lv, 100, seed=i)))
+            for i, lv in enumerate((0.5, 2.0, 60.0, 90.0))]
         table = rad.fit_flatfield(pairs)
         dark = rad.DarkModel.constant(sensor.dark_dn)
         drift = sim.random_prnu(60, 256, 0.08, seed=99)

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from hypercal import anomalies as ano
-from hypercal import kernels
+from hypercal import kernels, radiometry
 from hypercal import simulate as sim
 from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 
-from conftest import (amplitude_at, dip_contrast, point_extent, quiet_sensor,
-                      render_radiance, stray_point_render, traced_peak,
-                      two_material_scene, uniform_band_meta)
+from conftest import (amplitude_at, check_in_place, dip_contrast,
+                      point_extent, quiet_sensor, render_radiance, same_bits,
+                      stray_point_render, traced_peak, two_material_scene,
+                      uniform_band_meta)
 
 
 def _float64_cube():
@@ -256,6 +257,26 @@ class TestBunchDetectionMatchesColumnLoop:
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 3 * 8 * 48 * 6 * workers)
         cube = _planted_cube(40, seed=1)
         assert ano.detect_bunch_pixels(cube) == _reference_detect_bunch(cube)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flat_fielded_blocks_same_clusters(self, workers, monkeypatch):
+        # the DN cube flat-fielded in blocks of three samples finds what
+        # its whole radiance cube finds, with a masked channel (NaN gain)
+        # and dark levels that clamp some radiances to zero
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 3 * 8 * 48 * 6 * workers)
+        cube = _planted_cube(40, seed=2)
+        rng = np.random.default_rng(5)
+        gain = rng.uniform(0.5, 1.5, (6, 40))
+        gain[5] = np.nan
+        table = radiometry.FlatFieldTable(gain, np.zeros((6, 40)),
+                                          np.ones((6, 40)))
+        dark = radiometry.DarkModel.constant(
+            rng.uniform(560.0, 605.0, (6, 40)))
+        whole, _, clamped = radiometry.apply_flatfield(cube, table, dark)
+        found = ano.detect_bunch_pixels(cube, flatfield=table, dark=dark)
+        assert clamped > 0 and found
+        assert found == _reference_detect_bunch(whole)
 
     def test_detection_copies_sample_blocks_only(self, monkeypatch):
         # no float64 copy of a dn12 cube, no partition copy of a radiance
@@ -589,3 +610,75 @@ class TestStrayLight:
         back = ano.StrayPSFModel.from_json(tmp_path / "psf.json")
         assert np.allclose(back.taps, model.taps)
         assert np.allclose(back.steering_deg, model.steering_deg)
+
+
+def _reference_correct_stray(cube, model, steering_deg):
+    """Whole-cube overlap-add, the reference for the one-segment blend:
+    each segment adds its weighted lines into a zeroed float64 cube, which
+    is divided by the summed weights at the end."""
+    data = np.asarray(cube.data, dtype=np.float64)
+    lines, samples, _ = data.shape
+    out = np.zeros_like(data)
+    weight = np.zeros(lines)
+    n = sim.SEGMENT_LINES
+    win = np.hanning(n + 2)[1:-1]
+    for seg0 in range(0, lines, n // 2):
+        seg1 = min(seg0 + n, lines)
+        s0 = max(seg1 - n, 0)
+        seg = data[s0:seg1]
+        theta = float(steering_deg[s0:seg1].mean())
+        corrected = np.empty_like(seg)
+        for c0, c1, frac in sim.stray_blocks(samples):
+            kpad = np.zeros(n)
+            kpad[:model.tap_count] = model.kernel(theta, frac)
+            kf = np.fft.rfft(np.roll(kpad, -(model.tap_count // 2)))
+            power = np.abs(kf) ** 2
+            wiener = np.conj(kf) / (power + ano.WIENER_EPS * power.max())
+            dc = wiener[0].real * kf[0].real
+            if abs(dc) > 1e-12:
+                wiener = wiener / dc
+            spec = np.fft.rfft(seg[:, c0:c1], n=n, axis=0)
+            rec = np.fft.irfft(spec * wiener[:, None, None], n=n, axis=0)
+            corrected[:, c0:c1] = rec[: seg.shape[0]]
+        out[s0:seg1] += corrected * win[: seg1 - s0, None, None]
+        weight[s0:seg1] += win[: seg1 - s0]
+        if seg1 >= lines:
+            break
+    return out / np.maximum(weight, 1e-12)[:, None, None]
+
+
+class TestCorrectionsInPlace:
+    """With ``out`` set to its input, each correction writes the bits of
+    its out-of-place call there; without ``out`` the input is untouched."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bunch(self, seed):
+        cube, clusters = _bunch_case(seed)
+        check_in_place(ano.correct_bunch_pixels, cube, clusters)
+        check_in_place(ano.correct_bunch_pixels, cube, [])
+
+    @pytest.mark.parametrize("instrument,first", [("vnir", 0), ("swir", 100)])
+    def test_interference(self, instrument, first):
+        # the SWIR bands hold the banding window, the VNIR ones do not
+        rng = np.random.default_rng(3)
+        data = rng.normal(900.0, 40.0, (200, 23, 40))
+        data[:, 5] = -0.0
+        meta = sim.make_sensor(instrument, samples=23).band_meta()
+        cube = SpectralCube(data, "radiance", meta[first:first + 40])
+        check_in_place(ano.remove_interference, cube, [0.05, 0.23])
+
+    @pytest.mark.parametrize("lines", [256, 250, 100, 40])
+    def test_stray_matches_whole_cube_blend(self, lines):
+        # 250 and 100 lines pad the trailing segment backwards to below
+        # its nominal start; 40 lines fit in one short segment
+        rng = np.random.default_rng(lines)
+        taps = rng.uniform(0.0, 1.0, (3, 3, 31))
+        model = ano.StrayPSFModel(np.array([-2.0, 0.0, 2.0]),
+                                  np.array([0.1, 0.5, 0.9]),
+                                  taps / taps.sum(axis=2, keepdims=True))
+        cube = SpectralCube(rng.normal(100.0, 5.0, (lines, 40, 3)),
+                            "radiance", uniform_band_meta(3, "vnir"))
+        steering = sim.linear_steering(lines)
+        expected = _reference_correct_stray(cube, model, steering)
+        got = check_in_place(ano.correct_stray, cube, model, steering)
+        assert same_bits(got.data, expected)

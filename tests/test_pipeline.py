@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from hypercal import geometry, kernels, spectral
+from hypercal import simulate as sim
 from hypercal.cube import INSTRUMENTS, read_cube
 from hypercal.errors import ConfigError
 from hypercal.pipeline import (SCHEMA_VERSION, STAGES, PipelineConfig,
                                StageError, check_order, default_config,
                                load_config, run, validate_config, write_pgm)
+
+from conftest import traced_peak
 
 
 def _doc(stages, **top):
@@ -289,49 +292,35 @@ def test_ortho_stage_inverts_the_grid_mapping_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_bundle_stage_holds_one_swir_block(tmp_path, monkeypatch, workers):
-    """The bundle stage's traced peak at 96x96 with 8-band blocks stays
-    below the merged cube, the uint16 SWIR strip, the ortho and warp
-    sampling plans and six float64 blocks of the strip (the block in work,
-    its radiance and the per-band sensor truth).  A whole float64 SWIR
-    radiance or ortho cube alone is 32 such blocks."""
-    band_block, side = 8, 96
-    monkeypatch.setattr(geometry, "BUNDLE_BAND_BLOCK", band_block)
+def test_vnir_stability_taken_in_sample_blocks(tmp_path, monkeypatch,
+                                               workers):
+    # blocks of five samples give each column the std of the whole frame
     monkeypatch.setattr(kernels, "WORKERS", workers)
-    seen = {}
-    stage = STAGES["bundle"]
+    monkeypatch.setattr(kernels, "_CHUNK_BYTES", 5 * 8 * 200 * 8 * workers)
+    frames = []
+    render_dark = sim.render_dark
 
-    def traced(state, *args):
-        tracemalloc.start()
-        try:
-            metrics = stage.fn(state, *args)
-            seen["peak"] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        seen["merged"] = state["cube"].data
-        return metrics
+    def spy(*args, **kwargs):
+        frames.append(render_dark(*args, **kwargs))
+        return frames[-1]
 
-    monkeypatch.setitem(STAGES, "bundle", dataclasses.replace(stage,
-                                                              fn=traced))
-    _run([{"name": "simulate", "lines": side, "samples": side,
-           "save": False}, {"name": "ortho", "save": False},
-          {"name": "bundle", "save": False}], tmp_path, preset="dual")
-    merged = seen["merged"]
-    strip = side * side * INSTRUMENTS["swir"].bands * 2
-    grid = np.zeros(merged.shape[:2])
-    plan = kernels.cubic_plan((side, side), grid, grid)
-    plan_bytes = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
-                     for t in plan.taps) + sum(w.nbytes for w in plan.wy)
-    block = side * side * band_block * 8
-    assert seen["peak"] < merged.nbytes + strip + 2 * plan_bytes + 6 * block
+    monkeypatch.setattr(sim, "render_dark", spy)
+    report, _ = _run([SIM_SMALL, {"name": "caldark", "lines": 200}],
+                     tmp_path)
+    (frame,) = frames
+    metrics = {m: v for s, m, v in report.metrics if s == "caldark"}
+    assert metrics["stability_dn"] \
+        == float(frame.data.std(axis=0, dtype=np.float64).mean())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
-    """The bound above without its uint16 SWIR strip: the stage renders,
-    converts and samples one 8-band block at a time, so its traced peak at
-    96x96 stays below the merged cube, the ortho and warp sampling plans
-    and six float64 blocks."""
+    """The bundle stage renders, converts and samples one 8-band block of
+    the SWIR strip at a time, so its traced peak at 96x96 stays below the
+    merged cube, the ortho and warp sampling plans and six float64 blocks
+    of the strip (the block in work, its radiance and the per-band sensor
+    truth), with no uint16 SWIR strip.  A whole float64 SWIR radiance or
+    ortho cube alone is 32 such blocks."""
     band_block, side = 8, 96
     monkeypatch.setattr(geometry, "BUNDLE_BAND_BLOCK", band_block)
     monkeypatch.setattr(kernels, "WORKERS", workers)
@@ -360,6 +349,98 @@ def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
                      for t in plan.taps) + sum(w.nbytes for w in plan.wy)
     block = side * side * band_block * 8
     assert seen["peak"] < merged.nbytes + 2 * plan_bytes + 6 * block
+
+
+# the default VNIR chain's calibration and correction stages, and the
+# allowance each may hold beside one float64 science cube, in bytes, from
+# the cube's (lines, samples, bands), the band_map budget and the traced
+# peak of the stage's estimator on its input cube
+_CONTRACT = {
+    # the uint16 dark frame of the stage's 400 lines (the stage's input,
+    # the uint16 raw cube, is a quarter of the float64 one)
+    "caldark": lambda l, s, b, budget, est: 400 * s * b * 2,
+    # its uint16 input cube and the clamp count's bool mask of the output
+    "flat-field": lambda l, s, b, budget, est: l * s * b * 3 + 4 * budget,
+    # the uint16 calibration acquisition and two 34-neighbour stacks of
+    # column medians (34 float64 lines each)
+    "bunch": lambda l, s, b, budget, est:
+        l * s * b * 2 + 2 * 34 * s * b * 8 + 4 * budget,
+    "interference": lambda l, s, b, budget, est: 4 * budget,
+    # the overlap-add accumulator and one segment's spectra
+    "stray": lambda l, s, b, budget, est:
+        2 * sim.SEGMENT_LINES * s * b * 8 + 4 * budget,
+    "smile": lambda l, s, b, budget, est: est + 4 * budget,
+    "keystone": lambda l, s, b, budget, est: est + 4 * budget,
+}
+
+
+def _trace_stages(lines, samples, workers, out) -> dict:
+    """The default VNIR chain at ``lines`` x ``samples`` to keystone with
+    256 KB band_map slices per worker: each contract stage's traced peak
+    plus its input cube (alive throughout the stage), and under ``"est"``
+    the traced peak of the smile and keystone estimators on their stage's
+    input."""
+    seen, inputs = {"est": {}}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "WORKERS", workers)
+        mp.setattr(kernels, "_CHUNK_BYTES", (256 << 10) * workers)
+        for name in _CONTRACT:
+            stage = STAGES[name]
+
+            def traced(state, *args, _fn=stage.fn, _name=name):
+                given = state["cube"]
+                inputs[_name] = given.with_data(given.data.copy())
+                tracemalloc.start()
+                try:
+                    metrics = _fn(state, *args)
+                    seen[_name] = (given.data.nbytes
+                                   + tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                return metrics
+
+            mp.setitem(STAGES, name, dataclasses.replace(stage, fn=traced))
+        stages = [dict(params, name=name, save=False)
+                  if "save" in STAGES[name].params
+                  else dict(params, name=name)
+                  for name, params in default_config().stages
+                  if name == "simulate" or name in _CONTRACT]
+        stages[0].update(lines=lines, samples=samples)
+        _run(stages, out)
+        seen["est"]["smile"] = traced_peak(
+            lambda: spectral.estimate_smile(inputs["smile"]))
+        seen["est"]["keystone"] = traced_peak(
+            lambda: spectral.estimate_keystone(inputs["keystone"]))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def stage_peaks(tmp_path_factory):
+    cache = {}
+
+    def peaks(lines, samples, workers):
+        key = (lines, samples, workers)
+        if key not in cache:
+            cache[key] = _trace_stages(*key, tmp_path_factory.mktemp("run"))
+        return cache[key]
+    return peaks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape", [(128, 96), (160, 64)])
+@pytest.mark.parametrize("stage", list(_CONTRACT))
+def test_stage_holds_one_science_cube(stage_peaks, stage, shape, workers):
+    """Each calibration and correction stage holds one float64 science
+    cube: the run's own, which the corrections overwrite from flat-field
+    on, beside the allowance that ``_CONTRACT`` states.  A second float64
+    cube, every calibration acquisition kept until the fit, or a float64
+    copy of a whole acquisition breaks the bound."""
+    peaks = stage_peaks(*shape, workers)
+    lines, samples = shape
+    bands = INSTRUMENTS["vnir"].bands
+    allowance = _CONTRACT[stage](lines, samples, bands,
+                                 (256 << 10) * workers, peaks["est"].get(stage))
+    assert peaks[stage] < lines * samples * bands * 8 + allowance
 
 
 class TestStageTable:

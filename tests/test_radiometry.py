@@ -8,7 +8,7 @@ from hypercal import radiometry as rad
 from hypercal import simulate as sim
 from hypercal.errors import CubeFormatError, EstimationError
 
-from conftest import quiet_sensor, traced_peak
+from conftest import line_mean, quiet_sensor, traced_peak
 
 SPHERE_LEVELS = (0.5, 2.0, 60.0, 90.0)
 
@@ -19,8 +19,9 @@ def _sphere_sensor(prnu_spread=0.02, **kw):
 
 
 def _fit_table(sensor, levels=SPHERE_LEVELS, frames=200, seed=0):
-    pairs = [(lv, sim.render_sphere(sensor, lv, frames, seed=seed + i))
-             for i, lv in enumerate(levels)]
+    pairs = [(lv, line_mean(
+        sim.render_sphere(sensor, lv, frames, seed=seed + i)))
+        for i, lv in enumerate(levels)]
     return rad.fit_flatfield(pairs)
 
 
@@ -48,8 +49,9 @@ class TestFlatFieldFit:
 
     def test_masked_channel_gets_nan_gain_and_invalid_output(self):
         sensor = _sphere_sensor(masked_channels=(3,))
-        pairs = [(lv, sim.render_sphere(sensor, lv, 20, seed=i, noise=False))
-                 for i, lv in enumerate(SPHERE_LEVELS)]
+        pairs = [(lv, line_mean(
+            sim.render_sphere(sensor, lv, 20, seed=i, noise=False)))
+            for i, lv in enumerate(SPHERE_LEVELS)]
         table = rad.fit_flatfield(pairs)
         assert np.isnan(table.gain[3]).all()
         assert np.isfinite(table.gain[4]).all()
@@ -61,18 +63,19 @@ class TestFlatFieldFit:
 
     def test_poor_linearity_flagged_via_r_squared(self):
         sensor = _sphere_sensor()
-        pairs = [(lv, sim.render_sphere(sensor, lv, 50, seed=i))
+        cubes = [sim.render_sphere(sensor, lv, 50, seed=i)
                  for i, lv in enumerate(SPHERE_LEVELS)]
-        bad = pairs[2][1].data.copy()
+        bad = cubes[2].data.copy()
         bad[:, 5, 2] = 4000  # one pixel saturates mid-range
-        pairs[2] = (pairs[2][0], pairs[2][1].with_data(bad))
-        table = rad.fit_flatfield(pairs)
+        cubes[2] = cubes[2].with_data(bad)
+        table = rad.fit_flatfield([(lv, line_mean(c))
+                                   for lv, c in zip(SPHERE_LEVELS, cubes)])
         assert table.flagged[2, 5]
         assert not table.flagged[2, 6]
 
     def test_too_few_or_degenerate_levels_rejected(self):
         sensor = _sphere_sensor()
-        c = sim.render_sphere(sensor, 10.0, 10)
+        c = line_mean(sim.render_sphere(sensor, 10.0, 10))
         with pytest.raises(EstimationError):
             rad.fit_flatfield([(10.0, c), (20.0, c)])
         with pytest.raises(EstimationError):
@@ -91,8 +94,9 @@ class TestFlatFieldFit:
         # the out-of-place form it replaced, on a cube with a masked
         # channel (NaN gain) and clamped negative radiances
         sensor = _sphere_sensor(masked_channels=(3,))
-        pairs = [(lv, sim.render_sphere(sensor, lv, 20, seed=i, noise=False))
-                 for i, lv in enumerate(SPHERE_LEVELS)]
+        pairs = [(lv, line_mean(
+            sim.render_sphere(sensor, lv, 20, seed=i, noise=False)))
+            for i, lv in enumerate(SPHERE_LEVELS)]
         table = rad.fit_flatfield(pairs)
         dark = rad.DarkModel.constant(sensor.dark_dn)
         cube = sim.render_sphere(sensor, 0.0, 256, seed=2)
@@ -108,6 +112,18 @@ class TestFlatFieldFit:
         assert np.array_equal(out.data, np.clip(ref, 0.0, None))
         peak = traced_peak(lambda: rad.apply_flatfield(cube, table, dark))
         assert peak < 1.5 * ref.nbytes
+
+    def test_sample_blocks_same_bits_as_whole_conversion(self):
+        sensor = _sphere_sensor(masked_channels=(3,))
+        table = _fit_table(sensor, frames=20)
+        dark = rad.DarkModel.constant(sensor.dark_dn)
+        dn = sim.render_sphere(sensor, 0.2, 30, seed=4).data
+        whole, clamped = rad.radiance(dn, table, dark)
+        blocks = [rad.radiance(dn, table, dark, samples=slice(s0, s0 + 50))
+                  for s0 in range(0, dn.shape[1], 50)]
+        assert np.array_equal(np.concatenate([b for b, _ in blocks], axis=1),
+                              whole)
+        assert clamped > 0 and sum(c for _, c in blocks) == clamped
 
     def test_table_round_trip(self, tmp_path):
         table = _fit_table(_sphere_sensor())
@@ -169,8 +185,9 @@ class TestDarkModels:
         slope = 0.8
         sensor = quiet_sensor("swir", samples=32, bands=8, dark_dn=90.0,
                               dark_temp_slope=slope, read_noise_dn=2.0)
-        darks = [(t, sim.render_dark(sensor, 400, t, seed=int(t)))
-                 for t in (278.0, 288.0, 298.0, 308.0)]
+        darks = [(t, line_mean(
+            sim.render_dark(sensor, 400, t, seed=int(t))))
+            for t in (278.0, 288.0, 298.0, 308.0)]
         model = rad.fit_dark_swir(darks)
         assert np.abs(model.slope_dn_per_k - slope).max() < 0.05
         assert np.abs(model.dark_dn - 90.0).max() < 0.5
@@ -179,15 +196,16 @@ class TestDarkModels:
 
     def test_degenerate_temperatures_rejected(self):
         sensor = quiet_sensor("swir", samples=8, bands=4)
-        d = sim.render_dark(sensor, 10, 293.0)
+        d = line_mean(sim.render_dark(sensor, 10, 293.0))
         with pytest.raises(EstimationError):
             rad.fit_dark_swir([(293.0, d), (293.0, d)])
 
     def test_model_round_trip(self, tmp_path):
         sensor = quiet_sensor("swir", samples=8, bands=4, dark_temp_slope=0.5,
                               read_noise_dn=1.0)
-        darks = [(t, sim.render_dark(sensor, 100, t, seed=int(t)))
-                 for t in (283.0, 303.0)]
+        darks = [(t, line_mean(
+            sim.render_dark(sensor, 100, t, seed=int(t))))
+            for t in (283.0, 303.0)]
         model = rad.fit_dark_swir(darks)
         model.save(tmp_path / "d.npz")
         back = rad.DarkModel.load(tmp_path / "d.npz")

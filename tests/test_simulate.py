@@ -539,8 +539,9 @@ class TestRenderMatchesPerBandReference:
         # bands of 100 lines (two stray segments; the scene renders one
         # line before stray light), then keystone on 40 distinct lines;
         # each worker's share of the budget makes three quantization tasks
-        # (three uint16 bands each), one-band stray tasks, and one-band
-        # keystone tasks on the second scene
+        # (three uint16 bands each), three-band stray tasks (one block of
+        # eight samples per band), and one-band keystone tasks on the
+        # second scene
         monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 3 * 2 * 100 * 32 * workers)
         for case in (

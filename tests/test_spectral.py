@@ -11,7 +11,7 @@ from hypercal.cube import SpectralCube, write_json
 from hypercal.errors import EstimationError
 from hypercal.registration import shift_1d, shift_signal
 
-from conftest import quiet_sensor, render_radiance, traced_peak
+from conftest import check_in_place, quiet_sensor, render_radiance, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +405,17 @@ class TestCorrectionSlices:
         assert valid.shape == cube.data.shape and not valid.flags.writeable
         assert not smile_valid.all() and smile_valid.any()
         assert not key_valid.all() and key_valid.any()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_place_same_bits(self, workers, monkeypatch):
+        # two lines per task; each correction on a fresh copy, since the
+        # in-place call overwrites its input
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        cube, smile, key = self._case()
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES",
+                            8 * cube.samples * cube.bands * 2 * workers)
+        data = cube.data.copy()
+        data[:, :, 0] = -0.0
+        for correct, model in ((spectral.correct_smile, smile),
+                               (spectral.correct_keystone, key)):
+            check_in_place(correct, cube.with_data(data.copy()), model)
