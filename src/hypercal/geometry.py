@@ -41,6 +41,7 @@ INVERT_TOL_PX = 0.01           # inverse-mapping convergence, both axes
 OFFSET_MIN_CONFIDENCE = 0.02   # patch correlations below this are dropped
 BUNDLE_DEGREE = 2              # misregistration polynomial order per axis
 BUNDLE_BAND_BLOCK = 32         # SWIR bands per block read by bundle
+SPAN_SNAP_CELLS = 1e-6         # footprint span tolerance below a whole count
 
 
 @dataclass(frozen=True)
@@ -322,8 +323,9 @@ def footprint_grid(geo: GeoModel, margin_cells: int, cell_m: float) -> MapGrid:
             <= 64 * geo.lines * geo.samples):
         raise EstimationError("map grid oversamples the swath more than 8x "
                               "per axis; raise cell_m or margin_cells")
-    rows = int(span_n) - 2 * margin_cells + 1
-    cols = int(span_e) - 2 * margin_cells + 1
+    # a span a rounding error short of a whole cell count keeps that count
+    rows = int(span_n + SPAN_SNAP_CELLS) - 2 * margin_cells + 1
+    cols = int(span_e + SPAN_SNAP_CELLS) - 2 * margin_cells + 1
     return MapGrid(origin_east, origin_north, cell_m, max(rows, 1),
                    max(cols, 1))
 
@@ -435,15 +437,17 @@ def _warp_plan(rows: int, cols: int, cy, cx):
     return cubic_plan((rows, cols), map_y, map_x)
 
 
-def bundle(vnir: SpectralCube, swir_meta, swir_bands,
-           patch: int | None = None):
+def bundle(take_vnir, swir_meta, swir_bands, patch: int | None = None):
     """Co-register SWIR to VNIR on a shared map grid and merge the bands.
 
-    ``swir_meta`` is the SWIR band metadata and ``swir_bands(slice)``
-    returns those SWIR bands on the VNIR cube's map grid as a ``(rows,
-    cols, k)`` array.  It is asked for at most BUNDLE_BAND_BLOCK bands at a
-    time, and each block is released before the next is read, so no whole
-    SWIR cube need exist.  Misregistration is measured with sub-pixel patch
+    ``take_vnir()`` is called once and returns the VNIR cube on the map
+    grid.  ``bundle`` holds that cube only until its bands are placed or
+    copied aside, before it reads any SWIR block past the shared bands; the
+    caller frees it only by keeping no reference (the stage pops it from the
+    run state).  ``swir_bands(slice)`` returns those bands of ``swir_meta``
+    on the map grid as a ``(rows, cols, k)`` array, at most
+    BUNDLE_BAND_BLOCK at a time and one block resident, so no whole SWIR
+    cube need exist.  Misregistration is measured with sub-pixel patch
     correlation on the spectrally overlapping bands, modeled as a
     polynomial surface of degree BUNDLE_DEGREE per axis, and applied to the
     SWIR bands only.  The default ``patch`` is the largest of 64, 32 and 16
@@ -451,10 +455,11 @@ def bundle(vnir: SpectralCube, swir_meta, swir_bands,
     cube keeps every VNIR band plus the SWIR bands above the VNIR range, so
     wavelengths increase strictly across the seam.  Each SWIR block is
     sampled straight into the merged cube's buffer; the residual is
-    measured on its shared bands there before the VNIR bands overwrite
+    measured on its shared bands there before the kept VNIR bands overwrite
     them.  Returns ``(merged cube, residual_px)``.
     """
-    rows, cols = vnir.data.shape[:2]
+    vnir = take_vnir()
+    rows, cols, nv = vnir.data.shape
     if patch is None:
         patch = next((p for p in (64, 32) if min(rows, cols) // p
                       > BUNDLE_DEGREE), SHIFT_2D_MIN_PATCH)
@@ -487,6 +492,8 @@ def bundle(vnir: SpectralCube, swir_meta, swir_bands,
     # each shared SWIR band is measured against its closest VNIR band
     closest = [int(np.argmin(np.abs(v_centers - c)))
                for c in s_centers[:n_shared]]
+    planes = {vb: vnir.data[:, :, vb].astype(np.float64)
+              for vb in set(closest)}
 
     def offsets(movs):
         """Patch offsets of every shared pair with a registration signal;
@@ -494,8 +501,7 @@ def bundle(vnir: SpectralCube, swir_meta, swir_bands,
         found = []
         for vb, mov in zip(closest, movs):
             try:
-                found.append(_measure_offsets(
-                    vnir.data[:, :, vb].astype(np.float64), mov, patch))
+                found.append(_measure_offsets(planes[vb], mov, patch))
             except EstimationError:
                 continue
         return found
@@ -513,12 +519,17 @@ def bundle(vnir: SpectralCube, swir_meta, swir_bands,
 
     warp = _warp_plan(rows, cols, cy, cx)
 
-    # SWIR band i goes to merged band vnir.bands - n_shared + i: the bands
-    # above the VNIR range land in place, the shared ones where the VNIR
-    # bands go.  With fewer VNIR bands than shared ones the buffer starts
-    # at SWIR band 0 and the merged cube is its tail.
-    lead = max(vnir.bands - n_shared, 0)
+    # SWIR band i goes to merged band nv - n_shared + i: the bands above
+    # the VNIR range land in place, the shared ones where the VNIR bands
+    # from ``lead`` go, kept aside until the residual is measured.  With
+    # fewer VNIR bands than shared ones the merged cube is the buffer's tail.
+    lead = max(nv - n_shared, 0)
     buf = np.empty((rows, cols, lead + len(swir_meta)))
+    buf[:, :, :lead] = vnir.data[:, :, :lead]
+    kept = vnir.data[:, :, lead:].copy()
+    meta = vnir.band_meta + tuple(swir_meta[n_shared:])
+    interleave = vnir.interleave
+    del vnir  # with no reference left in the caller, the cube goes
     for b0 in range(0, len(swir_meta), BUNDLE_BAND_BLOCK):
         block = read(b0, len(swir_meta))
         cubic_apply(warp, block,
@@ -529,11 +540,10 @@ def bundle(vnir: SpectralCube, swir_meta, swir_bands,
                          in offsets(buf[:, :, lead + sb]
                                     for sb in range(n_shared))])
 
-    merged = buf[:, :, lead + n_shared - vnir.bands:]
-    merged[:, :, :vnir.bands] = vnir.data
-    meta = vnir.band_meta + tuple(swir_meta[n_shared:])
+    merged = buf[:, :, lead + n_shared - nv:]
+    merged[:, :, lead:nv] = kept
     out = SpectralCube(data=merged, pixel_kind="radiance",
-                       band_meta=meta, interleave=vnir.interleave)
+                       band_meta=meta, interleave=interleave)
     return out, resid
 
 

@@ -513,7 +513,7 @@ def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
 
 
 def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
-    vnir, scene = state["cube"], state["scene"]
+    scene = state["scene"]
     if state["sensor"].instrument != "vnir":
         raise EstimationError("bundle requires a VNIR primary cube")
     swir_sensor = sim.make_sensor("swir", samples=scene.spatial.shape[1],
@@ -538,7 +538,9 @@ def _stage_bundle(state, p, out: Path, cfg: PipelineConfig):
         del raw  # the DN block is freed before the sampling
         return geometry.ortho_sample(plan, converged, radiance)
 
-    merged, resid = geometry.bundle(vnir, swir_sensor.band_meta(), swir_bands,
+    # the ortho cube leaves the run state, so bundle frees it once placed
+    merged, resid = geometry.bundle(lambda: state.pop("cube"),
+                                    swir_sensor.band_meta(), swir_bands,
                                     patch=p["patch"])
     state["cube"] = merged
     if p["save"]:

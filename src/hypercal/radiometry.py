@@ -202,7 +202,10 @@ def radiance(dn: np.ndarray, table: FlatFieldTable, dark: DarkModel,
     rad -= d
     np.multiply(g, rad, out=rad)
     np.copyto(rad, 0.0, where=~np.isfinite(g))
-    clamped = int(np.count_nonzero(rad < 0))
+    # counted in blocks of whole lines (~64 Ki values): no whole-block mask
+    step = max(1, (1 << 16) * len(rad) // max(rad.size, 1))
+    clamped = sum(int(np.count_nonzero(rad[i:i + step] < 0))
+                  for i in range(0, len(rad), step))
     np.clip(rad, 0.0, None, out=rad)
     return rad, clamped
 

@@ -313,7 +313,7 @@ class TestCriterion12Bundling:
             np.repeat(moved[:, :, None], 256, axis=2), "radiance",
             tuple(BandMeta(c, 5.87, "swir")
                   for c in sim.default_centers("swir", 256)))
-        merged, residual = geo.bundle(vnir, swir.band_meta,
+        merged, residual = geo.bundle(lambda: vnir, swir.band_meta,
                                       lambda sl: swir.data[:, :, sl])
         assert residual < 0.25
         centers = merged.centers_nm

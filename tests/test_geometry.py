@@ -4,6 +4,7 @@ band bundling."""
 import dataclasses
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -286,6 +287,23 @@ class TestOrthorectify:
         expect = 400.0 * np.tan(roll) / gm.gsd_m
         assert np.abs(ds - expect).max() < 0.05
 
+    @pytest.mark.parametrize("dyaw", [-2.7e-10, -1e-12, 1e-12, 2.7e-10])
+    def test_grid_size_holds_under_tiny_yaw_errors(self, dyaw):
+        # the geocal stage's default bias puts the strip's corners exactly
+        # 255 cells apart along track; a rounding error keeps that count
+        def grid(yaw):
+            bias = geo.BoresightBias(
+                np.arctan(3500.0 / geo.DEFAULT_ALTITUDE_M),
+                np.arctan(2000.0 / geo.DEFAULT_ALTITUDE_M), yaw)
+            return geo.footprint_grid(geo.make_geo(256, 256).with_bias(bias),
+                                      4, geo.DEFAULT_GSD_M)
+
+        exact, nudged = grid(0.0), grid(dyaw)
+        assert (exact.rows, exact.cols) == (248, 248)
+        assert (nudged.rows, nudged.cols) == (248, 248)
+        assert nudged.origin_east == pytest.approx(exact.origin_east)
+        assert nudged.origin_north == pytest.approx(exact.origin_north)
+
     def test_constant_track_shift_recovered_by_registration(self):
         tex = smooth_texture(160, 160, seed=9)
         from hypercal.cube import BandMeta
@@ -338,8 +356,8 @@ def _dual_cubes(shift=(0.55, -0.58), rows=256, cols=256, seed=12,
 
 def _bundle(vnir, swir, **kwargs):
     """``geo.bundle`` reading the SWIR bands from a whole cube."""
-    return geo.bundle(vnir, swir.band_meta, lambda sl: swir.data[:, :, sl],
-                      **kwargs)
+    return geo.bundle(lambda: vnir, swir.band_meta,
+                      lambda sl: swir.data[:, :, sl], **kwargs)
 
 
 class TestBundle:
@@ -511,6 +529,32 @@ class TestSamplingPlanReferences:
         assert merged.bands == vnir_bands + 249
         assert np.array_equal(merged.data, expect)
         assert resid == expect_resid
+
+    @pytest.mark.parametrize("vnir_bands", [4, 7, 20])
+    def test_bundle_frees_the_vnir_cube_after_the_shared_bands(self,
+                                                              vnir_bands):
+        # fewer, as many and more VNIR bands than the seven shared ones;
+        # the source holds the cube's only reference
+        vnir, swir = _dual_cubes(rows=128, cols=128, vnir_bands=vnir_bands)
+        data, box, taken, alive = weakref.ref(vnir.data), [vnir], [], []
+        del vnir
+
+        def take_vnir():
+            taken.append(1)
+            return box.pop()
+
+        def swir_bands(sl):
+            alive.append(data() is not None)
+            return swir.data[:, :, sl]
+
+        merged, _ = geo.bundle(take_vnir, swir.band_meta, swir_bands)
+        assert len(taken) == 1
+        assert merged.bands == vnir_bands + 249
+        # the shared bands are the first read; the cube is gone at every
+        # read after them
+        shared_reads = -(-7 // geo.BUNDLE_BAND_BLOCK)
+        assert all(alive[:shared_reads])
+        assert len(alive) > shared_reads and not any(alive[shared_reads:])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bundle_holds_no_full_cube_temporaries(self, workers,

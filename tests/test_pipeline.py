@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -349,6 +350,32 @@ def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
                      for t in plan.taps) + sum(w.nbytes for w in plan.wy)
     block = side * side * band_block * 8
     assert seen["peak"] < merged.nbytes + 2 * plan_bytes + 6 * block
+
+
+def test_bundle_stage_frees_the_ortho_cube(tmp_path, monkeypatch):
+    """The bundle stage hands the ortho cube over to ``bundle``, so the
+    cube is gone before the first SWIR block past the shared bands is
+    sampled."""
+    seen, alive = {}, []
+    stage, sample = STAGES["bundle"], geometry.ortho_sample
+
+    def handed(state, *args):
+        seen["data"] = weakref.ref(state["cube"].data)
+        return stage.fn(state, *args)
+
+    def spy(plan, converged, stack):
+        if "data" in seen:  # the bundle stage's samples, not the ortho's
+            alive.append(seen["data"]() is not None)
+        return sample(plan, converged, stack)
+
+    monkeypatch.setattr(geometry, "ortho_sample", spy)
+    monkeypatch.setitem(STAGES, "bundle", dataclasses.replace(stage,
+                                                              fn=handed))
+    _run([{"name": "simulate", "lines": 96, "samples": 96, "save": False},
+          {"name": "ortho", "save": False},
+          {"name": "bundle", "save": False}], tmp_path, preset="dual")
+    # one block holds the seven shared bands
+    assert alive[0] and len(alive) > 1 and not any(alive[1:])
 
 
 # the default VNIR chain's calibration and correction stages, and the

@@ -125,6 +125,18 @@ class TestFlatFieldFit:
                               whole)
         assert clamped > 0 and sum(c for _, c in blocks) == clamped
 
+    def test_clamp_count_makes_no_whole_block_mask(self):
+        # a bool mask of the whole converted block would be an eighth of it
+        rng = np.random.default_rng(6)
+        dn = rng.integers(0, 200, (64, 64, 60)).astype(np.uint16)
+        table = rad.FlatFieldTable(np.full((60, 64), 0.5),
+                                   np.zeros((60, 64)), np.ones((60, 64)))
+        dark = rad.DarkModel.constant(np.full((60, 64), 100.0))
+        out, clamped = rad.radiance(dn, table, dark)
+        assert clamped == np.count_nonzero(dn < 100)
+        peak = traced_peak(lambda: rad.radiance(dn, table, dark))
+        assert peak < out.nbytes * 17 / 16
+
     def test_table_round_trip(self, tmp_path):
         table = _fit_table(_sphere_sensor())
         table.save(tmp_path / "ff.npz")
