@@ -441,22 +441,22 @@ def bundle(take_vnir, swir_meta, swir_bands, patch: int | None = None):
     """Co-register SWIR to VNIR on a shared map grid and merge the bands.
 
     ``take_vnir()`` is called once and returns the VNIR cube on the map
-    grid.  ``bundle`` holds that cube only until its bands are placed or
-    copied aside, before it reads any SWIR block past the shared bands; the
-    caller frees it only by keeping no reference (the stage pops it from the
-    run state).  ``swir_bands(slice)`` returns those bands of ``swir_meta``
-    on the map grid as a ``(rows, cols, k)`` array, at most
-    BUNDLE_BAND_BLOCK at a time and one block resident, so no whole SWIR
-    cube need exist.  Misregistration is measured with sub-pixel patch
-    correlation on the spectrally overlapping bands, modeled as a
-    polynomial surface of degree BUNDLE_DEGREE per axis, and applied to the
-    SWIR bands only.  The default ``patch`` is the largest of 64, 32 and 16
-    px giving BUNDLE_DEGREE + 1 patches along each grid axis.  The merged
-    cube keeps every VNIR band plus the SWIR bands above the VNIR range, so
-    wavelengths increase strictly across the seam.  Each SWIR block is
-    sampled straight into the merged cube's buffer; the residual is
-    measured on its shared bands there before the kept VNIR bands overwrite
-    them.  Returns ``(merged cube, residual_px)``.
+    grid; ``swir_bands(slice)`` returns those bands of ``swir_meta`` on the
+    grid as a ``(rows, cols, k)`` array.  Misregistration is measured with
+    sub-pixel patch correlation on the spectrally overlapping (shared)
+    bands, modeled as a polynomial surface of degree BUNDLE_DEGREE per
+    axis, and applied to the SWIR bands only.  The default ``patch`` is the
+    largest of 64, 32 and 16 px giving BUNDLE_DEGREE + 1 patches along each
+    grid axis.  The merged cube keeps every VNIR band plus the SWIR bands
+    above the VNIR range, so wavelengths increase strictly across the seam.
+
+    Each SWIR band is read once, at most BUNDLE_BAND_BLOCK at a time and one
+    block resident: the shared bands for the fit and the residual, then the
+    rest straight into the merged cube.  Before those last reads the VNIR
+    bands are copied in and the VNIR cube is dropped, so the caller frees it
+    by keeping no reference; it is taken by a call because CPython 3.10
+    keeps a passed argument alive until the call returns.  Returns
+    ``(merged cube, residual_px)``.
     """
     vnir = take_vnir()
     rows, cols, nv = vnir.data.shape
@@ -474,26 +474,22 @@ def bundle(take_vnir, swir_meta, swir_bands, patch: int | None = None):
         raise ConfigError("no shared-band wavelength overlap present")
 
     def read(b0, stop):
-        """SWIR bands from ``b0``, at most BUNDLE_BAND_BLOCK of them and
-        none from ``stop`` on."""
+        """Up to BUNDLE_BAND_BLOCK SWIR bands from ``b0``, below ``stop``."""
         block = swir_bands(slice(b0, min(b0 + BUNDLE_BAND_BLOCK, stop)))
         if block.shape[:2] != (rows, cols):
             raise ConfigError("bundle inputs must share one map grid")
         return block
 
-    def shared_bands():
-        """The shared SWIR bands in order, read one block at a time."""
-        for b0 in range(0, n_shared, BUNDLE_BAND_BLOCK):
-            block = read(b0, n_shared)
-            for i in range(block.shape[2]):
-                yield block[:, :, i].astype(np.float64)
-            del block  # released before the next block is read
-
-    # each shared SWIR band is measured against its closest VNIR band
+    # each shared SWIR band is fitted to its closest VNIR band, both float64
     closest = [int(np.argmin(np.abs(v_centers - c)))
                for c in s_centers[:n_shared]]
     planes = {vb: vnir.data[:, :, vb].astype(np.float64)
               for vb in set(closest)}
+    held = np.empty((rows, cols, n_shared))
+    for b0 in range(0, n_shared, BUNDLE_BAND_BLOCK):
+        block = read(b0, n_shared)
+        held[:, :, b0:b0 + block.shape[2]] = block
+        del block  # released before the next block is read
 
     def offsets(movs):
         """Patch offsets of every shared pair with a registration signal;
@@ -506,7 +502,7 @@ def bundle(take_vnir, swir_meta, swir_bands, patch: int | None = None):
                 continue
         return found
 
-    found = offsets(shared_bands())
+    found = offsets(held[:, :, sb].copy() for sb in range(n_shared))
     if not found:
         raise EstimationError(
             "shared bands are featureless: no registration signal")
@@ -519,29 +515,22 @@ def bundle(take_vnir, swir_meta, swir_bands, patch: int | None = None):
 
     warp = _warp_plan(rows, cols, cy, cx)
 
-    # SWIR band i goes to merged band nv - n_shared + i: the bands above
-    # the VNIR range land in place, the shared ones where the VNIR bands
-    # from ``lead`` go, kept aside until the residual is measured.  With
-    # fewer VNIR bands than shared ones the merged cube is the buffer's tail.
-    lead = max(nv - n_shared, 0)
-    buf = np.empty((rows, cols, lead + len(swir_meta)))
-    buf[:, :, :lead] = vnir.data[:, :, :lead]
-    kept = vnir.data[:, :, lead:].copy()
+    merged = np.empty((rows, cols, nv + len(swir_meta) - n_shared))
+    merged[:, :, :nv] = vnir.data
     meta = vnir.band_meta + tuple(swir_meta[n_shared:])
     interleave = vnir.interleave
     del vnir  # with no reference left in the caller, the cube goes
-    for b0 in range(0, len(swir_meta), BUNDLE_BAND_BLOCK):
-        block = read(b0, len(swir_meta))
-        cubic_apply(warp, block,
-                    out=buf[:, :, lead + b0:lead + b0 + block.shape[2]])
-        del block  # released before the next block is read
     # residual check on the shared overlap after correction
+    fixed = cubic_apply(warp, held)
     resid = max([0.0] + [float(np.hypot(dy, dx).max()) for _, _, dy, dx
-                         in offsets(buf[:, :, lead + sb]
+                         in offsets(fixed[:, :, sb]
                                     for sb in range(n_shared))])
-
-    merged = buf[:, :, lead + n_shared - nv:]
-    merged[:, :, lead:nv] = kept
+    del held, planes, fixed
+    for b0 in range(n_shared, len(swir_meta), BUNDLE_BAND_BLOCK):
+        block = read(b0, len(swir_meta))
+        m0 = nv + b0 - n_shared
+        cubic_apply(warp, block, out=merged[:, :, m0:m0 + block.shape[2]])
+        del block  # released before the next block is read
     out = SpectralCube(data=merged, pixel_kind="radiance",
                        band_meta=meta, interleave=interleave)
     return out, resid

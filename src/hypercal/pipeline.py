@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -87,9 +86,24 @@ class Stage:
     provides: tuple = ()
 
 
+def _strict(what, *kinds):
+    """A converter passing only values whose type is one of ``kinds``, the
+    JSON types, unchanged: no string is parsed and a bool is no integer."""
+    def check(value):
+        if type(value) not in kinds:
+            raise TypeError(f"must be {what}, not {value!r}")
+        return value
+    return check
+
+
+_int = _strict("an integer", int)
+_bool = _strict("true or false", bool)
+_list = _strict("a list", list)
+
+
 def _finite(value) -> float:
-    """``float``, rejecting NaN and the infinities that JSON lets through."""
-    value = float(value)
+    """A number, rejecting NaN and the infinities that JSON lets through."""
+    value = float(_strict("a number", int, float)(value))
     if not np.isfinite(value):
         raise ValueError(f"must be a finite number, not {value!r}")
     return value
@@ -111,26 +125,19 @@ def _optional(convert):
 
 
 def _each(convert):
-    return lambda value: tuple(convert(v) for v in value)
+    return lambda value: tuple(convert(v) for v in _list(value))
 
 
-_COUNT = _bounded(int, 1)
-_SAVE = (bool, True)
-
-
-def _patch(value) -> int:
-    """A bundle patch side: an integer (not a bool) of at least the
-    shortest side ``registration.shift_2d`` estimates on."""
-    if isinstance(value, bool):
-        raise ValueError(f"must be an integer, not {value!r}")
-    return _bounded(operator.index, registration.SHIFT_2D_MIN_PATCH)(value)
+_COUNT = _bounded(_int, 1)
+_SAVE = (_bool, True)
+_PATCH = _bounded(_int, registration.SHIFT_2D_MIN_PATCH)
 
 
 def _components(value) -> tuple:
-    """``sim.InterferenceComponent``s, none for an empty or false value.
+    """``sim.InterferenceComponent``s from a list, none from an empty one.
     Errors carry the rest of the key path, e.g. ``[0].color``."""
     comps = []
-    for j, comp in enumerate(value or ()):
+    for j, comp in enumerate(_list(value)):
         if not isinstance(comp, dict):
             raise ConfigError(f"[{j}]: must be a mapping")
         for key in list(comp) + ["frequency", "amplitude_dn"]:
@@ -209,12 +216,13 @@ def validate_config(doc: dict) -> PipelineConfig:
         _stage_params(STAGES[name], params, path)
         stages.append((name, params))
     check_order([n for n, _ in stages])
-    try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("seed: must be an integer") from exc
-    return PipelineConfig(stages=tuple(stages), seed=seed, preset=preset,
-                          out=str(doc.get("out", "out")))
+    top = {"seed": 0, "out": "out"}
+    for key, convert in (("seed", _int), ("out", _strict("a string", str))):
+        try:
+            top[key] = convert(doc.get(key, top[key]))
+        except TypeError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return PipelineConfig(stages=tuple(stages), preset=preset, **top)
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -340,7 +348,7 @@ def _stage_flatfield(state, p, out: Path, cfg: PipelineConfig):
              for i, lv in enumerate(p["levels"])]
     table = radiometry.fit_flatfield(means)
     cube = state["cube"]
-    band = min(30, cube.bands - 1)
+    band = _keystone_ref(cube.bands)
     sphere = sim.render_sphere(sensor, 60.0, 64, seed=cfg.seed + 41)
     nu_before = radiometry.nonuniformity(sphere.data[:, :, band])
     corrected, _, _ = radiometry.apply_flatfield(sphere, table, state["dark"])
@@ -575,18 +583,18 @@ STAGES = {stage.name: stage for stage in (
         "bands": (_optional(_COUNT), None), "smile_nm": (_finite, 0.0),
         "center_error_nm": (_finite, 0.0), "keystone_px": (_finite, 0.0),
         "prnu_spread": (_finite, 0.0), "read_noise_dn": (_finite, 2.0),
-        "interference": (_components, ()), "bunch": (bool, False),
-        "stray": (bool, False), "noise": (bool, True),
+        "interference": (_components, ()), "bunch": (_bool, False),
+        "stray": (_bool, False), "noise": (_bool, True),
         "temperature_k": (_optional(_finite), None), "save": _SAVE},
         provides=("cube", "sensor", "manifest", "scene", "steering",
                   "clusters_true")),
     Stage("caldark", _stage_caldark, {
-        "lines": (int, 400), "save": _SAVE,
+        "lines": (_int, 400), "save": _SAVE,
         "temperatures": (_each(_finite), (283.0, 293.0, 303.0))},
         needs=("sensor",), provides=("dark",)),
     Stage("flat-field", _stage_flatfield, {
         "levels": (_each(_finite), (0.5, 2.0, 30.0, 60.0, 90.0)),
-        "frames": (int, 200), "save": _SAVE},
+        "frames": (_int, 200), "save": _SAVE},
         needs=("cube", "sensor", "dark"),
         provides=("cube", "flatfield")),
     Stage("bunch", _stage_bunch, {"mad_k": (_finite, anomalies.BUNCH_MAD_K)},
@@ -596,35 +604,35 @@ STAGES = {stage.name: stage for stage in (
     Stage("interference", _stage_interference,
           {"snr_threshold": (_finite, anomalies.INTERFERENCE_SNR)},
           after=("flat-field",), needs=("cube",), provides=("cube",)),
-    Stage("stray", _stage_stray, {"tap_count": (int, 31), "save": _SAVE},
+    Stage("stray", _stage_stray, {"tap_count": (_int, 31), "save": _SAVE},
           after=("flat-field",), needs=("cube", "sensor", "steering"),
           provides=("cube",)),
     Stage("smile", _stage_smile, {
         "window": (_COUNT, spectral.SMILE_WINDOW), "save": _SAVE,
-        "stride": (_optional(_bounded(operator.index, 1)), None)},
+        "stride": (_optional(_COUNT), None)},
         needs=("cube",), provides=("cube",)),
     Stage("absolute-shift", _stage_absolute_shift,
           {"search_nm": (_finite, 15.0)},
           after=("smile",), needs=("cube",), provides=("cube",)),
     Stage("keystone", _stage_keystone, {
-        "ref_band": (int, spectral.KEYSTONE_REF_BAND),
+        "ref_band": (_int, spectral.KEYSTONE_REF_BAND),
         "n_fields": (_COUNT, 5), "save": _SAVE},
         needs=("cube",), provides=("cube",)),
     Stage("geocal", _stage_geocal, {
-        "strips": (int, 8), "gcps_per_strip": (int, 25),
+        "strips": (_int, 8), "gcps_per_strip": (_int, 25),
         "noise_m": (_bounded(_finite, 0), 0.0), "roll_km": (_finite, 3.5),
         "pitch_km": (_finite, 2.0), "save": _SAVE},
         needs=("cube",), provides=("boresight",)),
     Stage("ortho", _stage_ortho, {
         "cell_m": (_bounded(_finite, 0, above=True), geometry.DEFAULT_GSD_M),
-        "margin_cells": (int, 4), "save": _SAVE},
+        "margin_cells": (_int, 4), "save": _SAVE},
         needs=("cube",), provides=("cube", "geo", "grid")),
     Stage("bundle", _stage_bundle, {
-        "offset_px": (_finite, 0.8), "patch": (_optional(_patch), None),
+        "offset_px": (_finite, 0.8), "patch": (_optional(_PATCH), None),
         "save": _SAVE},
         after=("ortho",), needs=("cube", "sensor", "scene", "geo", "grid"),
         provides=("cube",)),
-    Stage("report", _stage_report, {"preview_bands": (_each(int), ())},
+    Stage("report", _stage_report, {"preview_bands": (_each(_int), ())},
           needs=("cube",)),
 )}
 

@@ -43,6 +43,17 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "3"), ("out", None),
+        ("out", 7)])
+    def test_wrong_top_level_type_returns_two(self, tmp_path, capsys,
+                                              monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)  # where a coerced "out" would land
+        cfg = _write_config(tmp_path, [SIM_SMALL], **{key: value})
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        assert f"config error: {key}: must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_dependency_violation_returns_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, [SIM_SMALL, {"name": "smile"},
                                        {"name": "absolute-shift"}])
@@ -64,6 +75,10 @@ class TestExitCodes:
         ("flat-field", "levels", "x"), ("smile", "window", "w"),
         ("smile", "window", 0), ("keystone", "n_fields", 0),
         ("ortho", "cell_m", 0), ("report", "preview_bands", "ab"),
+        # the wrong JSON type is refused, not coerced
+        ("simulate", "noise", "false"), ("simulate", "bunch", "no"),
+        ("simulate", "save", "false"), ("simulate", "lines", 12.9),
+        ("geocal", "strips", True), ("caldark", "temperatures", "123"),
     ])
     def test_bad_parameter_returns_two_with_path(self, tmp_path, capsys,
                                                  stage, key, value):

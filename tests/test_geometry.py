@@ -556,6 +556,21 @@ class TestSamplingPlanReferences:
         assert all(alive[:shared_reads])
         assert len(alive) > shared_reads and not any(alive[shared_reads:])
 
+    @pytest.mark.parametrize("block", [5, 32])
+    def test_bundle_reads_each_swir_band_once(self, block, monkeypatch):
+        monkeypatch.setattr(geo, "BUNDLE_BAND_BLOCK", block)
+        vnir, swir = _dual_cubes(rows=128, cols=128)
+        reads = []
+
+        def swir_bands(sl):
+            reads.append(sl)
+            return swir.data[:, :, sl]
+
+        geo.bundle(lambda: vnir, swir.band_meta, swir_bands)
+        assert all(len(range(256)[sl]) <= block for sl in reads)
+        assert sorted(b for sl in reads for b in range(256)[sl]) == \
+            list(range(256))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bundle_holds_no_full_cube_temporaries(self, workers,
                                                    monkeypatch):

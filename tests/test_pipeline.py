@@ -527,6 +527,15 @@ class TestParameterValues:
         ("simulate", "interference",
          [{"frequency": 0.1, "amplitude_dn": 8, "kind": "zigzag"}],
          "stages[0].interference[0]"),
+        # values of the wrong JSON type are refused, not coerced
+        ("simulate", "lines", "256", "stages[0].lines"),
+        ("simulate", "bunch", 1, "stages[0].bunch"),
+        ("simulate", "interference", False, "stages[0].interference"),
+        ("caldark", "temperatures", ["283", 293], "stages[1].temperatures"),
+        ("flat-field", "levels", [1, "2", 3.0], "stages[1].levels"),
+        ("smile", "stride", True, "stages[1].stride"),
+        ("smile", "window", 10.7, "stages[1].window"),
+        ("report", "preview_bands", ["3"], "stages[1].preview_bands"),
     ])
     def test_bad_value_rejected_with_key_path(self, stage, key, value, path):
         stages = [{"name": "simulate"}]
@@ -543,11 +552,11 @@ class TestParameterValues:
 
     def test_values_the_stages_accept_still_validate(self):
         cfg = validate_config(_doc([
-            {"name": "simulate", "lines": "256", "bands": None,
-             "temperature_k": None, "interference": [], "bunch": 1},
-            {"name": "caldark", "temperatures": ["283", 293]},
-            {"name": "flat-field", "levels": [1, "2", 3.0]},
-            {"name": "smile", "stride": True, "window": 10.7},
-            {"name": "report", "preview_bands": ["3"]}]))
+            {"name": "simulate", "lines": 256, "bands": None,
+             "temperature_k": None, "interference": [], "bunch": True},
+            {"name": "caldark", "temperatures": [283, 293.5]},
+            {"name": "flat-field", "levels": [1, 2, 3.0]},
+            {"name": "smile", "stride": 1, "window": 10},
+            {"name": "report", "preview_bands": [3]}]))
         # the document is kept as given; conversion happens per run
-        assert cfg.stages[0][1]["lines"] == "256"
+        assert cfg.stages[2][1]["levels"] == [1, 2, 3.0]
