@@ -40,7 +40,7 @@ INVERT_MAX_ITER = 20           # fixed-point steps of the inverse mapping
 INVERT_TOL_PX = 0.01           # inverse-mapping convergence, both axes
 OFFSET_MIN_CONFIDENCE = 0.02   # patch correlations below this are dropped
 BUNDLE_DEGREE = 2              # misregistration polynomial order per axis
-BUNDLE_BAND_BLOCK = 32         # SWIR bands per block read by bundle
+BUNDLE_BAND_BLOCK = 16         # SWIR bands per block read by bundle
 SPAN_SNAP_CELLS = 1e-6         # footprint span tolerance below a whole count
 
 
@@ -376,26 +376,42 @@ def ortho_plan(shape, geo: GeoModel, height, grid: MapGrid):
     return cubic_plan(shape, line, sample), mapping
 
 
-def ortho_sample(plan, converged, stack: np.ndarray) -> np.ndarray:
+def ortho_sample(plan, converged, stack: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The bands of a band-last strip ``stack`` on the map grid of an
-    :func:`ortho_plan`, zero in the cells whose mapping did not converge."""
-    out = cubic_apply(plan, stack)
+    :func:`ortho_plan`, zero in the cells whose mapping did not converge,
+    in ``out`` (made if None; may overlap the stack as
+    :func:`~hypercal.kernels.cubic_apply` allows)."""
+    out = cubic_apply(plan, stack, out=out)
     out[~converged] = 0.0
     return out
 
 
-def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid):
+def orthorectify(cube: SpectralCube, geo: GeoModel, height, grid: MapGrid,
+                 out: np.ndarray | None = None):
     """Resample a strip onto a map grid using terrain heights.
 
     Returns ``(ortho cube, validity mask, (line, sample, converged))``: cells
     whose inverse mapping failed to converge inside the strip footprint are
     masked, and the last item is the inverse mapping the cube was sampled
-    at (see :func:`ortho_plan`).
+    at (see :func:`ortho_plan`).  ``out`` is a float64 array of the cube's
+    shape, which may be ``cube.data`` itself: the ortho cube takes its
+    leading ``rows*cols`` pixels, sampled from copied band blocks.  The
+    cube is sampled into a new array instead when ``out`` is None or not
+    C-contiguous, or when the grid has more cells than the strip pixels.
     """
-    plan, mapping = ortho_plan(cube.data.shape[:2], geo, height, grid)
+    if out is not None and out.shape != cube.data.shape:
+        raise ValueError("out must have the cube's shape")
+    lines, samples, nb = cube.data.shape
+    plan, mapping = ortho_plan((lines, samples), geo, height, grid)
     converged = mapping[2]
-    out = ortho_sample(plan, converged, cube.data)
-    return cube.with_data(out), converged & plan.valid, mapping
+    dst = None
+    if out is not None and out.dtype == np.float64 \
+            and out.flags.c_contiguous and converged.size <= lines * samples:
+        dst = out.reshape(lines * samples, nb)[:converged.size].reshape(
+            converged.shape + (nb,))
+    data = ortho_sample(plan, converged, cube.data, out=dst)
+    return cube.with_data(data), converged & plan.valid, mapping
 
 
 def _measure_offsets(ref: np.ndarray, mov: np.ndarray, patch: int):

@@ -24,6 +24,7 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 _CHUNK_BYTES = 2 << 20  # per buffer of the band_map tasks in flight
+_COPY_BYTES = 4 << 20   # a float64 block of bands cubic_apply copies
 
 
 def band_map(fn, n: int, item_bytes: int) -> None:
@@ -149,14 +150,18 @@ def cubic_apply(plan: CubicPlan, stack: np.ndarray,
     with ``plan`` into ``out`` (made if None; may be a strided view whose
     point axes merge into one) and return it.
 
-    A C-contiguous float64 stack is read in place as its ``(ny*nx, B)``
-    view; any other goes through float64 blocks of bands within
-    ``_CHUNK_BYTES``.  :func:`band_map` splits the output points: a task
-    multiplies its rows of the four tap matrices with the source, sums the
-    row-weighted products and stores its rows of ``out``.  Each point's
-    sparse product sums its four column taps in order from zero, so every
-    band equals its one-band call bit for bit, however points and bands
-    are split."""
+    A C-contiguous float64 stack that ``out`` does not overlap is read in
+    place as its ``(ny*nx, B)`` view; any other goes through float64
+    copies of blocks of bands within ``_COPY_BYTES`` (one band at least).
+    ``out`` may overlap such a stack only over the stack's own band
+    columns, as its leading ``points`` rows of the ``(ny*nx, B)`` view do:
+    a block's bands are copied before any of its points is stored, and
+    stores land in columns that no later block reads.  :func:`band_map`
+    splits the output points: a task multiplies its rows of the four tap
+    matrices with the source, sums the row-weighted products and stores
+    its rows of ``out``.  Each point's sparse product sums its four column
+    taps in order from zero, so every band equals its one-band call bit
+    for bit, however points and bands are split."""
     ny, nx, nb = stack.shape
     if (ny, nx) != plan.shape:
         raise ValueError("stack grid does not match the sampling plan")
@@ -166,14 +171,24 @@ def cubic_apply(plan: CubicPlan, stack: np.ndarray,
     flat = out.reshape(n, nb)
     if flat.size and not np.may_share_memory(flat, out):
         raise ValueError("out's point axes do not merge into one")
-    if stack.dtype == np.float64 and stack.flags.c_contiguous:
+    in_place = stack.dtype == np.float64 and stack.flags.c_contiguous
+    if np.may_share_memory(flat, stack):
+        start = (flat.__array_interface__["data"][0]
+                 - stack.__array_interface__["data"][0])
+        if not (in_place and flat.strides[1] == 8 and start % (8 * nb) == 0
+                and (n < 2 or flat.strides[0] == 8 * nb)):
+            raise ValueError("out overlaps the stack outside its band "
+                             "columns")
+        in_place = False
+    if in_place:
         block = max(nb, 1)
     else:
-        block = max(1, _CHUNK_BYTES // (8 * ny * nx or 1))
+        block = max(1, _COPY_BYTES // (8 * ny * nx or 1))
 
     for b0 in range(0, nb, block):
         bands = slice(b0, b0 + block)
-        src = np.ascontiguousarray(stack[:, :, bands], dtype=np.float64)
+        src = stack[:, :, bands] if in_place else np.array(
+            stack[:, :, bands], dtype=np.float64, order="C")
         src = src.reshape(ny * nx, -1)
         dst = flat[:, bands]
 

@@ -508,7 +508,7 @@ def _stage_ortho(state, p, out: Path, cfg: PipelineConfig):
     grid = geometry.footprint_grid(gm, p["margin_cells"], cell_m)
     # the closure check reuses the inverse mapping the resampling ran on
     ortho, valid, (line, sample, conv) = geometry.orthorectify(
-        cube, gm, 0.0, grid)
+        cube, gm, 0.0, grid, out=_in_place(cube))
     north, east = (a[conv] for a in grid.centers())
     e2, n2 = geometry.geolocate(gm, line[conv], sample[conv], 0.0)
     closure = np.hypot((e2 - east) / cell_m, (n2 - north) / cell_m)

@@ -19,6 +19,7 @@ from .errors import EstimationError
 from .kernels import resample_rows
 
 _UPSAMPLE = 64
+_PEAK_ROWS = 256  # rows per block of the fine correlation grid
 SHIFT_2D_MIN_PATCH = 16  # shortest patch side shift_2d estimates on
 
 
@@ -104,15 +105,26 @@ def _lag_table(n: int, index: int):
 def _refine_peaks(xpow: np.ndarray, lag0: np.ndarray) -> np.ndarray:
     """Sub-pixel correlation peaks near the integer lags ``lag0``: each row's
     correlation is evaluated on a fine grid around its lag directly from the
-    cross-power spectrum and the maximum is refined with a parabola."""
+    cross-power spectrum and the maximum is refined with a parabola.
+
+    Rows go through in blocks of ``_PEAK_ROWS``, and a last single row
+    joins the block before it: numpy multiplies a one-row block by matrix
+    times vector (BLAS gemv), whose sums may round unlike the matrix
+    product's (gemm), which keeps each row's bits under any split."""
     n = xpow.shape[1]
     step = 1.0 / _UPSAMPLE
-    ramp = np.exp(2j * np.pi * np.fft.fftfreq(n)[None, :] * lag0[:, None])
-    corr = ((xpow * ramp) @ _upsample_matrix(n)).real
-    rows = np.arange(corr.shape[0])
-    k = np.clip(np.argmax(corr, axis=1), 1, corr.shape[1] - 2)
-    frac = parabolic_vertex(corr[rows, k - 1], corr[rows, k],
-                            corr[rows, k + 1])
+    phase = 2j * np.pi * np.fft.fftfreq(n)[None, :]
+    k = np.empty(lag0.shape, dtype=np.int64)
+    frac = np.empty(lag0.shape)
+    bounds = [*range(0, max(lag0.size - 1, 1), _PEAK_ROWS), lag0.size]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        rows = slice(r0, r1)
+        ramp = np.exp(phase * lag0[rows, None])
+        corr = ((xpow[rows] * ramp) @ _upsample_matrix(n)).real
+        at = np.arange(corr.shape[0])
+        k[rows] = kb = np.clip(np.argmax(corr, axis=1), 1, corr.shape[1] - 2)
+        frac[rows] = parabolic_vertex(corr[at, kb - 1], corr[at, kb],
+                                      corr[at, kb + 1])
     return (lag0 - 1.0) + k * step + frac * step
 
 

@@ -16,8 +16,8 @@ from hypercal.cube import SpectralCube
 from hypercal.errors import ConfigError, CubeFormatError, EstimationError
 from hypercal.registration import shift_2d
 
-from conftest import (boresight_strips, coordinate_cube, smooth_texture,
-                      uniform_band_meta)
+from conftest import (boresight_strips, coordinate_cube, same_bits,
+                      smooth_texture, uniform_band_meta)
 
 
 class TestGeolocate:
@@ -318,6 +318,69 @@ class TestOrthorectify:
         dy, dx, _ = shift_2d(a.data[:, :, 0][inner], b.data[:, :, 0][inner])
         assert abs(dy) < 0.05
         assert abs(dx - 0.5) < 0.05
+
+    @staticmethod
+    def _strip():
+        """A six-band float64 48 x 40 strip of distinct bands, one of them
+        -0.0, and its geometry."""
+        tex = smooth_texture(48, 40, seed=5, scale=400.0, level=2000.0)
+        data = tex[:, :, None] * np.linspace(0.6, 1.4, 6)
+        data[:, :, 2] = -0.0
+        return (SpectralCube(data, "radiance", uniform_band_meta(6, "vnir")),
+                geo.make_geo(48, 40, roll=np.deg2rad(0.1),
+                             pitch=np.deg2rad(-0.05)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bands", [1, 4, 6])
+    def test_into_the_cube_buffer_equals_out_of_place(self, bands, workers,
+                                                      monkeypatch):
+        # the 44 x 36 grid sampled into the leading pixels of the strip's
+        # own buffer, in copied blocks of 1, 4 (a remainder) and 6 bands,
+        # tasks of 300 / bands points
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 6 * 50 * workers)
+        monkeypatch.setattr(kernels, "_COPY_BYTES", 8 * 48 * 40 * bands)
+        cube, gm = self._strip()
+        grid = geo.footprint_grid(gm, 2, 30.0)
+        expect, expect_valid, expect_map = geo.orthorectify(cube, gm, 0.0,
+                                                            grid)
+        buffer = cube.data
+        got, valid, mapping = geo.orthorectify(cube, gm, 0.0, grid,
+                                               out=buffer)
+        assert got.data.base is buffer
+        assert same_bits(got.data, expect.data)
+        assert np.array_equal(valid, expect_valid)
+        for a, b in zip(mapping, expect_map):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["uint16", "strided", "wide grid"])
+    def test_fallback_leaves_the_cube_untouched(self, case):
+        # an integer cube, an out over the cube's buffer that is not
+        # C-contiguous (its bands reversed), and a grid with more cells
+        # than the strip has pixels: each is sampled into a new array
+        cube, gm = self._strip()
+        out = cube.data
+        if case == "uint16":
+            cube = SpectralCube(np.rint(cube.data).astype(np.uint16), "dn12",
+                                cube.band_meta)
+            out = cube.data
+        elif case == "strided":
+            out = cube.data[:, :, ::-1]
+        grid = geo.footprint_grid(gm, -1 if case == "wide grid" else 2, 30.0)
+        assert (grid.rows * grid.cols > 48 * 40) == (case == "wide grid")
+        before = cube.data.copy()
+        expect, expect_valid, _ = geo.orthorectify(cube, gm, 0.0, grid)
+        got, valid, _ = geo.orthorectify(cube, gm, 0.0, grid, out=out)
+        assert not np.shares_memory(got.data, cube.data)
+        assert same_bits(cube.data, before)
+        assert same_bits(got.data, expect.data)
+        assert np.array_equal(valid, expect_valid)
+
+    def test_out_of_another_shape_rejected(self):
+        cube, gm = self._strip()
+        with pytest.raises(ValueError, match="shape"):
+            geo.orthorectify(cube, gm, 0.0, geo.footprint_grid(gm, 2, 30.0),
+                             out=np.empty((40, 48, 6)))
 
     def test_disjoint_grid_rejected(self):
         gm = geo.make_geo(64, 64)

@@ -11,6 +11,8 @@ from scipy import sparse
 
 from hypercal import kernels
 
+from conftest import same_bits
+
 
 def _texture(rows=6, cols=128, seed=0):
     rng = np.random.default_rng(seed)
@@ -333,7 +335,7 @@ class TestCubicPlan:
         stack, yy, xx = self._case(dtype)
         # three-band float64 blocks of the 20 x 30 grid: the uint16 stack's
         # seven bands leave a one-band remainder block
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 20 * 30 * 3)
+        monkeypatch.setattr(kernels, "_COPY_BYTES", 8 * 20 * 30 * 3)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
         out = kernels.cubic_apply(plan, stack)
         for b in range(stack.shape[2]):
@@ -349,6 +351,7 @@ class TestCubicPlan:
         # writes the registered SWIR bands into the merged cube
         stack, yy, xx = self._case(dtype, bands=9)
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * yy.size * 2)
+        monkeypatch.setattr(kernels, "_COPY_BYTES", 8 * 20 * 30)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
         target = np.full(yy.shape + (11,), -1.0)
         got = kernels.cubic_apply(plan, stack, out=target[:, :, 1:10])
@@ -357,6 +360,38 @@ class TestCubicPlan:
         for b in range(stack.shape[2]):
             vals, _ = kernels.bicubic_sample(stack[:, :, b], yy, xx)
             assert np.array_equal(target[:, :, 1 + b], vals)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bands", [1, 3, 4, 9])
+    def test_out_over_the_stack_equals_out_of_place(self, bands, workers,
+                                                    monkeypatch):
+        # the 225 points sampled into the leading rows of the stack's own
+        # (600, 9) view, in copied blocks of 1, 3, 4 and all 9 bands (the
+        # 3- and 4-band blocks leave a remainder), tasks of 180 / bands
+        # points; a -0.0 band samples to +0.0 either way
+        stack, yy, xx = self._case(np.float64, bands=9)
+        stack[:, :, 4] = -0.0
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 9 * 20 * workers)
+        monkeypatch.setattr(kernels, "_COPY_BYTES", 8 * 20 * 30 * bands)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        expect = kernels.cubic_apply(plan, stack)
+        out = stack.reshape(-1, 9)[:yy.size].reshape(yy.shape + (9,))
+        got = kernels.cubic_apply(plan, stack, out=out)
+        assert got is out
+        assert same_bits(got, expect)
+
+    @pytest.mark.parametrize("layout", ["shifted", "strided stack"])
+    def test_out_over_other_band_columns_rejected(self, layout):
+        # a store into those columns could overwrite bands not yet copied
+        stack, yy, xx = self._case(np.float64, bands=9)
+        plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+        if layout == "shifted":  # one band over
+            out = stack.reshape(-1)[1:1 + 9 * yy.size]
+        else:                    # the stack a band-reversed view
+            out, stack = stack.reshape(-1)[:9 * yy.size], stack[:, :, ::-1]
+        with pytest.raises(ValueError, match="band columns"):
+            kernels.cubic_apply(plan, stack, out=out.reshape(yy.shape + (9,)))
 
     def test_out_whose_point_axes_do_not_merge_rejected(self):
         stack, yy, xx = self._case(np.float64)
@@ -375,6 +410,7 @@ class TestCubicPlan:
         stack, yy, xx = self._case(dtype, bands=9)
         monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 9 * 20 * workers)
+        monkeypatch.setattr(kernels, "_COPY_BYTES", 8 * 20 * 30)
         plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
         out = kernels.cubic_apply(plan, stack)
         for b in range(stack.shape[2]):
@@ -446,11 +482,10 @@ class TestCubicPlan:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_apply_holds_four_chunk_temporaries(self, workers, monkeypatch):
-        # 256 bands of 256 x 256 uint16 in 8 MB float64 blocks of 16 bands,
+        # 256 bands of 256 x 256 uint16 in 4 MB float64 blocks of 8 bands,
         # points split over the workers: the block plus the row products
-        # and accumulators of the tasks in flight (8 MB each); one more
-        # chunk-sized temporary per tap (a gather of the four column taps)
-        # goes past the bound
+        # and accumulators of the tasks in flight (2 MB each); a float64
+        # copy of the stack (128 MB) goes past the bound
         monkeypatch.setattr(kernels, "WORKERS", workers)
         rng = np.random.default_rng(24)
         stack = rng.integers(0, 4096, (256, 256, 256)).astype(np.uint16)

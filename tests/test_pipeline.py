@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hypercal import geometry, kernels, spectral
+from hypercal import geometry, kernels, registration, spectral
 from hypercal import simulate as sim
 from hypercal.cube import INSTRUMENTS, read_cube
 from hypercal.errors import ConfigError
@@ -18,6 +18,16 @@ from hypercal.pipeline import (SCHEMA_VERSION, STAGES, PipelineConfig,
                                load_config, run, validate_config, write_pgm)
 
 from conftest import traced_peak
+
+
+def _plan_bytes(shape, points) -> int:
+    """Bytes of a cubic sampling plan of a ``points`` grid on a ``shape``
+    one, summed over its four tap matrices; they share their x weights and
+    row pointers, so this is about 1.8 times the plan's own buffers."""
+    at = np.zeros(points)
+    plan = kernels.cubic_plan(shape, at, at)
+    return sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
+               for t in plan.taps) + sum(w.nbytes for w in plan.wy)
 
 
 def _doc(stages, **top):
@@ -344,44 +354,49 @@ def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
            "save": False}, {"name": "ortho", "save": False},
           {"name": "bundle", "save": False}], tmp_path, preset="dual")
     merged = seen["merged"]
-    grid = np.zeros(merged.shape[:2])
-    plan = kernels.cubic_plan((side, side), grid, grid)
-    plan_bytes = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
-                     for t in plan.taps) + sum(w.nbytes for w in plan.wy)
+    plan_bytes = _plan_bytes((side, side), merged.shape[:2])
     block = side * side * band_block * 8
     assert seen["peak"] < merged.nbytes + 2 * plan_bytes + 6 * block
 
 
 def test_bundle_stage_frees_the_ortho_cube(tmp_path, monkeypatch):
     """The bundle stage hands the ortho cube over to ``bundle``, so the
-    cube is gone before the first SWIR block past the shared bands is
-    sampled."""
+    cube's buffer is gone before the first SWIR block past the shared bands
+    is sampled."""
     seen, alive = {}, []
     stage, sample = STAGES["bundle"], geometry.ortho_sample
 
     def handed(state, *args):
-        seen["data"] = weakref.ref(state["cube"].data)
+        # the float64 ortho cube is a view of the run's buffer: watch the
+        # buffer, which any view kept alive would keep
+        assert state["cube"].data.base is not None
+        seen["buffer"] = weakref.ref(state["cube"].data.base)
         return stage.fn(state, *args)
 
-    def spy(plan, converged, stack):
-        if "data" in seen:  # the bundle stage's samples, not the ortho's
-            alive.append(seen["data"]() is not None)
-        return sample(plan, converged, stack)
+    def spy(plan, converged, stack, out=None):
+        if "buffer" in seen:  # the bundle stage's samples, not the ortho's
+            alive.append(seen["buffer"]() is not None)
+        return sample(plan, converged, stack, out=out)
 
     monkeypatch.setattr(geometry, "ortho_sample", spy)
     monkeypatch.setitem(STAGES, "bundle", dataclasses.replace(stage,
                                                               fn=handed))
     _run([{"name": "simulate", "lines": 96, "samples": 96, "save": False},
+          {"name": "caldark", "lines": 40, "save": False},
+          {"name": "flat-field", "frames": 20, "save": False},
           {"name": "ortho", "save": False},
           {"name": "bundle", "save": False}], tmp_path, preset="dual")
     # one block holds the seven shared bands
     assert alive[0] and len(alive) > 1 and not any(alive[1:])
 
 
-# the default VNIR chain's calibration and correction stages, and the
-# allowance each may hold beside one float64 science cube, in bytes, from
-# the cube's (lines, samples, bands), the band_map budget and the traced
-# peak of the stage's estimator on its input cube
+# cubic_apply's copied band block in the traced chain
+_COPY = 256 << 10
+
+# the default VNIR chain's calibration, correction and ortho stages, and
+# the allowance each may hold beside one float64 science cube, in bytes,
+# from the cube's (lines, samples, bands), the band_map budget and the
+# traced peak of the stage's estimator on its input cube
 _CONTRACT = {
     # the uint16 dark frame of the stage's 400 lines (the stage's input,
     # the uint16 raw cube, is a quarter of the float64 one)
@@ -396,21 +411,35 @@ _CONTRACT = {
     # the overlap-add accumulator and one segment's spectra
     "stray": lambda l, s, b, budget, est:
         2 * sim.SEGMENT_LINES * s * b * 8 + 4 * budget,
-    "smile": lambda l, s, b, budget, est: est + 4 * budget,
+    # the window stacks, 16 float64 per band of each (sample, window)
+    # pair at stride 2, and two complex blocks of the fine peak grid
+    "smile": lambda l, s, b, budget, est:
+        16 * 8 * s * ((b - spectral.SMILE_WINDOW) // 2 + 1)
+        * spectral.SMILE_WINDOW
+        + 2 * 16 * registration._PEAK_ROWS * (2 * registration._UPSAMPLE + 1)
+        + 4 * budget,
     "keystone": lambda l, s, b, budget, est: est + 4 * budget,
+    # the sampling plan as _plan_bytes counts it, the inverse mapping
+    # (line, sample, converged) and one copied band block, on a grid of at
+    # most one cell per strip pixel (else the ortho cube does not take the
+    # run's buffer); the stage peaks in the mapping's fixed-point
+    # iteration, about 33 float64 per cell, which this sum covers
+    "ortho": lambda l, s, b, budget, est:
+        _plan_bytes((l, s), (l, s)) + 17 * l * s + _COPY + 4 * budget,
 }
 
 
 def _trace_stages(lines, samples, workers, out) -> dict:
-    """The default VNIR chain at ``lines`` x ``samples`` to keystone with
-    256 KB band_map slices per worker: each contract stage's traced peak
-    plus its input cube (alive throughout the stage), and under ``"est"``
-    the traced peak of the smile and keystone estimators on their stage's
-    input."""
+    """The default VNIR chain at ``lines`` x ``samples`` to ortho, without
+    geocal, with 256 KB band_map slices per worker and ``_COPY`` band
+    blocks: each contract stage's traced peak plus its input cube (alive
+    throughout the stage), and under ``"est"`` the traced peak of the
+    keystone estimator on its stage's input."""
     seen, inputs = {"est": {}}, {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "WORKERS", workers)
         mp.setattr(kernels, "_CHUNK_BYTES", (256 << 10) * workers)
+        mp.setattr(kernels, "_COPY_BYTES", _COPY)
         for name in _CONTRACT:
             stage = STAGES[name]
 
@@ -434,8 +463,6 @@ def _trace_stages(lines, samples, workers, out) -> dict:
                   if name == "simulate" or name in _CONTRACT]
         stages[0].update(lines=lines, samples=samples)
         _run(stages, out)
-        seen["est"]["smile"] = traced_peak(
-            lambda: spectral.estimate_smile(inputs["smile"]))
         seen["est"]["keystone"] = traced_peak(
             lambda: spectral.estimate_keystone(inputs["keystone"]))
     return seen
@@ -457,11 +484,12 @@ def stage_peaks(tmp_path_factory):
 @pytest.mark.parametrize("shape", [(128, 96), (160, 64)])
 @pytest.mark.parametrize("stage", list(_CONTRACT))
 def test_stage_holds_one_science_cube(stage_peaks, stage, shape, workers):
-    """Each calibration and correction stage holds one float64 science
-    cube: the run's own, which the corrections overwrite from flat-field
-    on, beside the allowance that ``_CONTRACT`` states.  A second float64
-    cube, every calibration acquisition kept until the fit, or a float64
-    copy of a whole acquisition breaks the bound."""
+    """Each calibration, correction and ortho stage holds one float64
+    science cube: the run's own, which the corrections overwrite from
+    flat-field on and the ortho cube takes over, beside the allowance that
+    ``_CONTRACT`` states.  A second float64 cube, every calibration
+    acquisition kept until the fit, a float64 copy of a whole acquisition
+    or the smile estimator's whole fine peak grid breaks the bound."""
     peaks = stage_peaks(*shape, workers)
     lines, samples = shape
     bands = INSTRUMENTS["vnir"].bands

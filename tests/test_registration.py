@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from hypercal import registration
 from hypercal.errors import EstimationError
 from hypercal.registration import shift_1d, shift_1d_batch, shift_2d, shift_signal
 
-from conftest import smooth_texture
+from conftest import same_bits, smooth_texture
 
 
 def _signal(n=256, seed=3):
@@ -107,6 +108,43 @@ class TestShift1DBatch:
         assert shifts[:2].tolist() == [2.0, -2.0]
         assert confs[:2].tolist() == [0.0, 0.0]
         assert abs(shifts[2] - 1.0) < 0.05 and confs[2] > 0
+
+    @pytest.mark.parametrize("length", [10, 64])
+    @pytest.mark.parametrize("rows", [2, 3, 5, 16])
+    def test_peak_row_blocks_keep_the_bits(self, rows, length, monkeypatch):
+        # 33 rows: every block size leaves a remainder block, and blocks of
+        # 2 and 16 rows a single row, which joins the block before it
+        a, b = _window_stack(length, n_rows=33)
+        whole = shift_1d_batch(a, b)
+        monkeypatch.setattr(registration, "_PEAK_ROWS", rows)
+        split = shift_1d_batch(a, b)
+        for got, expect in zip(split, whole):
+            assert same_bits(got, expect)
+
+    @pytest.mark.parametrize("rows,blocks", [(9, [4, 5]), (8, [4, 4]),
+                                             (5, [5]), (1, [1])])
+    def test_no_peak_block_of_one_row(self, rows, blocks, monkeypatch):
+        # numpy multiplies a one-row block by BLAS gemv, which may round
+        # unlike the gemm of the others: a last single row joins the
+        # block before it
+        seen = []
+        matrix = registration._upsample_matrix
+
+        class Recorded:
+            __array_ufunc__ = None  # ndarray @ Recorded calls __rmatmul__
+
+            def __init__(self, n):
+                self.e = matrix(n)
+
+            def __rmatmul__(self, left):
+                seen.append(left.shape[0])
+                return left @ self.e
+
+        monkeypatch.setattr(registration, "_upsample_matrix", Recorded)
+        monkeypatch.setattr(registration, "_PEAK_ROWS", 4)
+        registration._refine_peaks(np.ones((rows, 16), dtype=complex),
+                                   np.zeros(rows))
+        assert seen == blocks
 
     def test_empty_stack(self):
         shifts, confs, valid = shift_1d_batch(np.zeros((0, 16)),
