@@ -341,45 +341,63 @@ def correct_stray(cube: SpectralCube, model: StrayPSFModel,
     identity kernel passes data through unchanged and flux is conserved.
     Into float64 ``out`` (made if None; may be ``cube.data`` itself): a
     one-segment accumulator blends, and writes a line once no later segment
-    reads it, as (0 + its weighted segments in order) / max(weight)."""
+    reads it, as (0 + its weighted segments in order) / max(weight).
+
+    The filters and the blend's norms are worked out once per segment and
+    block; :func:`band_map` then splits the bands, each task blending its
+    slice in its own accumulator.  A column's FFTs along the lines are its
+    own, so every band equals its one-task result bit for bit."""
     steering_deg = np.asarray(steering_deg, dtype=np.float64)
     lines, samples, bands = cube.data.shape
     if steering_deg.shape[0] != lines:
         raise EstimationError("steering profile length must equal cube lines")
     out = np.empty(cube.data.shape) if out is None else out
-    weight = np.zeros(lines)
     blocks = stray_blocks(samples)
     n = SEGMENT_LINES
     win = np.hanning(n + 2)[1:-1]
     # segments advance by n // 2; the trailing one is padded backwards so
     # every segment is full-length
     starts = list(range(0, lines - n, n // 2)) + [max(lines - n, 0)]
-    acc = np.zeros((min(n, lines), samples, bands))   # lines s0.. of a segment
+    weight = np.zeros(lines)
+    segments = []      # (start, end, next start, filters, norms)
     for s0, s_next in zip(starts, starts[1:] + [lines]):
         seg1 = min(s0 + n, lines)
         theta = float(steering_deg[s0:seg1].mean())
-        wseg = win[: seg1 - s0]
-        for c0, c1, frac in blocks:
-            kpad = np.zeros(n)
-            kpad[:model.tap_count] = model.kernel(theta, frac)
-            kf = np.fft.rfft(np.roll(kpad, -(model.tap_count // 2)))
-            power = np.abs(kf) ** 2
-            wiener = np.conj(kf) / (power + WIENER_EPS * power.max())
-            # pin DC to the exact inverse (kernel sums to 1)
-            dc = wiener[0].real * kf[0].real
-            if abs(dc) > 1e-12:
-                wiener = wiener / dc
-            block = np.asarray(cube.data[s0:seg1, c0:c1], dtype=np.float64)
-            spec = np.fft.rfft(block, n=n, axis=0)
-            spec *= wiener[:, None, None]
-            rec = np.fft.irfft(spec, n=n, axis=0)[: seg1 - s0]
-            rec *= wseg[:, None, None]
-            acc[: seg1 - s0, c0:c1] += rec
-        weight[s0:seg1] += wseg
+        weight[s0:seg1] += win[: seg1 - s0]
         # lines before the next segment's start are final
-        done = s_next - s0
-        norm = np.maximum(weight[s0:s_next], 1e-12)[:, None, None]
-        np.divide(acc[:done], norm, out=out[s0:s_next])
-        acc[: acc.shape[0] - done] = acc[done:]
-        acc[acc.shape[0] - done:] = 0.0
+        segments.append((s0, seg1, s_next,
+                         [_wiener(model.kernel(theta, frac), n)
+                          for _, _, frac in blocks],
+                         np.maximum(weight[s0:s_next], 1e-12)[:, None, None]))
+
+    def deconvolve(sl):
+        acc = np.zeros((min(n, lines), samples, sl.stop - sl.start))
+        for s0, seg1, s_next, filters, norm in segments:
+            for (c0, c1, _), wiener in zip(blocks, filters):
+                block = np.asarray(cube.data[s0:seg1, c0:c1, sl],
+                                   dtype=np.float64)
+                spec = np.fft.rfft(block, n=n, axis=0)
+                spec *= wiener[:, None, None]
+                rec = np.fft.irfft(spec, n=n, axis=0)[: seg1 - s0]
+                rec *= win[: seg1 - s0, None, None]
+                acc[: seg1 - s0, c0:c1] += rec
+            done = s_next - s0
+            np.divide(acc[:done], norm, out=out[s0:s_next, :, sl])
+            acc[: acc.shape[0] - done] = acc[done:]
+            acc[acc.shape[0] - done:] = 0.0
+
+    band_map(deconvolve, bands, 8 * n * samples)
     return cube.with_data(out)
+
+
+def _wiener(taps: np.ndarray, n: int) -> np.ndarray:
+    """The Wiener inverse (WIENER_EPS of the peak power) of a centered
+    kernel zero-padded to ``n`` lines, with its DC gain pinned to the exact
+    inverse (the kernel sums to 1)."""
+    kpad = np.zeros(n)
+    kpad[:taps.size] = taps
+    kf = np.fft.rfft(np.roll(kpad, -(taps.size // 2)))
+    power = np.abs(kf) ** 2
+    wiener = np.conj(kf) / (power + WIENER_EPS * power.max())
+    dc = wiener[0].real * kf[0].real
+    return wiener / dc if abs(dc) > 1e-12 else wiener

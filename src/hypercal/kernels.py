@@ -81,6 +81,15 @@ def resample_rows(image: np.ndarray, coords: np.ndarray,
     outputs whose kernel support stayed inside the row.  Source coordinates
     are clamped to the row extent; exact integer coordinates reproduce the
     input bit-for-bit.
+
+    Taps are gathered with ``np.take`` on flat indices into each first-axis
+    item, its axes ordered by falling stride (a transposed view is read in
+    memory order).  Coordinates shared by every item have their indices
+    built once and taken along axis 1 of a task's ``(items, rest)`` view;
+    per-item ones offset each row's taps by the row's start in the task's
+    flat view.  Every output sums ``0 + w_k * tap_k`` for k = -1..2 in
+    order, then exact coordinates copy their sample, so the split leaves
+    every bit as one task writes it.
     """
     image = np.asarray(image)
     coords = np.asarray(coords, dtype=np.float64)
@@ -91,18 +100,46 @@ def resample_rows(image: np.ndarray, coords: np.ndarray,
     taps, weights, i0, exact, valid = _axis_taps(coords, image.shape[-1])
     out = np.empty(image.shape) if out is None else out
 
-    def resample(sl):
-        src = image[sl]
-        at = sl if coords.shape[0] > 1 else slice(None)  # a shared row
-        acc = np.zeros(src.shape)
-        for idx, w in zip(taps, weights):
-            acc += w[at] * np.take_along_axis(src, idx[at], axis=-1)
-        if exact[at].any():
-            np.copyto(acc, np.take_along_axis(src, i0[at], axis=-1),
-                      where=exact[at])
-        out[sl] = acc
+    order = [0] + sorted(range(1, image.ndim), key=lambda d: -image.strides[d])
+    src_all, dst = image.transpose(order), out.transpose(order)
+    rest = src_all.shape[1:]
+    size = int(np.prod(rest))
+    axis = order.index(image.ndim - 1) - 1       # the rows' axis in ``rest``
+    step = int(np.prod(rest[axis + 1:]))
+    # each row's flat start in an item, and its taps' offsets from it
+    starts = np.arange(size).reshape(rest).take([0], axis=axis)
+    taps = [t.transpose(order) for t in taps + [i0]]
+    weights = [w.transpose(order) for w in weights]
+    exact = exact.transpose(order)
+    shared = coords.shape[0] == 1
+    if shared:
+        taps = [starts + step * t[0] for t in taps]
+    elif step > 1:
+        taps = [step * t for t in taps]
 
-    band_map(resample, image.shape[0], 8 * int(np.prod(image.shape[1:])))
+    def resample(sl):
+        src = src_all[sl]
+        n = src.shape[0]
+        if shared:
+            at, flat = slice(None), src.reshape(n, size)
+
+            def gather(t):
+                return np.take(flat, t, axis=1)
+        else:
+            at, flat = sl, src.reshape(-1)
+            first = starts + (np.arange(n) * size).reshape(
+                (n,) + (1,) * len(rest))
+
+            def gather(t):
+                return np.take(flat, first + t[sl])
+        acc = np.zeros(src.shape)
+        for t, w in zip(taps, weights):
+            acc += w[at] * gather(t)
+        if exact[at].any():
+            np.copyto(acc, gather(taps[4]), where=exact[at])
+        dst[sl] = acc
+
+    band_map(resample, image.shape[0], 8 * size)
     return out, valid
 
 

@@ -609,25 +609,31 @@ def render_raw(scene: Scene, sensor: SensorModel,
         buf = np.empty((b1 - b0, lines, samples), dtype=np.uint16)
         dn = np.empty((lines, samples))
         for b in range(b0, b1):
-            np.multiply(fields[b], gain[b], out=dn)
-            dn += dark_term[b]
+            # the noise-free DN at the fields' own rows (one for a
+            # line-invariant scene without stray light or interference)
+            base = fields[b] * gain[b]
+            base += dark_term[b]
             if illuminated[b]:
                 if pattern is not None:
-                    dn += pattern
+                    base = base + pattern
                 for cluster in artifacts.bunch:
                     if cluster.band == b:
                         s0 = cluster.start_sample
-                        dn[:, s0:s0 + cluster.length] *= np.asarray(
+                        base[:, s0:s0 + cluster.length] *= np.asarray(
                             cluster.profile)
             if noisy:
-                rng = np.random.default_rng([seed, b])
                 std = sensor.read_noise_dn
                 if sensor.photon_noise_k > 0:
-                    signal = np.clip(dn - dark_term[b], 0.0, None)
+                    signal = np.clip(base - dark_term[b], 0.0, None)
                     std = np.sqrt(std ** 2 + sensor.photon_noise_k * signal)
-                dn += rng.standard_normal((lines, samples)) * std
+                np.random.default_rng([seed, b]).standard_normal(out=dn)
+                dn *= std
+                dn += base      # noise + base: the bits of base + noise
+            else:
+                dn[...] = base
             np.minimum(dn, sat_dn[b], out=dn)
-            buf[b - b0] = np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=dn)
+            np.clip(np.rint(dn, out=dn), 0, DN_MAX, out=buf[b - b0],
+                    casting="unsafe")
         data[:, :, sl] = buf.transpose(1, 2, 0)
 
     band_map(quantize, bands, 2 * lines * samples)

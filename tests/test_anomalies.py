@@ -604,6 +604,31 @@ class TestStrayLight:
         with pytest.raises(EstimationError):
             ano.correct_stray(cube, model, np.zeros(32))
 
+    @pytest.mark.parametrize("per_task", [3, None])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_band_split_same_bits_as_one_task(self, workers, per_task,
+                                              monkeypatch):
+        # seven bands in slices of three (a remainder of one), or one band
+        # per task at a one-byte budget, against one task of all seven
+        rng = np.random.default_rng(8)
+        taps = rng.uniform(0.0, 1.0, (3, 3, 31))
+        model = ano.StrayPSFModel(np.array([-2.0, 0.0, 2.0]),
+                                  np.array([0.1, 0.5, 0.9]),
+                                  taps / taps.sum(axis=2, keepdims=True))
+        data = rng.normal(100.0, 5.0, (150, 24, 7))
+        data[:, 5] = -0.0
+        cube = SpectralCube(data, "radiance", uniform_band_meta(7, "vnir"))
+        steering = sim.linear_steering(150)
+        monkeypatch.setattr(kernels, "WORKERS", 1)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 << 40)
+        one = ano.correct_stray(cube, model, steering)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 if per_task is None
+                            else per_task * 8 * sim.SEGMENT_LINES * 24
+                            * workers)
+        assert same_bits(ano.correct_stray(cube, model, steering).data,
+                         one.data)
+
     def test_model_round_trip(self, tmp_path):
         model, _ = self._model()
         write_json(model, tmp_path / "psf.json")

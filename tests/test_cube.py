@@ -356,3 +356,58 @@ class TestProductBytes:
             b"kind = dark\ninstrument = vnir\nt_ref_k = 293.0\n"
             b"stability_dn = 0.0\narrays = dark_dn,slope_dn_per_k\n"
             b"shape = 2,3\n")
+
+
+@dataclasses.dataclass
+class _Doc:
+    taps: np.ndarray
+    pairs: tuple
+
+
+def _json_docs():
+    special = np.array([1.5, np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300,
+                        5e-324, 1e22, -7.0])
+    yield "specials", {"values": special, "scalar": np.float64(-0.0),
+                       "nan": float("nan"), "neg_inf": -np.inf}
+    yield "empties", {"list": [], "dict": {}, "array": np.zeros(0),
+                      "rows": np.zeros((2, 0)), "tuple": (),
+                      "nested": {"inner": {}}}
+    yield "nested lists", {"lists": [[1, 2.5, [3, []]], [[-0.0]], "x"],
+                           "grid": np.arange(24.0).reshape(2, 3, 4) - 11.5}
+    yield "bool and int arrays", {
+        "mask": np.array([[True, False], [False, True]]),
+        "u8": np.arange(5, dtype=np.uint8), "i64": np.array([-2 ** 62, 3]),
+        "f32": np.array([0.1, -2.5], dtype=np.float32), "flag": True,
+        "zero_d": np.array(4.0), "none": None}
+    yield "tuples", {"pairs": ((1, 2.0), (np.arange(2), "a")),
+                     "dataclasses": (_Doc(np.eye(2), (0.5,)),)}
+    yield "strings", {"comma": "a, b, c", "text": "été → µm",
+                      "breaks": "one\ntwo, \"three\"", "list": ["x, y", 1.0],
+                      "z": {"ü, key": [1, 2]}}
+    yield "keys", {"b": 1, "a": {"d": np.ones(2), "c": [3]},
+                   "ints": {2: "two", 1: "one"}}
+    yield "dataclass", _Doc(np.arange(6.0).reshape(3, 2), (np.nan, "t"))
+    yield "top-level array", np.linspace(-1.0, 1.0, 7)
+    yield "top-level tuple", (np.zeros(2), {"k": -0.0}, [1, [2.5]])
+    yield "empty mapping", {}
+
+
+class TestWriteJson:
+    """``write_json`` writes the bytes of ``json.dumps(..., indent=1)`` of
+    the document's JSON form, whichever parts it encodes itself."""
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    @pytest.mark.parametrize("name,doc", list(_json_docs()),
+                             ids=[name for name, _ in _json_docs()])
+    def test_same_text_as_indented_dumps(self, name, doc, sort_keys,
+                                         tmp_path):
+        write_json(doc, tmp_path / "d.json", sort_keys=sort_keys)
+        assert (tmp_path / "d.json").read_text(encoding="utf-8") == \
+            json.dumps(cube_module._to_jsonable(doc), indent=1,
+                       sort_keys=sort_keys)
+
+    def test_unencodable_value_raises_as_dumps(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json({"c": np.array([1j])}, tmp_path / "c.json")
+        with pytest.raises(TypeError):
+            write_json({"s": {1, 2}}, tmp_path / "s.json")

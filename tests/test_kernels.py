@@ -116,6 +116,78 @@ class TestResampleSlices:
         assert np.array_equal(got, plain)
 
 
+def _take_along_resample_rows(image, coords):
+    """The ``take_along_axis`` form of :func:`kernels.resample_rows` in one
+    task: broadcast fancy indices per tap, summed from zero in tap order,
+    exact coordinates then copied."""
+    image = np.asarray(image)
+    taps, weights, i0, exact, valid = kernels._axis_taps(
+        np.asarray(coords, dtype=np.float64), image.shape[-1])
+    acc = np.zeros(image.shape)
+    for idx, w in zip(taps, weights):
+        acc += w * np.take_along_axis(image, idx, axis=-1)
+    if exact.any():
+        np.copyto(acc, np.take_along_axis(image, i0, axis=-1), where=exact)
+    return acc, valid
+
+
+def _resample_case(name):
+    """``(image, coords, out)`` of one layout :func:`kernels.resample_rows`
+    is called with; ``out`` None, an array or ``"image"``.  Whole columns
+    of -0.0 samples sit among the taps, which exact coordinates copy."""
+    rng = np.random.default_rng(41)
+    cube = rng.normal(50.0, 10.0, (7, 9, 13))
+    cube[..., 4] = cube[:, 4] = -0.0
+    if name == "shared-3d":             # smile: one row for every line
+        return cube, _test_coords(rng, (1, 9, 13), 13), None
+    if name == "keystone-turned":       # rows along the samples of a view
+        out = np.full(cube.shape, 7.0)
+        return (cube.transpose(0, 2, 1), _test_coords(rng, (1, 13, 9), 9),
+                out.transpose(0, 2, 1))
+    if name == "per-band-broadcast":    # the render: a row per band
+        return cube, _test_coords(rng, (7, 1, 13), 13), None
+    if name == "per-row-2d":            # the smile's window stacks
+        return cube[:, 0], _test_coords(rng, (7, 13), 13), None
+    if name == "strided-uint16":
+        raw = np.rint(np.abs(rng.normal(900.0, 300.0, (14, 9, 27))))
+        return (raw.astype(np.uint16)[::2, :, 1::2],
+                _test_coords(rng, (1, 9, 13), 13), None)
+    if name == "exact":
+        return cube, np.broadcast_to(np.arange(13.0), (1, 9, 13)), None
+    if name == "in-place":
+        return cube, _test_coords(rng, (7, 9, 13), 13), "image"
+    if name == "zero-items":
+        return np.zeros((0, 4, 8)), np.zeros((1, 4, 8)), None
+    return np.zeros((3, 0, 8)), np.zeros((1, 0, 8)), None   # zero rows
+
+
+_RESAMPLE_CASES = ["shared-3d", "keystone-turned", "per-band-broadcast",
+                   "per-row-2d", "strided-uint16", "exact", "in-place",
+                   "zero-items", "zero-rows"]
+
+
+class TestResampleEqualsTakeAlong:
+    """The flat-index gathers write the bits of the ``take_along_axis``
+    form, sign bits included, whatever the layout, the worker count and
+    the split (one item per task at a one-byte budget)."""
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", _RESAMPLE_CASES)
+    def test_same_bits(self, case, workers, chunk, monkeypatch):
+        image, coords, out = _resample_case(case)
+        expect, expect_valid = _take_along_resample_rows(image, coords)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk)
+        if isinstance(out, str):
+            out = image = image.copy()
+        got, valid = kernels.resample_rows(image, coords, out=out)
+        assert out is None or got is out
+        assert same_bits(got, expect)
+        assert np.array_equal(valid, expect_valid)
+
+
 class TestBandMap:
     @pytest.mark.parametrize("n,item_bytes,expect", [
         (0, 100, []),
