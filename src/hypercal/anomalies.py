@@ -238,10 +238,6 @@ class StrayPSFModel:
         if not np.allclose(sums, 1.0, atol=1e-6):
             raise EstimationError("stray kernel taps must sum to 1")
 
-    @property
-    def tap_count(self) -> int:
-        return self.taps.shape[2]
-
     def kernel(self, steering_deg: float, sample_frac: float) -> np.ndarray:
         """Bilinear interpolation over the measured grid (clamped)."""
         t = np.clip(steering_deg, self.steering_deg[0], self.steering_deg[-1])

@@ -482,7 +482,7 @@ def _stage_geocal(state, p, out: Path, cfg: PipelineConfig):
             track_start_north=rng.uniform(0, 1e5),
             track_across=rng.uniform(-1e4, 1e4))
         strips.append((gm, sim.survey_gcps(
-            gm.with_bias(true_bias), max(p["gcps_per_strip"], 0),
+            gm.with_bias(true_bias), p["gcps_per_strip"],
             p["noise_m"], cfg.seed + 200 + i, f"strip{i}")))
     bias = geometry.optimize_boresight(strips)
     final_cost = geometry.cost(bias, strips)
@@ -589,12 +589,12 @@ STAGES = {stage.name: stage for stage in (
         provides=("cube", "sensor", "manifest", "scene", "steering",
                   "clusters_true")),
     Stage("caldark", _stage_caldark, {
-        "lines": (_int, 400), "save": _SAVE,
+        "lines": (_COUNT, 400), "save": _SAVE,
         "temperatures": (_each(_finite), (283.0, 293.0, 303.0))},
         needs=("sensor",), provides=("dark",)),
     Stage("flat-field", _stage_flatfield, {
         "levels": (_each(_finite), (0.5, 2.0, 30.0, 60.0, 90.0)),
-        "frames": (_int, 200), "save": _SAVE},
+        "frames": (_COUNT, 200), "save": _SAVE},
         needs=("cube", "sensor", "dark"),
         provides=("cube", "flatfield")),
     Stage("bunch", _stage_bunch, {"mad_k": (_finite, anomalies.BUNCH_MAD_K)},
@@ -604,7 +604,7 @@ STAGES = {stage.name: stage for stage in (
     Stage("interference", _stage_interference,
           {"snr_threshold": (_finite, anomalies.INTERFERENCE_SNR)},
           after=("flat-field",), needs=("cube",), provides=("cube",)),
-    Stage("stray", _stage_stray, {"tap_count": (_int, 31), "save": _SAVE},
+    Stage("stray", _stage_stray, {"tap_count": (_COUNT, 31), "save": _SAVE},
           after=("flat-field",), needs=("cube", "sensor", "steering"),
           provides=("cube",)),
     Stage("smile", _stage_smile, {
@@ -615,11 +615,11 @@ STAGES = {stage.name: stage for stage in (
           {"search_nm": (_finite, 15.0)},
           after=("smile",), needs=("cube",), provides=("cube",)),
     Stage("keystone", _stage_keystone, {
-        "ref_band": (_int, spectral.KEYSTONE_REF_BAND),
+        "ref_band": (_bounded(_int, 0), spectral.KEYSTONE_REF_BAND),
         "n_fields": (_COUNT, 5), "save": _SAVE},
         needs=("cube",), provides=("cube",)),
     Stage("geocal", _stage_geocal, {
-        "strips": (_int, 8), "gcps_per_strip": (_int, 25),
+        "strips": (_COUNT, 8), "gcps_per_strip": (_COUNT, 25),
         "noise_m": (_bounded(_finite, 0), 0.0), "roll_km": (_finite, 3.5),
         "pitch_km": (_finite, 2.0), "save": _SAVE},
         needs=("cube",), provides=("boresight",)),

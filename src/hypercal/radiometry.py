@@ -12,7 +12,6 @@ import numpy as np
 from .cube import (SpectralCube, DN_MAX, one_of, read_header, read_payload,
                    write_header, write_payload)
 from .errors import EstimationError
-from .kernels import band_map
 
 R2_FLAG_THRESHOLD = 0.99
 BAD_BAND_DEVIATION_PCT = 20.0
@@ -185,13 +184,12 @@ def fit_flatfield(levels) -> FlatFieldTable:
 
 
 def radiance(dn: np.ndarray, table: FlatFieldTable, dark: DarkModel,
-             temperature_k: float | None = None, samples=slice(None),
-             out: np.ndarray | None = None):
+             temperature_k: float | None = None, samples=slice(None)):
     """``(gain * (DN - dark(T)), clamped count)`` of the ``samples`` of a
-    ``(lines, samples, bands)`` DN array, into float64 ``out`` (made if
-    None; shaped as the block, and may be a strided view), negatives
-    clamped to 0, masked channels (NaN gain) 0.  Each pixel is its own, so
-    a block of samples is that block of the whole conversion, bit for bit."""
+    ``(lines, samples, bands)`` DN array as one new float64 block,
+    negatives clamped to 0, masked channels (NaN gain) 0.  Each pixel is
+    its own, so a block of samples is that block of the whole conversion,
+    bit for bit."""
     if table.gain.shape != dn.shape[:0:-1]:       # (bands, samples)
         raise EstimationError("flat-field table does not match cube")
     if dark.dark_dn.shape != dn.shape[:0:-1]:
@@ -200,9 +198,7 @@ def radiance(dn: np.ndarray, table: FlatFieldTable, dark: DarkModel,
         temperature_k = dark.t_ref_k
     # one float64 block, worked in place; the dark and the gain as (S, B)
     # copies, band-last as the block (one run per line)
-    block = dn[:, samples]
-    rad = np.empty(block.shape) if out is None else out
-    np.copyto(rad, block)
+    rad = dn[:, samples].astype(np.float64)
     rad -= np.ascontiguousarray(dark.at(temperature_k).T[samples])
     g = np.ascontiguousarray(table.gain.T[samples])
     np.multiply(g, rad, out=rad)
@@ -220,19 +216,8 @@ def apply_flatfield(cube: SpectralCube, table: FlatFieldTable,
     """Convert DN to radiance with :func:`radiance`.  Returns ``(radiance
     cube, validity mask, clamped count)``; negative radiances are clamped
     to 0 and counted, masked channels emit 0 with validity False.  The mask
-    is a read-only view repeated over the lines.  :func:`band_map` splits
-    the samples, each task converting its block in place in the one
-    float64 output; the clamp count is the sum of the blocks' counts."""
-    lines, samples, bands = cube.data.shape
-    rad = np.empty(cube.data.shape)
-    counts = []
-
-    def convert(sl):
-        counts.append(radiance(cube.data, table, dark, temperature_k,
-                               samples=sl, out=rad[:, sl])[1])
-
-    band_map(convert, samples, 8 * lines * bands)
-    clamped = sum(counts)
+    is a read-only view repeated over the lines."""
+    rad, clamped = radiance(cube.data, table, dark, temperature_k)
     valid = np.broadcast_to(np.isfinite(table.gain.T), rad.shape)
     return cube.with_data(rad, pixel_kind="radiance"), valid, clamped
 

@@ -56,10 +56,9 @@ def spectral_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scene:
-    """Separable synthetic radiance field (W m-2 sr-1 um-1)."""
+    """Separable synthetic radiance field (W m-2 sr-1 um-1) on the
+    :func:`spectral_grid`."""
 
-    kind: str
-    wavelengths: np.ndarray
     spectra: np.ndarray          # (K, n_wl)
     spectrum_index: np.ndarray   # (lines, samples)
     spatial: np.ndarray          # (lines, samples)
@@ -79,7 +78,7 @@ class Scene:
     def radiance(self, line: int, sample: int, wl) -> np.ndarray:
         """Point lookup with linear interpolation in wavelength."""
         spec = self.spectra[self.spectrum_index[line, sample]]
-        return self.spatial[line, sample] * np.interp(wl, self.wavelengths, spec)
+        return self.spatial[line, sample] * np.interp(wl, spectral_grid(), spec)
 
 
 SCENE_PARAMS = {
@@ -117,7 +116,7 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
         scene = synth_scene("spectral-library", lines, samples, level)
         bars = synth_scene("bar-target", lines, samples, period=8,
                            contrast=0.4)
-        return replace(scene, kind=kind, spatial=scene.spatial * bars.spatial)
+        return replace(scene, spatial=scene.spatial * bars.spatial)
     grid = spectral_grid()
     flat = np.full((1, grid.shape[0]), float(level))
     index = np.zeros((lines, samples), dtype=np.intp)
@@ -156,8 +155,8 @@ def synth_scene(kind: str, lines: int = 256, samples: int = 256,
         for nominal in ABSORPTION_LINES_NM:
             dips *= 1.0 - depth * np.exp(-0.5 * ((grid - nominal) / 7.0) ** 2)
         spectra = (cont * dips)[None, :]
-    return Scene(kind=kind, wavelengths=grid, spectra=np.asarray(spectra),
-                 spectrum_index=index, spatial=np.asarray(spatial, dtype=np.float64))
+    return Scene(spectra=np.asarray(spectra), spectrum_index=index,
+                 spatial=np.asarray(spatial, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +361,15 @@ class SensorModel:
                      for c, f in zip(self.centers_nm, self.fwhm_nm))
 
     def band_slice(self, sl: slice) -> "SensorModel":
-        """Band-slice view: every per-band field sliced to ``sl``, whose
-        first band becomes band 0.  Each per-band step of
+        """Band-slice view: every array field (each is per band) sliced to
+        ``sl``, whose first band becomes band 0.  Each per-band step of
         :func:`render_raw` is independent of the others, so without noise or
         bunch clusters (both keyed by band index) the view renders exactly
         bands ``sl`` of the full sensor's cube."""
         kept = range(*sl.indices(self.bands))
         return replace(
-            self, centers_nm=self.centers_nm[sl], fwhm_nm=self.fwhm_nm[sl],
-            smile_nm=self.smile_nm[sl], keystone_px=self.keystone_px[sl],
-            prnu=self.prnu[sl], dark_dn=self.dark_dn[sl],
-            gain_dn_per_radiance=self.gain_dn_per_radiance[sl],
-            sat_radiance=self.sat_radiance[sl],
+            self, **{k: v[sl] for k, v in vars(self).items()
+                     if isinstance(v, np.ndarray)},
             masked_channels=frozenset(kept.index(b) for b in
                                       self.masked_channels if b in kept))
 
@@ -443,13 +439,13 @@ def make_sensor(instrument: str = "vnir", samples: int = 256,
 # ---------------------------------------------------------------------------
 # rendering
 
-def _check_coverage(scene: Scene, sensor: SensorModel) -> None:
+def _check_coverage(sensor: SensorModel) -> None:
     centers = sensor.effective_centers()
     sigma = sensor.fwhm_nm * _FWHM_TO_SIGMA
     lo = (centers.min(axis=1) - 5 * sigma).min()
     hi = (centers.max(axis=1) + 5 * sigma).max()
-    if lo < scene.wavelengths[0] or hi > scene.wavelengths[-1]:
-        raise HypercalError("scene spectral grid does not cover the sensor RSRs")
+    if lo < WL_START or hi > WL_STOP:
+        raise HypercalError("spectral grid does not cover the sensor RSRs")
     if np.any(sensor.fwhm_nm <= 0):
         raise HypercalError("degenerate FWHM")
 
@@ -555,7 +551,7 @@ def render_raw(scene: Scene, sensor: SensorModel,
     within a line), which stray light filters once per segment and repeats
     to the segment's lines."""
     artifacts = artifacts or ArtifactConfig()
-    _check_coverage(scene, sensor)
+    _check_coverage(sensor)
     if scene.samples != sensor.samples:
         raise HypercalError("scene swath width must match sensor samples")
     lines, samples = scene.lines, scene.samples
@@ -698,8 +694,12 @@ def point_source_grid(sensor: SensorModel, spec: StrayLightSpec,
 def survey_gcps(geo, n: int, noise_m: float, seed: int,
                 strip_id: str) -> list:
     """``n`` ground control points surveyed against ``geo`` (its bias
-    included): uniform line, sample and 0-500 m height draws located on the
-    ground, plus ``noise_m`` m of Gaussian survey error east and north."""
+    included): uniform line (2 to ``lines - 3``), sample and 0-500 m height
+    draws located on the ground, plus ``noise_m`` m of Gaussian survey
+    error east and north.  A strip of fewer than 5 lines is refused."""
+    if geo.lines < 5:
+        raise HypercalError(f"GCP survey needs a strip of at least 5 lines, "
+                            f"not {geo.lines}")
     rng = np.random.default_rng(seed)
     lines = rng.uniform(2, geo.lines - 3, n)
     samples = rng.uniform(0, geo.samples - 1, n)

@@ -358,10 +358,17 @@ def estimate_keystone(cube: SpectralCube, ref_band: int = KEYSTONE_REF_BAND,
     windows; a polynomial of degree KEYSTONE_DEGREE in band index is fit per
     field position.  If the mean correlation confidence falls below
     KEYSTONE_MIN_CONFIDENCE (blurred or contaminated imagery), the estimate
-    is refused.
+    is refused, as are a cube of at most KEYSTONE_DEGREE bands (too few for
+    the fit) and more field positions than the cube has samples.
     """
+    _, samples, bands = cube.data.shape
+    if bands <= KEYSTONE_DEGREE:
+        raise EstimationError(f"keystone fit of degree {KEYSTONE_DEGREE} "
+                              f"needs more than {KEYSTONE_DEGREE} bands")
+    if not 1 <= n_fields <= samples:
+        raise EstimationError(f"n_fields must be in [1, {samples}] "
+                              f"(the cube's samples), not {n_fields}")
     profiles = cube.data.mean(axis=0, dtype=np.float64).T   # (bands, samples)
-    bands, samples = profiles.shape
     if not 0 <= ref_band < bands:
         raise EstimationError("reference band outside cube")
     ref = profiles[ref_band]

@@ -104,9 +104,8 @@ def two_material_scene():
     beside bright neighbours for stray light to fill in."""
     lib = sim.synth_scene("spectral-library", 256, 64, level=30.0)
     return sim.Scene(
-        kind="two-material", wavelengths=lib.wavelengths,
         spectra=np.vstack([lib.spectra,
-                           np.full((1, lib.wavelengths.size), 120.0)]),
+                           np.full((1, lib.spectra.shape[1]), 120.0)]),
         spectrum_index=np.broadcast_to(
             ((np.arange(256)[:, None] // 2) % 2), (256, 64)).copy(),
         spatial=np.ones((256, 64)))

@@ -655,8 +655,9 @@ def _reference_correct_stray(cube, model, steering_deg):
         corrected = np.empty_like(seg)
         for c0, c1, frac in sim.stray_blocks(samples):
             kpad = np.zeros(n)
-            kpad[:model.tap_count] = model.kernel(theta, frac)
-            kf = np.fft.rfft(np.roll(kpad, -(model.tap_count // 2)))
+            taps = model.kernel(theta, frac)
+            kpad[:taps.size] = taps
+            kf = np.fft.rfft(np.roll(kpad, -(taps.size // 2)))
             power = np.abs(kf) ** 2
             wiener = np.conj(kf) / (power + ano.WIENER_EPS * power.max())
             dc = wiener[0].real * kf[0].real

@@ -126,6 +126,14 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == EXIT_STAGE
         assert "add a 'simulate' stage first" in capsys.readouterr().err
 
+    def test_geocal_on_a_strip_too_short_for_gcps_returns_three(
+            self, tmp_path, capsys):
+        # GCP lines are drawn from 2 to lines - 3
+        cfg = _write_config(tmp_path, [dict(SIM_SMALL, lines=4),
+                                       {"name": "geocal"}])
+        assert main(["run", "--config", cfg]) == EXIT_STAGE
+        assert "at least 5 lines, not 4" in capsys.readouterr().err
+
     def test_preview_band_outside_the_cube_returns_three(self, tmp_path,
                                                          capsys):
         cfg = _write_config(tmp_path, [SIM_SMALL, {"name": "report",

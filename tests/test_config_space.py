@@ -50,8 +50,9 @@ def invocations(draw):
     preset = draw(st.sampled_from(PRESETS))
     stages = [dict(name=name, **params)
               for name, params in default_config(preset="dual").stages]
-    stages[0].update(lines=draw(st.integers(16, 64)),
-                     samples=draw(st.integers(16, 64)), bands=8)
+    stages[0].update(lines=draw(st.integers(1, 64)),
+                     samples=draw(st.integers(1, 64)),
+                     bands=draw(st.integers(1, 8)))
     stages[-1]["preview_bands"] = [3]
     target = draw(st.sampled_from(CHAIN))
     key = draw(st.sampled_from(sorted(STAGES[target].params)))

@@ -22,12 +22,13 @@ from conftest import traced_peak
 
 def _plan_bytes(shape, points) -> int:
     """Bytes of a cubic sampling plan of a ``points`` grid on a ``shape``
-    one, summed over its four tap matrices; they share their x weights and
-    row pointers, so this is about 1.8 times the plan's own buffers."""
+    one, each buffer counted once: the four tap matrices share their x
+    weights and row pointers."""
     at = np.zeros(points)
     plan = kernels.cubic_plan(shape, at, at)
-    return sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
-               for t in plan.taps) + sum(w.nbytes for w in plan.wy)
+    buffers = {a.ctypes.data: a.nbytes for t in plan.taps
+               for a in (t.data, t.indices, t.indptr)}
+    return sum(buffers.values()) + sum(w.nbytes for w in plan.wy)
 
 
 def _doc(stages, **top):
@@ -328,10 +329,14 @@ def test_vnir_stability_taken_in_sample_blocks(tmp_path, monkeypatch,
 def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
     """The bundle stage renders, converts and samples one 8-band block of
     the SWIR strip at a time, so its traced peak at 96x96 stays below the
-    merged cube, the ortho and warp sampling plans and six float64 blocks
-    of the strip (the block in work, its radiance and the per-band sensor
-    truth), with no uint16 SWIR strip.  A whole float64 SWIR radiance or
-    ortho cube alone is 32 such blocks."""
+    merged cube, the ortho and warp sampling plans, the SWIR sensor's five
+    (bands, samples) float64 fields (smile, keystone, PRNU, dark and gain,
+    held for the whole stage) and five float64 blocks of the strip: the
+    block's radiance, the three grid-sized buffers of its sampling (the
+    ortho block, the accumulator and one tap product) and one for the small
+    buffers (FFT plans, band metadata, the block's manifest).  There is no
+    uint16 SWIR strip; a whole float64 SWIR radiance or ortho cube alone is
+    32 such blocks."""
     band_block, side = 8, 96
     monkeypatch.setattr(geometry, "BUNDLE_BAND_BLOCK", band_block)
     monkeypatch.setattr(kernels, "WORKERS", workers)
@@ -355,8 +360,10 @@ def test_bundle_stage_holds_no_swir_strip(tmp_path, monkeypatch, workers):
           {"name": "bundle", "save": False}], tmp_path, preset="dual")
     merged = seen["merged"]
     plan_bytes = _plan_bytes((side, side), merged.shape[:2])
+    sensor_bytes = 5 * INSTRUMENTS["swir"].bands * side * 8
     block = side * side * band_block * 8
-    assert seen["peak"] < merged.nbytes + 2 * plan_bytes + 6 * block
+    assert seen["peak"] < (merged.nbytes + 2 * plan_bytes + sensor_bytes
+                           + 5 * block)
 
 
 def test_bundle_stage_frees_the_ortho_cube(tmp_path, monkeypatch):
@@ -419,7 +426,7 @@ _CONTRACT = {
         + 2 * 16 * registration._PEAK_ROWS * (2 * registration._UPSAMPLE + 1)
         + 4 * budget,
     "keystone": lambda l, s, b, budget, est: est + 4 * budget,
-    # the sampling plan as _plan_bytes counts it, the inverse mapping
+    # the sampling plan (each buffer once), the inverse mapping
     # (line, sample, converged) and one copied band block, on a grid of at
     # most one cell per strip pixel (else the ortho cube does not take the
     # run's buffer); the stage peaks in the mapping's fixed-point
@@ -540,6 +547,12 @@ class TestParameterValues:
         ("simulate", "lines", 0, "stages[0].lines"),
         ("smile", "window", 0, "stages[1].window"),
         ("keystone", "n_fields", 0, "stages[1].n_fields"),
+        ("keystone", "ref_band", -1, "stages[1].ref_band"),
+        ("caldark", "lines", 0, "stages[1].lines"),
+        ("flat-field", "frames", -2, "stages[1].frames"),
+        ("stray", "tap_count", 0, "stages[1].tap_count"),
+        ("geocal", "strips", 0, "stages[1].strips"),
+        ("geocal", "gcps_per_strip", -1, "stages[1].gcps_per_strip"),
         ("ortho", "cell_m", 0, "stages[1].cell_m"),
         ("ortho", "cell_m", -30.0, "stages[1].cell_m"),
         # shift_2d's shortest patch side is 16 px

@@ -4,11 +4,11 @@ models, SNR, and vicarious gain refinement."""
 import numpy as np
 import pytest
 
-from hypercal import kernels, radiometry as rad
+from hypercal import radiometry as rad
 from hypercal import simulate as sim
 from hypercal.errors import CubeFormatError, EstimationError
 
-from conftest import line_mean, quiet_sensor, same_bits, traced_peak
+from conftest import line_mean, quiet_sensor, traced_peak
 
 SPHERE_LEVELS = (0.5, 2.0, 60.0, 90.0)
 
@@ -124,27 +124,6 @@ class TestFlatFieldFit:
         assert np.array_equal(np.concatenate([b for b, _ in blocks], axis=1),
                               whole)
         assert clamped > 0 and sum(c for _, c in blocks) == clamped
-
-    @pytest.mark.parametrize("per_task", [3, None])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sample_split_same_bits_as_one_task(self, workers, per_task,
-                                                monkeypatch):
-        # 128 samples in blocks of three (a remainder of two), or one
-        # sample per task at a one-byte budget, against one task of all
-        sensor = _sphere_sensor(masked_channels=(3,))
-        table = _fit_table(sensor, frames=20)
-        dark = rad.DarkModel.constant(sensor.dark_dn)
-        cube = sim.render_sphere(sensor, 0.2, 30, seed=4)
-        monkeypatch.setattr(kernels, "WORKERS", 1)
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 << 40)
-        one, one_valid, one_clamped = rad.apply_flatfield(cube, table, dark)
-        monkeypatch.setattr(kernels, "WORKERS", workers)
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 if per_task is None
-                            else per_task * 8 * 30 * 16 * workers)
-        out, valid, clamped = rad.apply_flatfield(cube, table, dark)
-        assert same_bits(out.data, one.data)
-        assert np.array_equal(valid, one_valid)
-        assert one_clamped > 0 and clamped == one_clamped
 
     def test_clamp_count_makes_no_whole_block_mask(self):
         # a bool mask of the whole converted block would be an eighth of it

@@ -339,6 +339,23 @@ class TestKeystone:
         with pytest.raises(EstimationError):
             spectral.estimate_keystone(cube)
 
+    @pytest.mark.parametrize("bands", [1, 2])
+    def test_too_few_bands_for_the_fit_refused(self, bands):
+        # the shift-vs-band polynomial has KEYSTONE_DEGREE + 1 terms
+        sensor = quiet_sensor("vnir", samples=64, bands=bands)
+        scene = sim.synth_scene("bar-target", 16, 64, period=8, contrast=0.2)
+        with pytest.raises(EstimationError, match="needs more than 2 bands"):
+            spectral.estimate_keystone(render_radiance(scene, sensor),
+                                       ref_band=0)
+
+    def test_more_field_positions_than_samples_refused(self):
+        sensor = quiet_sensor("vnir", samples=32, bands=8)
+        scene = sim.synth_scene("bar-target", 16, 32, period=8, contrast=0.2)
+        with pytest.raises(EstimationError, match=r"n_fields must be in "
+                                                  r"\[1, 32\].*not 33"):
+            spectral.estimate_keystone(render_radiance(scene, sensor),
+                                       ref_band=4, n_fields=33)
+
     def test_model_round_trip(self, tmp_path):
         cube, _ = self._bar_cube(1.0)
         model = spectral.estimate_keystone(cube)
