@@ -262,10 +262,11 @@ def test_geocal_does_not_load_scipy_optimize(tmp_path):
     assert (tmp_path / "boresight.txt").exists()
 
 
-def test_default_chains_do_not_load_scipy_special_or_ndimage(tmp_path):
+def test_default_chains_do_not_load_scipy(tmp_path):
     """A fresh interpreter imports the CLI and runs the correct and bundle
     chains (stray light, bunch and interference repair, ortho and bundle)
-    without scipy.special or scipy.ndimage."""
+    without loading any scipy module: cubic sampling calls scipy's compiled
+    CSR routines from their extension file alone."""
     import os
     import subprocess
     import sys
@@ -281,8 +282,8 @@ def test_default_chains_do_not_load_scipy_special_or_ndimage(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "import sys; import hypercal.cli as cli; "
-        "loaded = lambda: sorted({'scipy.special', 'scipy.ndimage'} "
-        "& set(sys.modules)); print(loaded()); "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy'); print(loaded()); "
         f"print(cli.main(['correct', '--config', {cfg!r}]), loaded()); "
         f"print(cli.main(['bundle', '--config', {cfg!r}]), loaded())")
     done = subprocess.run([sys.executable, "-c", code], env=env,

@@ -1,7 +1,9 @@
 """Numeric kernels: cubic-convolution resampling and Gaussian band
 integration, checked against plain-Python per-point references."""
 
+import importlib.machinery
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -596,14 +598,48 @@ class TestCubicPlan:
         assert peak < 20 << 20
 
     def test_desk_plan_has_int32_indices(self):
+        # the four row taps share their x weights and row pointers; a task
+        # of points 100..299 takes entries 400..1199 and the leading 201
+        # row pointers, int32 views of the plan's arrays
         rng = np.random.default_rng(27)
         yy = _test_coords(rng, (256, 256), 256)
         xx = _test_coords(rng, (256, 256), 256)
         plan = kernels.cubic_plan((256, 256), yy, xx)
         for taps in plan.taps:
             assert taps.indices.dtype == taps.indptr.dtype == np.int32
-            rows = kernels._point_rows(taps, slice(100, 300))
-            assert rows.indices.dtype == rows.indptr.dtype == np.int32
+            assert taps.data is plan.taps[0].data
+            assert taps.indptr is plan.taps[0].indptr
+            indices, indptr = taps.indices[400:1200], taps.indptr[:201]
+            assert indices.dtype == indptr.dtype == np.int32
+            assert np.shares_memory(indices, taps.indices)
+            assert np.shares_memory(indptr, taps.indptr)
+            assert np.array_equal(indptr, taps.indptr[100:301] - 400)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fallback_routines_give_the_same_bits(self, workers,
+                                                  monkeypatch):
+        # with no extension file of any suffix in scipy's package
+        # directory, the loader takes scipy.sparse's own module; cubic_apply
+        # through its routines (csr_matvec for one band, csr_matvecs for
+        # more) writes the direct path's bits
+        from scipy.sparse import _sparsetools
+
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                            [".no-such-suffix"])
+        fallback = kernels._load_sparsetools()
+        assert fallback is _sparsetools
+        assert "scipy.sparse._sparsetools" not in sys.modules
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 9 * 20 * workers)
+        for dtype in (np.float64, np.uint16):
+            for bands in (1, 7, 9):
+                stack, yy, xx = self._case(dtype, bands=bands)
+                plan = kernels.cubic_plan(stack.shape[:2], yy, xx)
+                direct = kernels.cubic_apply(plan, stack)
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels, "_sparsetools", fallback)
+                    assert same_bits(kernels.cubic_apply(plan, stack), direct)
 
     def test_plan_past_int32_has_int64_indices(self):
         # a 70000 x 70000 grid has more samples than int32 indexes; the
